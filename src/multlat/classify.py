@@ -5,6 +5,8 @@ lattice every element is compact, so compact-pair and all-pair readings
 coincide) and rejects the top element: primality of an improper element is a
 caller error, not a false answer.  False answers come with the
 lexicographically first violating pair, which makes reports deterministic.
+The pair scans read rows off the residual table, so they assume a lattice
+that passes ``validate``.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .derived import radical, residual
+from .derived import _residual_table, radical, residual
 from .lattice import FiniteMultiplicativeLattice
-from .maps import Expansion, PhiMap
+from .maps import Expansion, PhiMap, make_delta
 
 
 def _require_proper(L: FiniteMultiplicativeLattice, p: int) -> None:
@@ -24,120 +26,81 @@ def _require_proper(L: FiniteMultiplicativeLattice, p: int) -> None:
         )
 
 
-def _excused(L: FiniteMultiplicativeLattice, phi: PhiMap, ab: int, p: int) -> bool:
-    """Whether the product ab is excused from the test at p."""
-    return not phi.none and L.leq(ab, phi.table[p])
+def _excuse(phi: PhiMap, p: int) -> int | None:
+    """phi(p), below which products are excused; None for the none kind."""
+    return None if phi.none else phi.table[p]
 
 
 def _phi_residual(L: FiniteMultiplicativeLattice, phi: PhiMap, q: int, a: int) -> int:
     """(phi(q) : a); for the none kind no x satisfies xa <= phi(q), so join {} = bottom."""
-    if phi.none:
-        return L.bottom
-    return residual(L, phi.table[q], a)
+    excuse = _excuse(phi, q)
+    return L.bottom if excuse is None else residual(L, excuse, a)
+
+
+def _first_pair(L, target, excuse, row_skip, col_skip):
+    """First (a, b) with ab <= target, ab !<= excuse, a !<= row_skip, b !<= col_skip.
+
+    By residuation ab <= t iff b <= (t : a), so row a's violating columns are
+    the down-set of (target : a) minus those of (excuse : a) and col_skip;
+    b is its lowest set bit.  excuse None excuses nothing.  A top target is
+    rejected; p^k is the top exactly when p is.
+    """
+    _require_proper(L, target)
+    down, res = L.down_sets, _residual_table(L)
+    excused = res[excuse] if excuse is not None else None
+    skipped, keep = down[row_skip], ~down[col_skip]
+    for a, t in enumerate(res[target]):
+        if skipped >> a & 1:
+            continue
+        m = down[t] & keep & (~down[excused[a]] if excused is not None else -1)
+        if m:
+            return a, (m & -m).bit_length() - 1
+    return None
 
 
 @lru_cache(maxsize=None)
 def prime_violation(L, p):
-    _require_proper(L, p)
-    for a in range(L.n):
-        for b in range(L.n):
-            if L.leq(L.mul(a, b), p) and not (L.leq(a, p) or L.leq(b, p)):
-                return (a, b)
-    return None
+    return _first_pair(L, p, None, p, p)
 
 
 @lru_cache(maxsize=None)
 def primary_violation(L, p):
-    _require_proper(L, p)
-    r = radical(L, p)
-    for a in range(L.n):
-        for b in range(L.n):
-            if L.leq(L.mul(a, b), p) and not (L.leq(a, p) or L.leq(b, r)):
-                return (a, b)
-    return None
+    return _first_pair(L, p, None, p, radical(L, p))
 
 
 @lru_cache(maxsize=None)
 def delta_primary_violation(L, delta: Expansion, p):
-    _require_proper(L, p)
-    dp = delta.table[p]
-    for a in range(L.n):
-        for b in range(L.n):
-            if L.leq(L.mul(a, b), p) and not (L.leq(a, p) or L.leq(b, dp)):
-                return (a, b)
-    return None
+    return _first_pair(L, p, None, p, delta.table[p])
 
 
 @lru_cache(maxsize=None)
 def phi_prime_violation(L, phi: PhiMap, p):
-    _require_proper(L, p)
-    for a in range(L.n):
-        for b in range(L.n):
-            ab = L.mul(a, b)
-            if not L.leq(ab, p) or _excused(L, phi, ab, p):
-                continue
-            if not (L.leq(a, p) or L.leq(b, p)):
-                return (a, b)
-    return None
+    return _first_pair(L, p, _excuse(phi, p), p, p)
 
 
 @lru_cache(maxsize=None)
 def phi_primary_violation(L, phi: PhiMap, p):
-    _require_proper(L, p)
-    r = radical(L, p)
-    for a in range(L.n):
-        for b in range(L.n):
-            ab = L.mul(a, b)
-            if not L.leq(ab, p) or _excused(L, phi, ab, p):
-                continue
-            if not (L.leq(a, p) or L.leq(b, r)):
-                return (a, b)
-    return None
+    return _first_pair(L, p, _excuse(phi, p), p, radical(L, p))
 
 
 @lru_cache(maxsize=None)
 def phi_delta_primary_violation(L, delta: Expansion, phi: PhiMap, p):
     """First (a, b) with ab <= p, ab not excused, a !<= p, b !<= delta(p)."""
-    _require_proper(L, p)
-    dp = delta.table[p]
-    for a in range(L.n):
-        for b in range(L.n):
-            ab = L.mul(a, b)
-            if not L.leq(ab, p) or _excused(L, phi, ab, p):
-                continue
-            if not (L.leq(a, p) or L.leq(b, dp)):
-                return (a, b)
-    return None
+    return _first_pair(L, p, _excuse(phi, p), p, delta.table[p])
 
 
 @lru_cache(maxsize=None)
 def n_potent_violation(L, delta: Expansion, p, k: int):
     """First (a, b) with ab <= p^k but a !<= p and b !<= delta(p); k >= 2."""
-    _require_proper(L, p)
     if k < 2:
         raise ValueError(f"potency exponent must be >= 2, got {k}")
-    target = L.power(p, k)
-    dp = delta.table[p]
-    for a in range(L.n):
-        for b in range(L.n):
-            if L.leq(L.mul(a, b), target) and not (L.leq(a, p) or L.leq(b, dp)):
-                return (a, b)
-    return None
+    return _first_pair(L, L.power(p, k), None, p, delta.table[p])
 
 
 @lru_cache(maxsize=None)
 def compact_pair_violation(L, delta: Expansion, phi: PhiMap, q):
     """Pair-swapped form: rs <= q unexcused implies s <= q or r <= delta(q)."""
-    _require_proper(L, q)
-    dq = delta.table[q]
-    for r in range(L.n):
-        for s in range(L.n):
-            rs = L.mul(r, s)
-            if not L.leq(rs, q) or _excused(L, phi, rs, q):
-                continue
-            if not (L.leq(s, q) or L.leq(r, dq)):
-                return (r, s)
-    return None
+    return _first_pair(L, q, _excuse(phi, q), delta.table[q], q)
 
 
 def is_prime(L, p) -> bool:
@@ -254,8 +217,6 @@ def classification_report(
     included because separations against the identity expansion are the ones
     the golden examples need.
     """
-    from .maps import make_delta  # local: avoids importing at module load for cycles
-
     d0 = make_delta(L, "d0")
     phi0 = PhiMap(L, (L.bottom,) * L.n, "phi0", "phi0")
     records = []

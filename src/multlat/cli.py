@@ -155,8 +155,7 @@ _FLAG_COLUMNS = [
 
 
 def _classification_table(report: ClassificationReport) -> str:
-    width = max(len(r.element) for r in report.records)
-    width = max(width, len("element"))
+    width = max([len("element")] + [len(r.element) for r in report.records])
     header = f"{'element':<{width}} " + " ".join(h for _, h in _FLAG_COLUMNS)
     lines = [
         f"lattice {report.lattice}  delta={report.delta}  phi={report.phi}",
@@ -312,10 +311,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except LatticeFormatError as exc:
+    except (CliError, LatticeFormatError, LatticeValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,13 +8,32 @@ from functools import lru_cache
 from .lattice import FiniteMultiplicativeLattice
 
 
+def _principal_preimages(L: FiniteMultiplicativeLattice, images) -> list[list[int]]:
+    """For each image map, the element whose down-set is {x : image[x] <= t}, per t.
+
+    Callers pass maps for which every such set is a principal down-set, as in a
+    lawful lattice.  The carrier is split by image value and the parts are ORed
+    along the covers, ordered by the upper end's rank so that each part is
+    complete before it is passed up: one pass per map.
+    """
+    n, down = L.n, L.down_sets
+    owner = {m: k for k, m in enumerate(down)}
+    steps = sorted(L.covers, key=lambda cover: down[cover[1]].bit_count())
+    out = []
+    for image in images:
+        acc = [0] * n
+        for x, v in enumerate(image):
+            acc[v] |= 1 << x
+        for c, t in steps:
+            acc[t] |= acc[c]
+        out.append([owner[m] for m in acc])
+    return out
+
+
 @lru_cache(maxsize=None)
 def _residual_table(L: FiniteMultiplicativeLattice) -> tuple[tuple[int, ...], ...]:
-    n = L.n
-    return tuple(
-        tuple(L.join(x for x in range(n) if L.leq(L.mul(x, b), a)) for b in range(n))
-        for a in range(n)
-    )
+    """(t : b) for every t, b: {x : xb <= t} is the down-set of (t : b)."""
+    return tuple(zip(*_principal_preimages(L, zip(*L.mul_table))))
 
 
 def residual(L: FiniteMultiplicativeLattice, a: int, b: int) -> int:
@@ -52,11 +71,8 @@ def power_stabilization(L: FiniteMultiplicativeLattice, a: int) -> int:
 def _radical_table(L: FiniteMultiplicativeLattice) -> tuple[int, ...]:
     # x has some power below a iff its stabilized power is below a,
     # because the power chain descends and is finite.
-    n = L.n
-    omegas = [omega_power(L, x) for x in range(n)]
-    return tuple(
-        L.join(x for x in range(n) if L.leq(omegas[x], a)) for a in range(n)
-    )
+    omegas = [omega_power(L, x) for x in range(L.n)]
+    return tuple(_principal_preimages(L, [omegas])[0])
 
 
 def radical(L: FiniteMultiplicativeLattice, a: int) -> int:

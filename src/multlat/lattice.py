@@ -132,6 +132,17 @@ class FiniteMultiplicativeLattice:
         return a != b and self.leq_table[a][b]
 
     @cached_property
+    def up_sets(self) -> tuple[int, ...]:
+        """Bitmask per element: bit k of ``up_sets[a]`` is set iff a <= k."""
+        return tuple(sum(v << k for k, v in enumerate(row)) for row in self.leq_table)
+
+    @cached_property
+    def down_sets(self) -> tuple[int, ...]:
+        """Bitmask per element: bit k of ``down_sets[a]`` is set iff k <= a."""
+        cols = zip(*self.leq_table)
+        return tuple(sum(v << k for k, v in enumerate(col)) for col in cols)
+
+    @cached_property
     def _lub(self) -> tuple[tuple[int, ...], ...]:
         return self._bound_table(upper=True)
 
@@ -140,23 +151,28 @@ class FiniteMultiplicativeLattice:
         return self._bound_table(upper=False)
 
     def _bound_table(self, upper: bool) -> tuple[tuple[int, ...], ...]:
-        n, leq = self.n, self.leq_table
+        # The lub of (i, j) is the element whose up-set is up[i] & up[j], dually the
+        # glb; a reflexive antisymmetric order admits no other.  Otherwise, or on a
+        # miss, each candidate is checked, so a broken order fails on the same pair.
+        up, down = self.up_sets, self.down_sets
+        sets = up if upper else down
+        poset = all(u & d == 1 << k for k, (u, d) in enumerate(zip(up, down)))
+        owner = {m: k for k, m in enumerate(sets)} if poset else {}
         table = []
-        for i in range(n):
+        for i, si in enumerate(sets):
             row = []
-            for j in range(n):
-                if upper:
-                    cands = [k for k in range(n) if leq[i][k] and leq[j][k]]
-                    best = [k for k in cands if all(leq[k][c] for c in cands)]
-                else:
-                    cands = [k for k in range(n) if leq[k][i] and leq[k][j]]
-                    best = [k for k in cands if all(leq[c][k] for c in cands)]
-                if len(best) != 1:
-                    kind = "least upper" if upper else "greatest lower"
-                    raise LatticeStructureError(
-                        f"no {kind} bound for ({self.label(i)}, {self.label(j)})"
-                    )
-                row.append(best[0])
+            for j, sj in enumerate(sets):
+                common = si & sj
+                k = owner.get(common)
+                if k is None:
+                    best = [c for c in _bits(common) if common & ~sets[c] == 0]
+                    if len(best) != 1:
+                        kind = "least upper" if upper else "greatest lower"
+                        raise LatticeStructureError(
+                            f"no {kind} bound for ({self.label(i)}, {self.label(j)})"
+                        )
+                    k = best[0]
+                row.append(k)
             table.append(tuple(row))
         return tuple(table)
 
@@ -184,13 +200,12 @@ class FiniteMultiplicativeLattice:
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Hasse cover pairs (a, b) with a < b and nothing strictly between."""
         out = []
-        for a in range(self.n):
-            for b in range(self.n):
-                if not self.lt(a, b):
-                    continue
-                if any(self.lt(a, c) and self.lt(c, b) for c in range(self.n)):
-                    continue
-                out.append((a, b))
+        for a, up in enumerate(self.up_sets):
+            above = up & ~(1 << a)
+            beyond = 0
+            for c in _bits(above):
+                beyond |= self.up_sets[c] & ~(1 << c)
+            out.extend((a, b) for b in _bits(above & ~beyond))
         return tuple(out)
 
     # -- multiplication ----------------------------------------------------
@@ -203,8 +218,18 @@ class FiniteMultiplicativeLattice:
             raise ValueError(f"power exponent must be >= 1, got {k}")
         out = a
         for _ in range(k - 1):
+            if self.mul_table[out][a] == out:  # every further step returns out too
+                break
             out = self.mul_table[out][a]
         return out
+
+
+def _bits(mask: int):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _first(iterable):

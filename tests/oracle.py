@@ -1,0 +1,160 @@
+"""Naive reference definitions for the fast kernels.
+
+Each function reads the raw ``leq``/``mul`` tables and scans every candidate,
+exactly as the definitions are written: the violation scans walk all ordered
+pairs row-major, the residual and radical tables join every qualifying x, and
+the bound table filters every common bound.  ``tests/test_kernels.py`` checks
+the kernels in ``multlat`` against them.  The primary scans take sqrt(p) from
+``multlat.radical``, which is checked against ``radical_table`` here.
+"""
+
+from multlat import LatticeStructureError, radical
+
+
+def bound_table(L, upper):
+    """lub (upper) or glb table from the order alone; raises on the first missing bound."""
+    n, leq = L.n, L.leq_table
+    table = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            if upper:
+                cands = [k for k in range(n) if leq[i][k] and leq[j][k]]
+                best = [k for k in cands if all(leq[k][c] for c in cands)]
+            else:
+                cands = [k for k in range(n) if leq[k][i] and leq[k][j]]
+                best = [k for k in cands if all(leq[c][k] for c in cands)]
+            if len(best) != 1:
+                kind = "least upper" if upper else "greatest lower"
+                raise LatticeStructureError(
+                    f"no {kind} bound for ({L.label(i)}, {L.label(j)})"
+                )
+            row.append(best[0])
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def _joiner(L):
+    """Join of a finite set through the naive lub table."""
+    lub = bound_table(L, upper=True)
+
+    def join(ids):
+        out = L.bottom
+        for i in ids:
+            out = lub[out][i]
+        return out
+
+    return join
+
+
+def residual_table(L):
+    """(a : b) = join of every x with xb <= a."""
+    n, join = L.n, _joiner(L)
+    return tuple(
+        tuple(join(x for x in range(n) if L.leq(L.mul(x, b), a)) for b in range(n))
+        for a in range(n)
+    )
+
+
+def radical_table(L):
+    """sqrt(a) = join of every x with x^k <= a for some k; powers settle within n steps."""
+    n, join = L.n, _joiner(L)
+
+    def rooted(x, a):
+        return any(L.leq(power(L, x, k), a) for k in range(1, n + 1))
+
+    return tuple(join(x for x in range(n) if rooted(x, a)) for a in range(n))
+
+
+def _excused(L, phi, ab, p):
+    return not phi.none and L.leq(ab, phi.table[p])
+
+
+def prime_violation(L, p):
+    for a in range(L.n):
+        for b in range(L.n):
+            if L.leq(L.mul(a, b), p) and not (L.leq(a, p) or L.leq(b, p)):
+                return (a, b)
+    return None
+
+
+def primary_violation(L, p):
+    r = radical(L, p)
+    for a in range(L.n):
+        for b in range(L.n):
+            if L.leq(L.mul(a, b), p) and not (L.leq(a, p) or L.leq(b, r)):
+                return (a, b)
+    return None
+
+
+def delta_primary_violation(L, delta, p):
+    dp = delta.table[p]
+    for a in range(L.n):
+        for b in range(L.n):
+            if L.leq(L.mul(a, b), p) and not (L.leq(a, p) or L.leq(b, dp)):
+                return (a, b)
+    return None
+
+
+def phi_prime_violation(L, phi, p):
+    for a in range(L.n):
+        for b in range(L.n):
+            ab = L.mul(a, b)
+            if not L.leq(ab, p) or _excused(L, phi, ab, p):
+                continue
+            if not (L.leq(a, p) or L.leq(b, p)):
+                return (a, b)
+    return None
+
+
+def phi_primary_violation(L, phi, p):
+    r = radical(L, p)
+    for a in range(L.n):
+        for b in range(L.n):
+            ab = L.mul(a, b)
+            if not L.leq(ab, p) or _excused(L, phi, ab, p):
+                continue
+            if not (L.leq(a, p) or L.leq(b, r)):
+                return (a, b)
+    return None
+
+
+def phi_delta_primary_violation(L, delta, phi, p):
+    dp = delta.table[p]
+    for a in range(L.n):
+        for b in range(L.n):
+            ab = L.mul(a, b)
+            if not L.leq(ab, p) or _excused(L, phi, ab, p):
+                continue
+            if not (L.leq(a, p) or L.leq(b, dp)):
+                return (a, b)
+    return None
+
+
+def power(L, a, k):
+    out = a
+    for _ in range(k - 1):
+        out = L.mul(out, a)
+    return out
+
+
+def n_potent_violation(L, delta, p, k):
+    target = power(L, p, k)
+    dp = delta.table[p]
+    for a in range(L.n):
+        for b in range(L.n):
+            if L.leq(L.mul(a, b), target) and not (L.leq(a, p) or L.leq(b, dp)):
+                return (a, b)
+    return None
+
+
+def compact_pair_violation(L, delta, phi, q):
+    dq = delta.table[q]
+    for r in range(L.n):
+        for s in range(L.n):
+            rs = L.mul(r, s)
+            if not L.leq(rs, q) or _excused(L, phi, rs, q):
+                continue
+            if not (L.leq(s, q) or L.leq(r, dq)):
+                return (r, s)
+    return None

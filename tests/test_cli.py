@@ -189,3 +189,41 @@ def test_classify_output_file(tmp_path, capsys):
     )
     assert rc == 0
     assert json.loads(out_path.read_text())["lattice"] == "Z8"
+
+
+def test_classify_empty_lattice_prints_header_only(capsys):
+    for flag in ("--chain", "--boolean"):
+        rc, out, err = run(capsys, "classify", flag, "0")
+        assert rc == 0 and not err
+        lines = out.splitlines()
+        assert lines[1].startswith("element ") and set(lines[2]) == {"-"}
+        assert len(lines) == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--file"),
+        ("export-dot", "--file"),
+        ("verify", "--add-file"),
+        ("hunt", "--have", "prime", "--lack", "phi2-d1-primary", "--add-file"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_axiom_breaking_file_is_usage_error(tmp_path, capsys, argv):
+    path = tmp_path / "bad.lat"
+    path.write_text(Z8_BAD)
+    rc, out, err = run(capsys, *argv, str(path))
+    assert rc == 2
+    assert err.startswith("error: Z8bad: axiom failures: ")
+    assert not out
+
+
+def test_huge_exponents_finish(capsys):
+    # Powers stop once they stabilize, so the run time no longer grows with k.
+    rc, out, _ = run(capsys, "classify", "--zn", "8", "--phi", "n:300000000")
+    assert rc == 0 and "phi=phi300000000" in out
+    rc, out, _ = run(
+        capsys, "hunt", "--have", "300000000-potent-d0-primary", "--lack", "prime"
+    )
+    assert rc == 0 and "Z8 (4)" in out

@@ -1,0 +1,127 @@
+"""The bitset and residual kernels against the naive definitions in oracle.py.
+
+Every witness must equal the oracle's, pair for pair, for every expansion,
+phi kind and potency exponent; the lub, glb, residual and radical tables must
+equal the oracle's entry for entry.
+"""
+
+import pytest
+
+import oracle
+from multlat import (
+    FiniteMultiplicativeLattice,
+    LatticeStructureError,
+    boolean_frame,
+    chain_frame,
+    compact_pair_violation,
+    default_corpus,
+    delta_primary_violation,
+    make_delta,
+    make_phi,
+    n_potent_violation,
+    omega_power,
+    phi_delta_primary_violation,
+    phi_primary_violation,
+    phi_prime_violation,
+    primary_violation,
+    prime_violation,
+    zn_ideal_lattice,
+)
+from multlat.derived import _radical_table, _residual_table
+
+DELTA_KINDS = ("d0", "d1")
+PHI_KINDS = ("none", "phi0", "phi1", "phi2", "phi3", "phiomega")
+POTENCY = (2, 3, 4)
+
+
+def _lattices():
+    out = list(default_corpus().lattices())
+    out += [chain_frame(k) for k in range(6)]
+    out += [boolean_frame(k) for k in range(5)]
+    out.append(zn_ideal_lattice(360))
+    return out
+
+
+LATTICES = _lattices()
+
+
+@pytest.fixture(params=LATTICES, ids=lambda L: L.name)
+def lattice(request):
+    return request.param
+
+
+def test_bound_tables_match_oracle(lattice):
+    assert lattice._lub == oracle.bound_table(lattice, upper=True)
+    assert lattice._glb == oracle.bound_table(lattice, upper=False)
+
+
+def test_residual_and_radical_tables_match_oracle(lattice):
+    assert _residual_table(lattice) == oracle.residual_table(lattice)
+    assert _radical_table(lattice) == oracle.radical_table(lattice)
+
+
+def test_witnesses_match_oracle(lattice):
+    L = lattice
+    deltas = [make_delta(L, k) for k in DELTA_KINDS]
+    phis = [make_phi(L, k) for k in PHI_KINDS]
+    for p in L.proper_elements:
+        assert prime_violation(L, p) == oracle.prime_violation(L, p)
+        assert primary_violation(L, p) == oracle.primary_violation(L, p)
+        for phi in phis:
+            assert phi_prime_violation(L, phi, p) == oracle.phi_prime_violation(L, phi, p)
+            assert phi_primary_violation(L, phi, p) == oracle.phi_primary_violation(
+                L, phi, p
+            )
+        for delta in deltas:
+            assert delta_primary_violation(L, delta, p) == (
+                oracle.delta_primary_violation(L, delta, p)
+            )
+            for k in POTENCY:
+                assert n_potent_violation(L, delta, p, k) == (
+                    oracle.n_potent_violation(L, delta, p, k)
+                )
+            for phi in phis:
+                where = (L.name, delta.tag, phi.tag, L.label(p))
+                assert phi_delta_primary_violation(L, delta, phi, p) == (
+                    oracle.phi_delta_primary_violation(L, delta, phi, p)
+                ), where
+                assert compact_pair_violation(L, delta, phi, p) == (
+                    oracle.compact_pair_violation(L, delta, phi, p)
+                ), where
+
+
+def test_large_power_is_the_stabilized_power(corpus):
+    for L in corpus.lattices():
+        for a in L.elements():
+            assert L.power(a, 10**9) == omega_power(L, a)
+            for k in range(1, 6):
+                assert L.power(a, k) == oracle.power(L, a, k)
+
+
+def _order_flips(L):
+    """Copies of L with one entry of the order table flipped; most break an axiom."""
+    for i in L.elements():
+        for j in L.elements():
+            leq = [list(row) for row in L.leq_table]
+            leq[i][j] = not leq[i][j]
+            yield FiniteMultiplicativeLattice(
+                f"{L.name}-flip{i}.{j}", L.labels, leq, L.mul_table, L.bottom, L.top
+            )
+
+
+@pytest.mark.parametrize(
+    "base", [chain_frame(3), boolean_frame(2), zn_ideal_lattice(12)], ids=lambda L: L.name
+)
+def test_bound_table_errors_match_oracle_on_broken_orders(base):
+    # The constructor accepts any square boolean table; the bound tables must
+    # agree with the oracle on every one, down to the first pair they reject.
+    for L in _order_flips(base):
+        for upper in (True, False):
+            try:
+                want = oracle.bound_table(L, upper)
+            except LatticeStructureError as exc:
+                with pytest.raises(LatticeStructureError) as got:
+                    L._bound_table(upper)
+                assert str(got.value) == str(exc)
+            else:
+                assert L._bound_table(upper) == want
