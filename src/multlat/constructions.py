@@ -9,7 +9,7 @@ as multiplication.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 from .lattice import FiniteMultiplicativeLattice, LatticeStructureError, validate
 
@@ -37,7 +37,8 @@ def zn_ideal_lattice(n: int) -> FiniteMultiplicativeLattice:
     """
     if not isinstance(n, int) or not 2 <= n <= _ZN_LIMIT:
         raise ValueError(f"zn_ideal_lattice needs an integer in [2, {_ZN_LIMIT}], got {n!r}")
-    divisors = sorted(d for d in range(1, n + 1) if n % d == 0)
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    divisors = sorted({*small, *(n // d for d in small)})
     values = [n] + [d for d in divisors if 1 < d < n] + [1]
     index = {v: i for i, v in enumerate(values)}
     labels = ["(0)"] + [f"({d})" for d in values[1:-1]] + ["(1)"]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 
 class LatticeStructureError(ValueError):
@@ -151,27 +152,40 @@ class FiniteMultiplicativeLattice:
         return self._bound_table(upper=False)
 
     def _bound_table(self, upper: bool) -> tuple[tuple[int, ...], ...]:
+        """The lub (upper) or glb table; raises on the first missing bound, row-major."""
+        table = self._partial_lub if upper else self._partial_glb
+        for i, j in _missing(table):
+            kind = "least upper" if upper else "greatest lower"
+            raise LatticeStructureError(
+                f"no {kind} bound for ({self.label(i)}, {self.label(j)})"
+            )
+        return table
+
+    @cached_property
+    def _partial_lub(self) -> tuple[tuple[int | None, ...], ...]:
+        return self._partial_bounds(upper=True)
+
+    @cached_property
+    def _partial_glb(self) -> tuple[tuple[int | None, ...], ...]:
+        return self._partial_bounds(upper=False)
+
+    def _partial_bounds(self, upper: bool) -> tuple[tuple[int | None, ...], ...]:
         # The lub of (i, j) is the element whose up-set is up[i] & up[j], dually the
         # glb; a reflexive antisymmetric order admits no other.  Otherwise, or on a
-        # miss, each candidate is checked, so a broken order fails on the same pair.
+        # miss, each candidate is checked; None marks a pair with no unique bound.
         up, down = self.up_sets, self.down_sets
         sets = up if upper else down
         poset = all(u & d == 1 << k for k, (u, d) in enumerate(zip(up, down)))
         owner = {m: k for k, m in enumerate(sets)} if poset else {}
         table = []
-        for i, si in enumerate(sets):
+        for si in sets:
             row = []
-            for j, sj in enumerate(sets):
+            for sj in sets:
                 common = si & sj
                 k = owner.get(common)
                 if k is None:
                     best = [c for c in _bits(common) if common & ~sets[c] == 0]
-                    if len(best) != 1:
-                        kind = "least upper" if upper else "greatest lower"
-                        raise LatticeStructureError(
-                            f"no {kind} bound for ({self.label(i)}, {self.label(j)})"
-                        )
-                    k = best[0]
+                    k = best[0] if len(best) == 1 else None
                 row.append(k)
             table.append(tuple(row))
         return tuple(table)
@@ -223,6 +237,11 @@ class FiniteMultiplicativeLattice:
             out = self.mul_table[out][a]
         return out
 
+    @cached_property
+    def validation(self) -> ValidationReport:
+        """The report of ``validate``, computed once per lattice object."""
+        return _check_axioms(self)
+
 
 def _bits(mask: int):
     """Indices of the set bits of mask, lowest first."""
@@ -232,10 +251,15 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _first(iterable):
-    for item in iterable:
-        return item
-    return None
+def _missing(table):
+    """Row-major (i, j) pairs whose entry in a partial bound table is None."""
+    return ((i, row.index(None)) for i, row in enumerate(table) if None in row)
+
+
+def _gather(idx):
+    """The map seq -> tuple(seq[i] for i in idx), run as one C call."""
+    get = itemgetter(*idx)
+    return get if len(idx) > 1 else lambda seq: (get(seq),)
 
 
 def validate(L: FiniteMultiplicativeLattice) -> ValidationReport:
@@ -245,91 +269,51 @@ def validate(L: FiniteMultiplicativeLattice) -> ValidationReport:
     bottom least and top greatest; existence of pairwise joins and meets;
     commutativity, associativity, identity (a*top = a), annihilation
     (a*bottom = bottom), distributivity over binary joins, and monotonicity.
-    One lexicographically-first witness is recorded per violated axiom.
+    One lexicographically-first witness is recorded per violated axiom.  The
+    report is kept on the lattice, so a second call costs nothing.
     """
-    n = L.n
-    leq = L.leq_table
-    mul = L.mul_table
-    rng = range(n)
-    failures: list[tuple[str, tuple[int, ...]]] = []
+    return L.validation
 
-    w = _first((i,) for i in rng if not leq[i][i])
-    if w:
-        failures.append(("order-reflexive", w))
-    w = _first((i, j) for i in rng for j in rng if i != j and leq[i][j] and leq[j][i])
-    if w:
-        failures.append(("order-antisymmetric", w))
-    w = _first(
-        (i, j, k)
-        for i in rng for j in rng for k in rng
-        if leq[i][j] and leq[j][k] and not leq[i][k]
+
+def _check_axioms(L: FiniteMultiplicativeLattice) -> ValidationReport:
+    # Each scan yields witnesses in the row-major order of the plain triple
+    # loop, reading whole rows of the up-set bitmasks and of the tables.
+    rng, full = range(L.n), (1 << L.n) - 1
+    leq, mul, up, down = L.leq_table, L.mul_table, L.up_sets, L.down_sets
+    cols = tuple(zip(*mul))
+    above = tuple(tuple(_bits(m)) for m in up)
+    # -1 marks a pair with no join; it is reported as such and skipped below.
+    lub = tuple(tuple(-1 if k is None else k for k in row) for row in L._partial_lub)
+    times, joins = [_gather(row) for row in mul], [_gather(row) for row in lub]
+    scans = (
+        ("order-reflexive", ((i,) for i in rng if not up[i] >> i & 1)),
+        ("order-antisymmetric",
+         ((i, j) for i in rng for j in _bits(up[i] & down[i] & ~(1 << i)))),
+        ("order-transitive",
+         ((i, j, k) for i in rng for j in _bits(up[i]) for k in _bits(up[j] & ~up[i]))),
+        ("bottom-least", ((i,) for i in _bits(full & ~up[L.bottom]))),
+        ("top-greatest", ((i,) for i in _bits(full & ~down[L.top]))),
+        ("pairwise-join-exists", _missing(L._partial_lub)),
+        ("pairwise-meet-exists", _missing(L._partial_glb)),
+        ("mul-commutative",
+         ((a, b) for a in rng if mul[a] != cols[a] for b in rng if mul[a][b] != mul[b][a])),
+        # row (ab)c against row a(bc)
+        ("mul-associative",
+         ((a, b, c) for a, row in enumerate(mul) for b in rng
+          if (ab_c := mul[row[b]]) != (a_bc := times[b](row))
+          for c in rng if ab_c[c] != a_bc[c])),
+        ("mul-identity", ((a,) for a in rng if mul[a][L.top] != a)),
+        ("mul-annihilates-bottom", ((a,) for a in rng if mul[a][L.bottom] != L.bottom)),
+        # row a(b v c) against row ab v ac
+        ("mul-join-distributive",
+         ((a, b, c) for a, row in enumerate(mul) for by_a in (_gather(row),) for b in rng
+          if (lhs := joins[b](row)) != (rhs := by_a(lub[row[b]]))
+          for c in rng if lhs[c] != rhs[c] and lub[b][c] >= 0 and rhs[c] >= 0)),
+        # every c >= b must have ac >= ab
+        ("mul-monotone",
+         ((a, b, c) for a, row in enumerate(mul) for b in rng
+          if not all(map(leq[row[b]].__getitem__, map(row.__getitem__, above[b])))
+          for c in above[b] if not leq[row[b]][row[c]])),
     )
-    if w:
-        failures.append(("order-transitive", w))
-    w = _first((i,) for i in rng if not leq[L.bottom][i])
-    if w:
-        failures.append(("bottom-least", w))
-    w = _first((i,) for i in rng if not leq[i][L.top])
-    if w:
-        failures.append(("top-greatest", w))
-
-    # Pairwise bounds are computed from the raw order so a broken table is
-    # reported rather than crashing downstream.
-    def least_upper(i, j):
-        cands = [k for k in rng if leq[i][k] and leq[j][k]]
-        best = [k for k in cands if all(leq[k][c] for c in cands)]
-        return best[0] if len(best) == 1 else None
-
-    def greatest_lower(i, j):
-        cands = [k for k in rng if leq[k][i] and leq[k][j]]
-        best = [k for k in cands if all(leq[c][k] for c in cands)]
-        return best[0] if len(best) == 1 else None
-
-    w = _first((i, j) for i in rng for j in rng if least_upper(i, j) is None)
-    if w:
-        failures.append(("pairwise-join-exists", w))
-    w = _first((i, j) for i in rng for j in rng if greatest_lower(i, j) is None)
-    if w:
-        failures.append(("pairwise-meet-exists", w))
-
-    w = _first((a, b) for a in rng for b in rng if mul[a][b] != mul[b][a])
-    if w:
-        failures.append(("mul-commutative", w))
-    w = _first(
-        (a, b, c)
-        for a in rng for b in rng for c in rng
-        if mul[mul[a][b]][c] != mul[a][mul[b][c]]
-    )
-    if w:
-        failures.append(("mul-associative", w))
-    w = _first((a,) for a in rng if mul[a][L.top] != a)
-    if w:
-        failures.append(("mul-identity", w))
-    w = _first((a,) for a in rng if mul[a][L.bottom] != L.bottom)
-    if w:
-        failures.append(("mul-annihilates-bottom", w))
-
-    def dist_witness():
-        for a in rng:
-            for b in rng:
-                for c in rng:
-                    j = least_upper(b, c)
-                    p = least_upper(mul[a][b], mul[a][c])
-                    if j is None or p is None:
-                        continue  # already reported as a missing bound
-                    if mul[a][j] != p:
-                        return (a, b, c)
-        return None
-
-    w = dist_witness()
-    if w:
-        failures.append(("mul-join-distributive", w))
-    w = _first(
-        (a, b, c)
-        for a in rng for b in rng for c in rng
-        if leq[b][c] and not leq[mul[a][b]][mul[a][c]]
-    )
-    if w:
-        failures.append(("mul-monotone", w))
-
-    return ValidationReport(ok=not failures, failures=tuple(failures))
+    failures = tuple((name, w) for name, scan in scans if (w := next(scan, None)) is not None)
+    return ValidationReport(ok=not failures, failures=failures)

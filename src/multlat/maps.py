@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .derived import omega_power, radical
 from .lattice import FiniteMultiplicativeLattice
@@ -34,6 +35,16 @@ class UnaryMap:
 
     def apply(self, a: int) -> int:
         return self.table[a]
+
+    @cached_property
+    def monotone(self) -> bool:
+        """a <= b implies g(a) <= g(b); computed once per map object."""
+        L = self.lattice
+        for a in range(L.n):
+            for b in range(L.n):
+                if L.leq(a, b) and not L.leq(self.table[a], self.table[b]):
+                    return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -151,12 +162,7 @@ def map_leq(g1: UnaryMap, g2: UnaryMap) -> bool:
 
 
 def is_monotone(g: UnaryMap) -> bool:
-    L = g.lattice
-    for a in range(L.n):
-        for b in range(L.n):
-            if L.leq(a, b) and not L.leq(g.table[a], g.table[b]):
-                return False
-    return True
+    return g.monotone
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,15 @@
 
 Each function reads the raw ``leq``/``mul`` tables and scans every candidate,
 exactly as the definitions are written: the violation scans walk all ordered
-pairs row-major, the residual and radical tables join every qualifying x, and
-the bound table filters every common bound.  ``tests/test_kernels.py`` checks
-the kernels in ``multlat`` against them.  The primary scans take sqrt(p) from
+pairs row-major, the residual and radical tables join every qualifying x, the
+bound table filters every common bound, and ``naive_validate`` walks every
+tuple of each axiom with the bounds recomputed from the order.
+``tests/test_kernels.py`` and ``tests/test_validate.py`` check the kernels in
+``multlat`` against them.  The primary scans take sqrt(p) from
 ``multlat.radical``, which is checked against ``radical_table`` here.
 """
 
-from multlat import LatticeStructureError, radical
+from multlat import LatticeStructureError, ValidationReport, radical
 
 
 def bound_table(L, upper):
@@ -158,3 +160,106 @@ def compact_pair_violation(L, delta, phi, q):
             if not (L.leq(s, q) or L.leq(r, dq)):
                 return (r, s)
     return None
+
+
+def _first(iterable):
+    for item in iterable:
+        return item
+    return None
+
+
+def naive_validate(L):
+    """Exhaustively check every lattice and multiplication axiom.
+
+    Checks, in order: reflexivity, antisymmetry, transitivity of the order;
+    bottom least and top greatest; existence of pairwise joins and meets;
+    commutativity, associativity, identity (a*top = a), annihilation
+    (a*bottom = bottom), distributivity over binary joins, and monotonicity.
+    One lexicographically-first witness is recorded per violated axiom.
+    """
+    n = L.n
+    leq = L.leq_table
+    mul = L.mul_table
+    rng = range(n)
+    failures: list[tuple[str, tuple[int, ...]]] = []
+
+    w = _first((i,) for i in rng if not leq[i][i])
+    if w:
+        failures.append(("order-reflexive", w))
+    w = _first((i, j) for i in rng for j in rng if i != j and leq[i][j] and leq[j][i])
+    if w:
+        failures.append(("order-antisymmetric", w))
+    w = _first(
+        (i, j, k)
+        for i in rng for j in rng for k in rng
+        if leq[i][j] and leq[j][k] and not leq[i][k]
+    )
+    if w:
+        failures.append(("order-transitive", w))
+    w = _first((i,) for i in rng if not leq[L.bottom][i])
+    if w:
+        failures.append(("bottom-least", w))
+    w = _first((i,) for i in rng if not leq[i][L.top])
+    if w:
+        failures.append(("top-greatest", w))
+
+    # Pairwise bounds are computed from the raw order so a broken table is
+    # reported rather than crashing downstream.
+    def least_upper(i, j):
+        cands = [k for k in rng if leq[i][k] and leq[j][k]]
+        best = [k for k in cands if all(leq[k][c] for c in cands)]
+        return best[0] if len(best) == 1 else None
+
+    def greatest_lower(i, j):
+        cands = [k for k in rng if leq[k][i] and leq[k][j]]
+        best = [k for k in cands if all(leq[c][k] for c in cands)]
+        return best[0] if len(best) == 1 else None
+
+    w = _first((i, j) for i in rng for j in rng if least_upper(i, j) is None)
+    if w:
+        failures.append(("pairwise-join-exists", w))
+    w = _first((i, j) for i in rng for j in rng if greatest_lower(i, j) is None)
+    if w:
+        failures.append(("pairwise-meet-exists", w))
+
+    w = _first((a, b) for a in rng for b in rng if mul[a][b] != mul[b][a])
+    if w:
+        failures.append(("mul-commutative", w))
+    w = _first(
+        (a, b, c)
+        for a in rng for b in rng for c in rng
+        if mul[mul[a][b]][c] != mul[a][mul[b][c]]
+    )
+    if w:
+        failures.append(("mul-associative", w))
+    w = _first((a,) for a in rng if mul[a][L.top] != a)
+    if w:
+        failures.append(("mul-identity", w))
+    w = _first((a,) for a in rng if mul[a][L.bottom] != L.bottom)
+    if w:
+        failures.append(("mul-annihilates-bottom", w))
+
+    def dist_witness():
+        for a in rng:
+            for b in rng:
+                for c in rng:
+                    j = least_upper(b, c)
+                    p = least_upper(mul[a][b], mul[a][c])
+                    if j is None or p is None:
+                        continue  # already reported as a missing bound
+                    if mul[a][j] != p:
+                        return (a, b, c)
+        return None
+
+    w = dist_witness()
+    if w:
+        failures.append(("mul-join-distributive", w))
+    w = _first(
+        (a, b, c)
+        for a in rng for b in rng for c in rng
+        if leq[b][c] and not leq[mul[a][b]][mul[a][c]]
+    )
+    if w:
+        failures.append(("mul-monotone", w))
+
+    return ValidationReport(ok=not failures, failures=tuple(failures))

@@ -223,3 +223,20 @@ def test_parse_map_table(z8):
         parse_map_table("(0) (2) (4)", z8)  # arity
     with pytest.raises(ValueError):
         parse_map_table("(0) (7)", z8)  # unknown label
+
+
+def test_is_monotone_is_computed_once_per_map(z24):
+    # Both answers occur: identity below the top, bottom at the top, is not monotone.
+    table = [z24.bottom if a == z24.top else a for a in z24.elements()]
+    maps = [make_phi(z24, k) for k in PHI_KINDS] + [make_phi(z24, "table", table=table)]
+    for g in maps:
+        want = all(
+            z24.leq(g.table[a], g.table[b])
+            for a in z24.elements()
+            for b in z24.elements()
+            if z24.leq(a, b)
+        )
+        assert "monotone" not in vars(g)
+        assert is_monotone(g) is want and vars(g)["monotone"] is want
+        assert is_monotone(g) is want
+    assert {is_monotone(g) for g in maps} == {True, False}
