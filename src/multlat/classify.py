@@ -6,16 +6,18 @@ coincide) and rejects the top element: primality of an improper element is a
 caller error, not a false answer.  False answers come with the
 lexicographically first violating pair, which makes reports deterministic.
 The pair scans read rows off the residual table, so they assume a lattice
-that passes ``validate``.
+that passes ``validate``.  Every predicate is one scan, ``_first_pair``, whose
+verdict is kept in the lattice's own memo under its four element arguments;
+predicates that reduce to the same scan (prime, phi-prime for the none kind,
+d0-primary) share one entry, and the memo is freed with the lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .derived import _residual_table, radical, residual
-from .lattice import FiniteMultiplicativeLattice
+from .lattice import FiniteMultiplicativeLattice, _per_lattice
 from .maps import Expansion, PhiMap, make_delta
 
 
@@ -37,6 +39,7 @@ def _phi_residual(L: FiniteMultiplicativeLattice, phi: PhiMap, q: int, a: int) -
     return L.bottom if excuse is None else residual(L, excuse, a)
 
 
+@_per_lattice
 def _first_pair(L, target, excuse, row_skip, col_skip):
     """First (a, b) with ab <= target, ab !<= excuse, a !<= row_skip, b !<= col_skip.
 
@@ -58,38 +61,31 @@ def _first_pair(L, target, excuse, row_skip, col_skip):
     return None
 
 
-@lru_cache(maxsize=None)
 def prime_violation(L, p):
     return _first_pair(L, p, None, p, p)
 
 
-@lru_cache(maxsize=None)
 def primary_violation(L, p):
     return _first_pair(L, p, None, p, radical(L, p))
 
 
-@lru_cache(maxsize=None)
 def delta_primary_violation(L, delta: Expansion, p):
     return _first_pair(L, p, None, p, delta.table[p])
 
 
-@lru_cache(maxsize=None)
 def phi_prime_violation(L, phi: PhiMap, p):
     return _first_pair(L, p, _excuse(phi, p), p, p)
 
 
-@lru_cache(maxsize=None)
 def phi_primary_violation(L, phi: PhiMap, p):
     return _first_pair(L, p, _excuse(phi, p), p, radical(L, p))
 
 
-@lru_cache(maxsize=None)
 def phi_delta_primary_violation(L, delta: Expansion, phi: PhiMap, p):
     """First (a, b) with ab <= p, ab not excused, a !<= p, b !<= delta(p)."""
     return _first_pair(L, p, _excuse(phi, p), p, delta.table[p])
 
 
-@lru_cache(maxsize=None)
 def n_potent_violation(L, delta: Expansion, p, k: int):
     """First (a, b) with ab <= p^k but a !<= p and b !<= delta(p); k >= 2."""
     if k < 2:
@@ -97,7 +93,6 @@ def n_potent_violation(L, delta: Expansion, p, k: int):
     return _first_pair(L, L.power(p, k), None, p, delta.table[p])
 
 
-@lru_cache(maxsize=None)
 def compact_pair_violation(L, delta: Expansion, phi: PhiMap, q):
     """Pair-swapped form: rs <= q unexcused implies s <= q or r <= delta(q)."""
     return _first_pair(L, q, _excuse(phi, q), delta.table[q], q)
@@ -131,7 +126,6 @@ def is_n_potent_delta_primary(L, delta, p, k) -> bool:
     return n_potent_violation(L, delta, p, k) is None
 
 
-@lru_cache(maxsize=None)
 def characterization_A_witness(L, delta: Expansion, phi: PhiMap, q):
     """First a with a !<= delta(q) where (q:a) is neither q nor (phi(q):a)."""
     _require_proper(L, q)
@@ -145,7 +139,6 @@ def characterization_A_witness(L, delta: Expansion, phi: PhiMap, q):
     return None
 
 
-@lru_cache(maxsize=None)
 def characterization_B_witness(L, delta: Expansion, phi: PhiMap, q):
     """First a with a !<= q where (q:a) !<= delta(q) and (q:a) != (phi(q):a)."""
     _require_proper(L, q)

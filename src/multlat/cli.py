@@ -196,6 +196,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.witness_cap < 0:
+        raise CliError(f"--witness-cap must be >= 0, got {args.witness_cap}")
     corpus = _build_corpus(args)
     expected = () if args.expect_vacuous == ["none"] else tuple(args.expect_vacuous)
     config = HarnessConfig(witness_cap=args.witness_cap, expected_vacuous=expected)

@@ -3,81 +3,38 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .lattice import FiniteMultiplicativeLattice
-
-
-def _principal_preimages(L: FiniteMultiplicativeLattice, images) -> list[list[int]]:
-    """For each image map, the element whose down-set is {x : image[x] <= t}, per t.
-
-    Callers pass maps for which every such set is a principal down-set, as in a
-    lawful lattice.  The carrier is split by image value and the parts are ORed
-    along the covers, ordered by the upper end's rank so that each part is
-    complete before it is passed up: one pass per map.
-    """
-    n, down = L.n, L.down_sets
-    owner = {m: k for k, m in enumerate(down)}
-    steps = sorted(L.covers, key=lambda cover: down[cover[1]].bit_count())
-    out = []
-    for image in images:
-        acc = [0] * n
-        for x, v in enumerate(image):
-            acc[v] |= 1 << x
-        for c, t in steps:
-            acc[t] |= acc[c]
-        out.append([owner[m] for m in acc])
-    return out
+from .lattice import FiniteMultiplicativeLattice, _per_lattice
 
 
-@lru_cache(maxsize=None)
 def _residual_table(L: FiniteMultiplicativeLattice) -> tuple[tuple[int, ...], ...]:
-    """(t : b) for every t, b: {x : xb <= t} is the down-set of (t : b)."""
-    return tuple(zip(*_principal_preimages(L, zip(*L.mul_table))))
+    """(t : b) for every t, b, kept on the lattice."""
+    return L._residual_table
 
 
 def residual(L: FiniteMultiplicativeLattice, a: int, b: int) -> int:
     """(a : b), the largest x with x*b <= a."""
-    return _residual_table(L)[a][b]
-
-
-@lru_cache(maxsize=None)
-def _power_chain(L: FiniteMultiplicativeLattice, a: int) -> tuple[int, ...]:
-    """Distinct values of a, a^2, a^3, ... until the chain repeats.
-
-    Powers descend (a^(k+1) <= a^k), so the chain stabilizes within n steps
-    and its last entry is the meet of all powers.
-    """
-    chain = [a]
-    cur = a
-    while True:
-        cur = L.mul(cur, a)
-        if cur == chain[-1]:
-            return tuple(chain)
-        chain.append(cur)
+    return L._residual_table[a][b]
 
 
 def omega_power(L: FiniteMultiplicativeLattice, a: int) -> int:
     """The stabilized power of a: meet over all a^k, k >= 1."""
-    return _power_chain(L, a)[-1]
+    return L._power_chains[a][-1]
 
 
 def power_stabilization(L: FiniteMultiplicativeLattice, a: int) -> int:
     """Least s >= 1 with a^s = a^(s+1)."""
-    return len(_power_chain(L, a))
+    return len(L._power_chains[a])
 
 
-@lru_cache(maxsize=None)
 def _radical_table(L: FiniteMultiplicativeLattice) -> tuple[int, ...]:
-    # x has some power below a iff its stabilized power is below a,
-    # because the power chain descends and is finite.
-    omegas = [omega_power(L, x) for x in range(L.n)]
-    return tuple(_principal_preimages(L, [omegas])[0])
+    """sqrt(a) for every a, kept on the lattice."""
+    return L._radical_table
 
 
 def radical(L: FiniteMultiplicativeLattice, a: int) -> int:
     """sqrt(a): join of every x some power of which lies below a."""
-    return _radical_table(L)[a]
+    return L._radical_table[a]
 
 
 def is_idempotent(L: FiniteMultiplicativeLattice, a: int) -> bool:
@@ -214,7 +171,7 @@ def maximal_elements(L: FiniteMultiplicativeLattice) -> tuple[int, ...]:
     return tuple(a for a in range(L.n) if is_maximal(L, a))
 
 
-@lru_cache(maxsize=None)
+@_per_lattice
 def structure_profile(L: FiniteMultiplicativeLattice) -> StructureProfile:
     """Whole-lattice classification flags.
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from itertools import product
 from typing import Callable, Iterable, Iterator
 
 from .classify import (
@@ -42,7 +42,7 @@ from .derived import (
     residual,
     structure_profile,
 )
-from .lattice import FiniteMultiplicativeLattice
+from .lattice import FiniteMultiplicativeLattice, _per_lattice
 from .maps import (
     Expansion,
     Isomorphism,
@@ -167,15 +167,15 @@ class HarnessReport:
         return "\n".join(rows)
 
 
-# -- cached per-lattice machinery ---------------------------------------------
+# -- per-lattice machinery, kept on the lattice --------------------------------
 
 
-@lru_cache(maxsize=None)
+@_per_lattice
 def _delta(L: FiniteMultiplicativeLattice, kind: str) -> Expansion:
     return make_delta(L, kind)
 
 
-@lru_cache(maxsize=None)
+@_per_lattice
 def _phi(L: FiniteMultiplicativeLattice, kind: str) -> PhiMap:
     return make_phi(L, kind)
 
@@ -188,12 +188,12 @@ def _phis(L, config) -> tuple[PhiMap, ...]:
     return tuple(_phi(L, k) for k in config.phi_kinds)
 
 
-@lru_cache(maxsize=None)
+@_per_lattice
 def _isomorphisms(L1, L2) -> tuple[Isomorphism, ...]:
     return enumerate_isomorphisms(L1, L2)
 
 
-@lru_cache(maxsize=None)
+@_per_lattice
 def _proper_chains(L: FiniteMultiplicativeLattice) -> tuple[tuple[int, ...], ...]:
     """All nonempty totally ordered subsets of the proper elements."""
     proper = L.proper_elements
@@ -231,36 +231,29 @@ def _delta_as_isomorphism(delta: Expansion) -> Isomorphism | None:
 # -- instance generators -------------------------------------------------------
 
 
-def _over_dp(L, corpus, config) -> Iterator[Instance]:
-    for delta in _deltas(L, config):
-        for p in L.proper_elements:
-            yield {"delta": delta, "p": p}
+# What each binding name ranges over, given the lattice and the config.
+_DOMAINS = {
+    "delta": _deltas,
+    "gamma": _deltas,
+    "phi": _phis,
+    "g1": _phis,
+    "g2": _phis,
+    "p": lambda L, config: L.proper_elements,
+    "q": lambda L, config: L.proper_elements,
+    "n": lambda L, config: config.potency,
+    "k": lambda L, config: config.potency,
+    "chain": lambda L, config: _proper_chains(L),
+}
 
 
-def _over_pp(L, corpus, config) -> Iterator[Instance]:
-    for phi in _phis(L, config):
-        for p in L.proper_elements:
-            yield {"phi": phi, "p": p}
+def _from_binding(binding: tuple[str, ...]) -> Instances:
+    """The instances of a binding: the product of its domains, in binding order."""
 
+    def instances(L, corpus, config) -> Iterator[Instance]:
+        domains = [_DOMAINS[name](L, config) for name in binding]
+        return (dict(zip(binding, values)) for values in product(*domains))
 
-def _over_dpp(L, corpus, config) -> Iterator[Instance]:
-    for delta in _deltas(L, config):
-        for phi in _phis(L, config):
-            for p in L.proper_elements:
-                yield {"delta": delta, "phi": phi, "p": p}
-
-
-def _over_dq(L, corpus, config) -> Iterator[Instance]:
-    for delta in _deltas(L, config):
-        for q in L.proper_elements:
-            yield {"delta": delta, "q": q}
-
-
-def _over_dpq(L, corpus, config) -> Iterator[Instance]:
-    for delta in _deltas(L, config):
-        for phi in _phis(L, config):
-            for q in L.proper_elements:
-                yield {"delta": delta, "phi": phi, "q": q}
+    return instances
 
 
 # -- the registry --------------------------------------------------------------
@@ -274,7 +267,8 @@ def registry() -> tuple[TheoremProperty, ...]:
     """One machine-checkable property per theorem, corollary, and example."""
     props: list[TheoremProperty] = []
 
-    def add(id, description, binding, instances, hypothesis, conclusion, clause):
+    def add(id, description, binding, hypothesis, conclusion, clause, instances=None):
+        instances = instances or _from_binding(binding)
         props.append(
             TheoremProperty(id, description, binding, instances, hypothesis, conclusion, clause)
         )
@@ -283,7 +277,6 @@ def registry() -> tuple[TheoremProperty, ...]:
         "T01",
         "phi-d0-primary if and only if phi-prime",
         ("phi", "p"),
-        _over_pp,
         lambda L, c, i: True,
         lambda L, c, i: is_phi_delta_primary(L, _delta(L, "d0"), i["phi"], i["p"])
         == is_phi_prime(L, i["phi"], i["p"]),
@@ -294,25 +287,16 @@ def registry() -> tuple[TheoremProperty, ...]:
         "T02",
         "phi-d1-primary if and only if phi-primary",
         ("phi", "p"),
-        _over_pp,
         lambda L, c, i: True,
         lambda L, c, i: is_phi_delta_primary(L, _delta(L, "d1"), i["phi"], i["p"])
         == is_phi_primary(L, i["phi"], i["p"]),
         "phi-d1-primary <=> phi-primary",
     )
 
-    def t03_instances(L, corpus, config):
-        for delta in _deltas(L, config):
-            for gamma in _deltas(L, config):
-                for phi in _phis(L, config):
-                    for p in L.proper_elements:
-                        yield {"delta": delta, "gamma": gamma, "phi": phi, "p": p}
-
     add(
         "T03",
         "phi-delta-primary implies phi-gamma-primary when delta <= gamma",
         ("delta", "gamma", "phi", "p"),
-        t03_instances,
         lambda L, c, i: map_leq(i["delta"], i["gamma"])
         and is_phi_delta_primary(L, i["delta"], i["phi"], i["p"]),
         lambda L, c, i: is_phi_delta_primary(L, i["gamma"], i["phi"], i["p"]),
@@ -323,7 +307,6 @@ def registry() -> tuple[TheoremProperty, ...]:
         "T04",
         "a prime element is phi-delta-primary for every expansion and phi",
         ("delta", "phi", "p"),
-        _over_dpp,
         lambda L, c, i: is_prime(L, i["p"]),
         lambda L, c, i: is_phi_delta_primary(L, i["delta"], i["phi"], i["p"]),
         "phi-delta-primary",
@@ -334,7 +317,6 @@ def registry() -> tuple[TheoremProperty, ...]:
         "definition, first residual characterization, and the compact-pair "
         "form agree",
         ("delta", "phi", "q"),
-        _over_dpq,
         lambda L, c, i: True,
         lambda L, c, i: (
             is_phi_delta_primary(L, i["delta"], i["phi"], i["q"])
@@ -348,7 +330,6 @@ def registry() -> tuple[TheoremProperty, ...]:
         "T06",
         "definition and second residual characterization agree",
         ("delta", "phi", "q"),
-        _over_dpq,
         lambda L, c, i: True,
         lambda L, c, i: is_phi_delta_primary(L, i["delta"], i["phi"], i["q"])
         == residual_characterization_B(L, i["delta"], i["phi"], i["q"]),
@@ -368,24 +349,15 @@ def registry() -> tuple[TheoremProperty, ...]:
         "in a quasi-local Noether lattice, p^2 = m^2 <= p <= m forces p to be "
         "phi2-d1-primary",
         ("p",),
-        lambda L, corpus, config: ({"p": p} for p in L.proper_elements),
         t07_hypothesis,
         lambda L, c, i: is_phi_delta_primary(L, _delta(L, "d1"), _phi(L, "phi2"), i["p"]),
         "phi2-d1-primary",
     )
 
-    def t08_instances(L, corpus, config):
-        for delta in _deltas(L, config):
-            for g1 in _phis(L, config):
-                for g2 in _phis(L, config):
-                    for p in L.proper_elements:
-                        yield {"delta": delta, "g1": g1, "g2": g2, "p": p}
-
     add(
         "T08",
         "g1-delta-primary implies g2-delta-primary when g1 <= g2 pointwise",
         ("delta", "g1", "g2", "p"),
-        t08_instances,
         lambda L, c, i: map_leq(i["g1"], i["g2"])
         and is_phi_delta_primary(L, i["delta"], i["g1"], i["p"]),
         lambda L, c, i: is_phi_delta_primary(L, i["delta"], i["g2"], i["p"]),
@@ -409,12 +381,6 @@ def registry() -> tuple[TheoremProperty, ...]:
         "implication chain: delta-primary => phi0 => phiomega => phi(n+1) => "
         "phi(n) => phi2 (delta-primary throughout)",
         ("delta", "n", "p"),
-        lambda L, corpus, config: (
-            {"delta": d, "n": n, "p": p}
-            for d in _deltas(L, config)
-            for n in config.potency
-            for p in L.proper_elements
-        ),
         lambda L, c, i: True,
         t09_conclusion,
         "each arrow of the chain",
@@ -424,7 +390,6 @@ def registry() -> tuple[TheoremProperty, ...]:
         "T10",
         "phiomega-delta-primary iff phin-delta-primary for every n >= 2",
         ("delta", "p"),
-        _over_dp,
         lambda L, c, i: True,
         lambda L, c, i: is_phi_delta_primary(L, i["delta"], _phi(L, "phiomega"), i["p"])
         == all(
@@ -443,7 +408,6 @@ def registry() -> tuple[TheoremProperty, ...]:
         "in a local Noether domain with all proper power-meets zero, "
         "phin-delta-primary for every n >= 2 iff delta-primary",
         ("delta", "p"),
-        _over_dp,
         t11_hypothesis,
         lambda L, c, i: all(
             is_phi_delta_primary(L, i["delta"], _phi(L, f"phi{n}"), i["p"])
@@ -469,7 +433,6 @@ def registry() -> tuple[TheoremProperty, ...]:
         "restricted cancellation law is phi-delta-primary (phi <= phi2, and "
         "likewise phi <= phin for n >= 2) iff delta-primary",
         ("delta", "phi", "q"),
-        _over_dpq,
         t12_hypothesis,
         lambda L, c, i: is_phi_delta_primary(L, i["delta"], i["phi"], i["q"])
         == is_delta_primary(L, i["delta"], i["q"]),
@@ -481,7 +444,6 @@ def registry() -> tuple[TheoremProperty, ...]:
         "a 2-potent delta-primary element (the d0 form included) is "
         "phi-delta-primary for phi <= phi2 iff delta-primary",
         ("delta", "phi", "q"),
-        _over_dpq,
         lambda L, c, i: is_n_potent_delta_primary(L, i["delta"], i["q"], 2)
         and map_leq(i["phi"], _phi(L, "phi2")),
         lambda L, c, i: is_phi_delta_primary(L, i["delta"], i["phi"], i["q"])
@@ -489,32 +451,27 @@ def registry() -> tuple[TheoremProperty, ...]:
         "phi-delta-primary <=> delta-primary",
     )
 
+    def t14_instances(L, corpus, config):
+        every = _from_binding(("delta", "phi", "q", "n", "k"))(L, corpus, config)
+        return (i for i in every if i["k"] <= i["n"])
+
     add(
         "T14",
         "for k <= n, a k-potent delta-primary element is phi-delta-primary "
         "for phi <= phin iff delta-primary",
         ("delta", "phi", "q", "n", "k"),
-        lambda L, corpus, config: (
-            {"delta": d, "phi": f, "q": q, "n": n, "k": k}
-            for d in _deltas(L, config)
-            for f in _phis(L, config)
-            for q in L.proper_elements
-            for n in config.potency
-            for k in config.potency
-            if k <= n
-        ),
         lambda L, c, i: map_leq(i["phi"], _phi(L, f"phi{i['n']}"))
         and is_n_potent_delta_primary(L, i["delta"], i["q"], i["k"]),
         lambda L, c, i: is_phi_delta_primary(L, i["delta"], i["phi"], i["q"])
         == is_delta_primary(L, i["delta"], i["q"]),
         "phi-delta-primary <=> delta-primary",
+        instances=t14_instances,
     )
 
     add(
         "T15",
         "a phi-delta-primary q with q^2 not below phi(q) is delta-primary",
         ("delta", "phi", "q"),
-        _over_dpq,
         lambda L, c, i: is_phi_delta_primary(L, i["delta"], i["phi"], i["q"])
         and not L.leq_table[L.power(i["q"], 2)][i["phi"].table[i["q"]]],
         lambda L, c, i: is_delta_primary(L, i["delta"], i["q"]),
@@ -525,7 +482,6 @@ def registry() -> tuple[TheoremProperty, ...]:
         "T16",
         "a phi-delta-primary q that is not delta-primary has q^2 <= phi(q)",
         ("delta", "phi", "q"),
-        _over_dpq,
         lambda L, c, i: is_phi_delta_primary(L, i["delta"], i["phi"], i["q"])
         and not is_delta_primary(L, i["delta"], i["q"]),
         lambda L, c, i: L.leq_table[L.power(i["q"], 2)][i["phi"].table[i["q"]]],
@@ -537,7 +493,6 @@ def registry() -> tuple[TheoremProperty, ...]:
         "a phi-delta-primary q that is not delta-primary has "
         "radical(q) = radical(phi(q))",
         ("delta", "phi", "q"),
-        _over_dpq,
         lambda L, c, i: is_phi_delta_primary(L, i["delta"], i["phi"], i["q"])
         and not is_delta_primary(L, i["delta"], i["q"]),
         lambda L, c, i: radical(L, i["q"]) == radical(L, i["phi"].table[i["q"]]),
@@ -549,7 +504,6 @@ def registry() -> tuple[TheoremProperty, ...]:
         "a phi-delta-primary q with phi <= phi3 is phin-delta-primary for "
         "every n >= 2 and phiomega-delta-primary",
         ("delta", "phi", "q"),
-        _over_dpq,
         lambda L, c, i: map_leq(i["phi"], _phi(L, "phi3"))
         and is_phi_delta_primary(L, i["delta"], i["phi"], i["q"]),
         lambda L, c, i: is_phi_delta_primary(L, i["delta"], _phi(L, "phiomega"), i["q"])
@@ -564,7 +518,6 @@ def registry() -> tuple[TheoremProperty, ...]:
         "T19",
         "a phi0-delta-primary q that is not delta-primary has q^2 = 0",
         ("delta", "q"),
-        _over_dq,
         lambda L, c, i: is_phi_delta_primary(L, i["delta"], _phi(L, "phi0"), i["q"])
         and not is_delta_primary(L, i["delta"], i["q"]),
         lambda L, c, i: L.power(i["q"], 2) == L.bottom,
@@ -575,7 +528,6 @@ def registry() -> tuple[TheoremProperty, ...]:
         "T20",
         "a phi-delta-primary q whose phi(q) is delta-primary is delta-primary",
         ("delta", "phi", "q"),
-        _over_dpq,
         lambda L, c, i: is_phi_delta_primary(L, i["delta"], i["phi"], i["q"])
         and is_delta_primary(L, i["delta"], i["phi"].table[i["q"]]),
         lambda L, c, i: is_delta_primary(L, i["delta"], i["q"]),
@@ -587,12 +539,6 @@ def registry() -> tuple[TheoremProperty, ...]:
         "the join of a chain of phi-delta-primary elements is "
         "phi-delta-primary when phi is monotone",
         ("delta", "phi", "chain"),
-        lambda L, corpus, config: (
-            {"delta": d, "phi": f, "chain": ch}
-            for d in _deltas(L, config)
-            for f in _phis(L, config)
-            for ch in _proper_chains(L)
-        ),
         lambda L, c, i: is_monotone(i["phi"])
         and L.join(i["chain"]) != L.top
         and all(
@@ -625,12 +571,12 @@ def registry() -> tuple[TheoremProperty, ...]:
         "residuals of a phi-delta-primary p stay phi-delta-primary when "
         "(phi(p):q) <= phi(p:q)",
         ("delta", "phi", "p", "q"),
-        t22_instances,
         t22_hypothesis,
         lambda L, c, i: is_phi_delta_primary(
             L, i["delta"], i["phi"], residual(L, i["p"], i["q"])
         ),
         "(p:q) is phi-delta-primary",
+        instances=t22_instances,
     )
 
     def t23_conclusion(L, c, i):
@@ -646,7 +592,6 @@ def registry() -> tuple[TheoremProperty, ...]:
         "a phi-delta-primary p with radical(phi(p)) <= delta(p) has "
         "radical(p) <= delta(p), with equality when also delta(p) <= radical(p)",
         ("delta", "phi", "p"),
-        _over_dpp,
         lambda L, c, i: is_phi_delta_primary(L, i["delta"], i["phi"], i["p"])
         and L.leq_table[radical(L, i["phi"].table[i["p"]])][i["delta"].table[i["p"]]],
         t23_conclusion,
@@ -671,7 +616,6 @@ def registry() -> tuple[TheoremProperty, ...]:
         "property under it, and delta(delta(q)) <= delta(q), the image "
         "delta(q) of a phi-delta-primary q is phi-prime",
         ("delta", "phi", "q"),
-        _over_dpq,
         t24_hypothesis,
         lambda L, c, i: is_phi_prime(L, i["phi"], i["delta"].table[i["q"]]),
         "delta(q) is phi-prime",
@@ -682,11 +626,6 @@ def registry() -> tuple[TheoremProperty, ...]:
         "a phi-d1-primary q with radical(phi(q)) = phi(radical(q)) has "
         "phi-prime radical (when the radical is proper)",
         ("phi", "q"),
-        lambda L, corpus, config: (
-            {"phi": f, "q": q}
-            for f in _phis(L, config)
-            for q in L.proper_elements
-        ),
         lambda L, c, i: is_phi_delta_primary(L, _delta(L, "d1"), i["phi"], i["q"])
         and radical(L, i["phi"].table[i["q"]]) == i["phi"].table[radical(L, i["q"])]
         and radical(L, i["q"]) != L.top,
@@ -716,7 +655,6 @@ def registry() -> tuple[TheoremProperty, ...]:
         "along an isomorphism under which delta and phi have the global "
         "property, phi-delta-primary transfers in both directions",
         ("f", "delta", "phi", "p"),
-        t26_instances,
         lambda L, c, i: check_global_property(i["f"], i["delta_src"], i["delta"])
         and check_global_property(i["f"], i["phi_src"], i["phi"]),
         lambda L, c, i: is_phi_delta_primary(
@@ -726,6 +664,7 @@ def registry() -> tuple[TheoremProperty, ...]:
             L, i["delta_src"], i["phi_src"], i["f"].pull_back(i["p"])
         ),
         "status agrees across the isomorphism",
+        instances=t26_instances,
     )
 
     add(
@@ -733,7 +672,6 @@ def registry() -> tuple[TheoremProperty, ...]:
         "every proper idempotent is phiomega-delta-primary, hence "
         "phin-delta-primary for every n >= 2",
         ("delta", "q"),
-        _over_dq,
         lambda L, c, i: is_idempotent(L, i["q"]),
         lambda L, c, i: is_phi_delta_primary(L, i["delta"], _phi(L, "phiomega"), i["q"])
         and all(
@@ -778,10 +716,10 @@ def registry() -> tuple[TheoremProperty, ...]:
         "2-potent d0-primary; Z8 (4) phi2-d1-primary, 2-potent d0-primary, "
         "not idempotent, not prime",
         ("q",),
-        t28_instances,
         lambda L, c, i: True,
         t28_conclusion,
         "example flags as published",
+        instances=t28_instances,
     )
 
     return tuple(props)

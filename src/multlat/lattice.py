@@ -10,7 +10,7 @@ so the carrier is stored as explicit order and multiplication tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from operator import itemgetter
 
 
@@ -46,8 +46,10 @@ class FiniteMultiplicativeLattice:
     Elements are integers ``0..n-1``; ``labels[i]`` is the display name of
     element ``i``.  ``leq_table[a][b]`` states ``a <= b`` and
     ``mul_table[a][b]`` is the index of the product ``ab``.  All operations
-    are pure; instances hash and compare by value, so they are safe cache
-    keys.
+    are pure and instances compare by value.  Each instance keeps the tables
+    and results derived from it (bound, residual and radical tables, power
+    chains, validation report, and the memo filled by ``_per_lattice``
+    functions), so they are computed once per object and freed with it.
     """
 
     def __init__(self, name, labels, leq, mul, bottom, top):
@@ -83,6 +85,7 @@ class FiniteMultiplicativeLattice:
         self.top = top
         self._index = {lab: i for i, lab in enumerate(labels)}
         self._hash = hash((self.name, labels, leq, mul, bottom, top))
+        self._memo = {}  # filled by _per_lattice functions
 
     # -- identity ---------------------------------------------------------
 
@@ -238,9 +241,80 @@ class FiniteMultiplicativeLattice:
         return out
 
     @cached_property
+    def _power_chains(self) -> tuple[tuple[int, ...], ...]:
+        """Per element a, the distinct values of a, a^2, a^3, ... until they repeat.
+
+        Powers descend (a^(k+1) <= a^k), so each chain stabilizes within n
+        steps and its last entry is the meet of all powers of a.
+        """
+        mul, chains = self.mul_table, []
+        for a in range(self.n):
+            chain = [a]
+            while (cur := mul[chain[-1]][a]) != chain[-1]:
+                chain.append(cur)
+            chains.append(tuple(chain))
+        return tuple(chains)
+
+    # -- residuation -------------------------------------------------------
+
+    @cached_property
+    def _residual_table(self) -> tuple[tuple[int, ...], ...]:
+        """(t : b) for every t, b: {x : xb <= t} is the down-set of (t : b)."""
+        return tuple(zip(*self._principal_preimages(zip(*self.mul_table))))
+
+    @cached_property
+    def _radical_table(self) -> tuple[int, ...]:
+        # x has some power below a iff its stabilized power is below a,
+        # because the power chain descends and is finite.
+        omegas = [chain[-1] for chain in self._power_chains]
+        return tuple(self._principal_preimages([omegas])[0])
+
+    def _principal_preimages(self, images) -> list[list[int]]:
+        """For each image map, the element whose down-set is {x : image[x] <= t}, per t.
+
+        Callers pass maps for which every such set is a principal down-set, as in a
+        lawful lattice.  The carrier is split by image value and the parts are ORed
+        along the covers, ordered by the upper end's rank so that each part is
+        complete before it is passed up: one pass per map.
+        """
+        down = self.down_sets
+        owner = {m: k for k, m in enumerate(down)}
+        steps = sorted(self.covers, key=lambda cover: down[cover[1]].bit_count())
+        out = []
+        for image in images:
+            acc = [0] * self.n
+            for x, v in enumerate(image):
+                acc[v] |= 1 << x
+            for c, t in steps:
+                acc[t] |= acc[c]
+            out.append([owner[m] for m in acc])
+        return out
+
+    @cached_property
     def validation(self) -> ValidationReport:
         """The report of ``validate``, computed once per lattice object."""
         return _check_axioms(self)
+
+
+def _per_lattice(fn):
+    """Keep fn(L, *args) on L, computed once per lattice object.
+
+    The result is stored in ``L._memo`` under ``(fn, *args)``: the key never
+    holds L itself, so a lookup never compares lattices, and the result is
+    freed together with L.
+    """
+
+    @wraps(fn)
+    def kept(L, *args):
+        key = (fn, *args)
+        memo = L._memo
+        try:
+            return memo[key]
+        except KeyError:
+            value = memo[key] = fn(L, *args)
+            return value
+
+    return kept
 
 
 def _bits(mask: int):

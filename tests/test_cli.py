@@ -227,3 +227,10 @@ def test_huge_exponents_finish(capsys):
         capsys, "hunt", "--have", "300000000-potent-d0-primary", "--lack", "prime"
     )
     assert rc == 0 and "Z8 (4)" in out
+
+
+def test_verify_rejects_negative_witness_cap(capsys):
+    rc, out, err = run(capsys, "verify", "--witness-cap", "-3")
+    assert rc == 2
+    assert err.startswith("error: --witness-cap must be >= 0")
+    assert not out

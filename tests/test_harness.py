@@ -242,3 +242,14 @@ def test_t3_suite_runs_fast_enough(corpus):
     t0 = time.perf_counter()
     run_all(corpus)
     assert time.perf_counter() - t0 < 60.0
+
+
+def test_binding_instances_nest_in_binding_order(z8):
+    from multlat.harness import _from_binding
+
+    solo = Corpus((CorpusEntry(z8, "solo"),))
+    instances = list(_from_binding(("delta", "n", "p"))(z8, solo, HarnessConfig()))
+    assert all(list(i) == ["delta", "n", "p"] for i in instances)
+    assert [(i["delta"].tag, i["n"], i["p"]) for i in instances] == [
+        (d, n, p) for d in ("d0", "d1") for n in (2, 3, 4) for p in z8.proper_elements
+    ]
