@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .derived import _residual_table, radical, residual
 from .lattice import FiniteMultiplicativeLattice, _per_lattice
-from .maps import Expansion, PhiMap, make_delta
+from .maps import Expansion, PhiMap, make_delta, make_phi
 
 
 def _require_proper(L: FiniteMultiplicativeLattice, p: int) -> None:
@@ -211,7 +211,7 @@ def classification_report(
     the golden examples need.
     """
     d0 = make_delta(L, "d0")
-    phi0 = PhiMap(L, (L.bottom,) * L.n, "phi0", "phi0")
+    phi0 = make_phi(L, "phi0")
     records = []
     for p in L.proper_elements:
         flags: dict[str, bool] = {}

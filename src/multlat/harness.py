@@ -49,7 +49,6 @@ from .maps import (
     PhiMap,
     check_global_property,
     enumerate_isomorphisms,
-    is_automorphism_table,
     is_monotone,
     make_delta,
     make_phi,
@@ -212,20 +211,13 @@ def _proper_chains(L: FiniteMultiplicativeLattice) -> tuple[tuple[int, ...], ...
     return tuple(chains)
 
 
-def _potency_range(L, p) -> range:
+def _every_phin_delta_primary(L, delta: Expansion, p: int) -> bool:
     # p^n for n beyond the stabilization index repeats p^s, so "for all
     # n >= 2" is decided by n in 2..max(2, s).
-    return range(2, max(2, power_stabilization(L, p)) + 1)
-
-
-def _delta_as_isomorphism(delta: Expansion) -> Isomorphism | None:
-    L = delta.lattice
-    if not is_automorphism_table(L, delta.table):
-        return None
-    inv = [0] * L.n
-    for a, b in enumerate(delta.table):
-        inv[b] = a
-    return Isomorphism(L, L, delta.table, tuple(inv))
+    return all(
+        is_phi_delta_primary(L, delta, _phi(L, f"phi{n}"), p)
+        for n in range(2, max(2, power_stabilization(L, p)) + 1)
+    )
 
 
 # -- instance generators -------------------------------------------------------
@@ -392,10 +384,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         ("delta", "p"),
         lambda L, c, i: True,
         lambda L, c, i: is_phi_delta_primary(L, i["delta"], _phi(L, "phiomega"), i["p"])
-        == all(
-            is_phi_delta_primary(L, i["delta"], _phi(L, f"phi{n}"), i["p"])
-            for n in _potency_range(L, i["p"])
-        ),
+        == _every_phin_delta_primary(L, i["delta"], i["p"]),
         "phiomega <=> all phin",
     )
 
@@ -409,10 +398,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         "phin-delta-primary for every n >= 2 iff delta-primary",
         ("delta", "p"),
         t11_hypothesis,
-        lambda L, c, i: all(
-            is_phi_delta_primary(L, i["delta"], _phi(L, f"phi{n}"), i["p"])
-            for n in _potency_range(L, i["p"])
-        )
+        lambda L, c, i: _every_phin_delta_primary(L, i["delta"], i["p"])
         == is_delta_primary(L, i["delta"], i["p"]),
         "all phin <=> delta-primary",
     )
@@ -507,10 +493,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         lambda L, c, i: map_leq(i["phi"], _phi(L, "phi3"))
         and is_phi_delta_primary(L, i["delta"], i["phi"], i["q"]),
         lambda L, c, i: is_phi_delta_primary(L, i["delta"], _phi(L, "phiomega"), i["q"])
-        and all(
-            is_phi_delta_primary(L, i["delta"], _phi(L, f"phi{n}"), i["q"])
-            for n in _potency_range(L, i["q"])
-        ),
+        and _every_phin_delta_primary(L, i["delta"], i["q"]),
         "phiomega and every phin",
     )
 
@@ -600,7 +583,8 @@ def registry() -> tuple[TheoremProperty, ...]:
 
     def t24_hypothesis(L, c, i):
         delta, phi, q = i["delta"], i["phi"], i["q"]
-        iso = _delta_as_isomorphism(delta)
+        # delta as an automorphism of L: one of the self-isomorphisms T26 also uses
+        iso = next((f for f in _isomorphisms(L, L) if f.forward == delta.table), None)
         if iso is None or not check_global_property(iso, phi, phi):
             return False
         dq = delta.table[q]
@@ -674,10 +658,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         ("delta", "q"),
         lambda L, c, i: is_idempotent(L, i["q"]),
         lambda L, c, i: is_phi_delta_primary(L, i["delta"], _phi(L, "phiomega"), i["q"])
-        and all(
-            is_phi_delta_primary(L, i["delta"], _phi(L, f"phi{n}"), i["q"])
-            for n in _potency_range(L, i["q"])
-        ),
+        and _every_phin_delta_primary(L, i["delta"], i["q"]),
         "phiomega and every phin",
     )
 
@@ -804,11 +785,16 @@ def run_all(
 
 @dataclass(frozen=True)
 class Predicate:
+    """A hunt predicate: ``witness(L, q)`` is its first violating pair at the
+    proper element q, or None when q has it; ``test`` reads that verdict."""
+
     name: str
-    test: Callable[[FiniteMultiplicativeLattice, int], bool] = field(compare=False)
     witness: Callable[[FiniteMultiplicativeLattice, int], tuple[int, int] | None] = field(
         compare=False
     )
+
+    def test(self, L: FiniteMultiplicativeLattice, q: int) -> bool:
+        return self.witness(L, q) is None
 
 
 _POTENT_RE = re.compile(r"^(\d+)-potent-d([01])-primary$")
@@ -818,61 +804,44 @@ _DELTA_RE = re.compile(r"^d([01])-primary$")
 
 
 def parse_predicate(name: str) -> Predicate:
-    """Resolve a kebab-case predicate name to a checker over (lattice, element).
+    """Resolve a kebab-case predicate name to its violation finder.
 
     Grammar: prime | primary | idempotent | d<D>-primary | phi<P>-prime |
     phi<P>-primary | phi<P>-d<D>-primary | <k>-potent-d<D>-primary, with
-    D in {0, 1}, P a power exponent or "omega", and k >= 2.
+    D in {0, 1}, P a power exponent or "omega", and k >= 2.  Each name maps
+    to one finder over (lattice, element); the idempotent finder's pair is
+    (q, q^2).
     """
     name = name.strip().lower()
     if name == "prime":
-        return Predicate(name, lambda L, q: prime_violation(L, q) is None, prime_violation)
+        return Predicate(name, prime_violation)
     if name == "primary":
-        return Predicate(
-            name, lambda L, q: primary_violation(L, q) is None, primary_violation
-        )
+        return Predicate(name, primary_violation)
     if name == "idempotent":
         return Predicate(
-            name,
-            lambda L, q: is_idempotent(L, q),
-            lambda L, q: None if is_idempotent(L, q) else (q, L.power(q, 2)),
+            name, lambda L, q: None if is_idempotent(L, q) else (q, L.power(q, 2))
         )
     m = _DELTA_RE.match(name)
     if m:
         kind = f"d{m.group(1)}"
-        return Predicate(
-            name,
-            lambda L, q: delta_primary_violation(L, _delta(L, kind), q) is None,
-            lambda L, q: delta_primary_violation(L, _delta(L, kind), q),
-        )
+        return Predicate(name, lambda L, q: delta_primary_violation(L, _delta(L, kind), q))
     m = _PHI_PRIME_RE.match(name)
     if m:
         pk, which = f"phi{m.group(1)}", m.group(2)
         finder = phi_prime_violation if which == "prime" else phi_primary_violation
-        return Predicate(
-            name,
-            lambda L, q: finder(L, _phi(L, pk), q) is None,
-            lambda L, q: finder(L, _phi(L, pk), q),
-        )
+        return Predicate(name, lambda L, q: finder(L, _phi(L, pk), q))
     m = _PHI_DELTA_RE.match(name)
     if m:
         pk, dk = f"phi{m.group(1)}", f"d{m.group(2)}"
         return Predicate(
-            name,
-            lambda L, q: phi_delta_primary_violation(L, _delta(L, dk), _phi(L, pk), q)
-            is None,
-            lambda L, q: phi_delta_primary_violation(L, _delta(L, dk), _phi(L, pk), q),
+            name, lambda L, q: phi_delta_primary_violation(L, _delta(L, dk), _phi(L, pk), q)
         )
     m = _POTENT_RE.match(name)
     if m:
         k, dk = int(m.group(1)), f"d{m.group(2)}"
         if k < 2:
             raise ValueError(f"potency must be >= 2 in predicate {name!r}")
-        return Predicate(
-            name,
-            lambda L, q: n_potent_violation(L, _delta(L, dk), q, k) is None,
-            lambda L, q: n_potent_violation(L, _delta(L, dk), q, k),
-        )
+        return Predicate(name, lambda L, q: n_potent_violation(L, _delta(L, dk), q, k))
     raise ValueError(f"unknown predicate {name!r}")
 
 
@@ -904,14 +873,10 @@ def hunt(
     hits: list[HuntHit] = []
     for L in corpus.lattices():
         for q in L.proper_elements:
-            if all(p.test(L, q) for p in preds) and not lack_pred.test(L, q):
-                pair = lack_pred.witness(L, q)
+            if all(p.witness(L, q) is None for p in preds) and (
+                pair := lack_pred.witness(L, q)
+            ) is not None:
                 hits.append(
-                    HuntHit(
-                        L.name,
-                        L.label(q),
-                        lack_pred.name,
-                        (L.label(pair[0]), L.label(pair[1])) if pair else None,
-                    )
+                    HuntHit(L.name, L.label(q), lack_pred.name, tuple(map(L.label, pair)))
                 )
     return tuple(hits)

@@ -231,27 +231,28 @@ class FiniteMultiplicativeLattice:
         return self.mul_table[a][b]
 
     def power(self, a: int, k: int) -> int:
+        """a^k for k >= 1, read off a's power chain: past its end a^k stays put."""
         if k < 1:
             raise ValueError(f"power exponent must be >= 1, got {k}")
-        out = a
-        for _ in range(k - 1):
-            if self.mul_table[out][a] == out:  # every further step returns out too
-                break
-            out = self.mul_table[out][a]
-        return out
+        chain = self._power_chains[a]
+        return chain[min(k, len(chain)) - 1]
 
     @cached_property
     def _power_chains(self) -> tuple[tuple[int, ...], ...]:
-        """Per element a, the distinct values of a, a^2, a^3, ... until they repeat.
+        """Per element a, the values a, a^2, a^3, ... up to the first repeat.
 
-        Powers descend (a^(k+1) <= a^k), so each chain stabilizes within n
-        steps and its last entry is the meet of all powers of a.
+        On a lawful lattice powers descend (a^(k+1) <= a^k), so the first value
+        met twice is the fixed point a^s = a^(s+1): the chain holds exactly
+        a, ..., a^s and its last entry is the meet of all powers of a.  Stopping
+        at any repeat, not only a fixed point, also ends the walk on a table
+        whose powers cycle.
         """
         mul, chains = self.mul_table, []
         for a in range(self.n):
-            chain = [a]
-            while (cur := mul[chain[-1]][a]) != chain[-1]:
+            chain, seen = [a], {a}
+            while (cur := mul[chain[-1]][a]) not in seen:
                 chain.append(cur)
+                seen.add(cur)
             chains.append(tuple(chain))
         return tuple(chains)
 

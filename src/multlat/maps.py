@@ -39,12 +39,7 @@ class UnaryMap:
     @cached_property
     def monotone(self) -> bool:
         """a <= b implies g(a) <= g(b); computed once per map object."""
-        L = self.lattice
-        for a in range(L.n):
-            for b in range(L.n):
-                if L.leq(a, b) and not L.leq(self.table[a], self.table[b]):
-                    return False
-        return True
+        return _order_break(self.lattice, self.table) is None
 
 
 @dataclass(frozen=True)
@@ -60,6 +55,17 @@ class PhiMap(UnaryMap):
     def none(self) -> bool:
         """True for the kind that excuses no product at all."""
         return self.kind == "none"
+
+
+def _order_break(L: FiniteMultiplicativeLattice, t) -> tuple[int, int] | None:
+    """First (a, b), row-major, with a <= b but t(a) !<= t(b); None when t is monotone."""
+    leq = L.leq_table
+    for a, row in enumerate(leq):
+        image_row = leq[t[a]]
+        for b, below in enumerate(row):
+            if below and not image_row[t[b]]:
+                return a, b
+    return None
 
 
 def _check_table(L: FiniteMultiplicativeLattice, table) -> tuple[int, ...]:
@@ -93,12 +99,9 @@ def make_delta(
             raise MapValidationError(
                 f"not inflationary at {L.label(a)}", (a, t[a])
             )
-    for a in range(L.n):
-        for b in range(L.n):
-            if L.leq(a, b) and not L.leq(t[a], t[b]):
-                raise MapValidationError(
-                    f"not monotone at ({L.label(a)}, {L.label(b)})", (a, b)
-                )
+    if (pair := _order_break(L, t)) is not None:
+        a, b = pair
+        raise MapValidationError(f"not monotone at ({L.label(a)}, {L.label(b)})", pair)
     return Expansion(L, t, tag or "table", "table")
 
 
@@ -152,7 +155,7 @@ def map_leq(g1: UnaryMap, g2: UnaryMap) -> bool:
     compares below anything, and nothing but none compares below it.
     """
     L = g1.lattice
-    if g2.lattice != L:
+    if g2.lattice is not L and g2.lattice != L:  # identity first: no table compare
         raise ValueError("map_leq requires maps on the same lattice")
     if getattr(g1, "none", False):
         return True
@@ -189,10 +192,10 @@ class Isomorphism:
 
 
 def _signature(L: FiniteMultiplicativeLattice, i: int) -> tuple[int, int, int, int]:
-    below = sum(L.leq_table[j][i] for j in range(L.n))
-    above = sum(L.leq_table[i][j] for j in range(L.n))
-    square_below = sum(L.leq_table[j][L.mul(i, i)] for j in range(L.n))
-    return (below, above, square_below, int(L.mul(i, i) == i))
+    """Isomorphism invariants: |down(i)|, |up(i)|, |down(i^2)|, i idempotent."""
+    down, square = L.down_sets, L.mul(i, i)
+    return (down[i].bit_count(), L.up_sets[i].bit_count(), down[square].bit_count(),
+            int(square == i))
 
 
 def enumerate_isomorphisms(
@@ -273,8 +276,9 @@ def global_property_witness(
     By commutativity of the diagram this is equivalent to the forward form
     f(beta_source(q)) = beta_target(f(q)) for all source q.
     """
-    if beta_source.lattice != f.source or beta_target.lattice != f.target:
-        raise ValueError("maps must live on the isomorphism's source and target")
+    for g, L in ((beta_source, f.source), (beta_target, f.target)):
+        if g.lattice is not L and g.lattice != L:
+            raise ValueError("maps must live on the isomorphism's source and target")
     for a in range(f.target.n):
         if beta_source.table[f.inverse[a]] != f.inverse[beta_target.table[a]]:
             return a

@@ -133,6 +133,16 @@ def phi_delta_primary_violation(L, delta, phi, p):
     return None
 
 
+def order_break(L, table):
+    """First (a, b), row-major, with a <= b but table[a] !<= table[b]."""
+    t = table
+    for a in range(L.n):
+        for b in range(L.n):
+            if L.leq(a, b) and not L.leq(t[a], t[b]):
+                return (a, b)
+    return None
+
+
 def power(L, a, k):
     out = a
     for _ in range(k - 1):

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, text output, JSON output, file I/O."""
 
+import hashlib
 import json
 
 import pytest
@@ -234,3 +235,70 @@ def test_verify_rejects_negative_witness_cap(capsys):
     assert rc == 2
     assert err.startswith("error: --witness-cap must be >= 0")
     assert not out
+
+
+# SHA-256 of stdout for one verify, one classify and one hunt per predicate
+# family (as the lacked predicate).  Report bytes, witnesses and counts
+# included, are the engine's contract: a refactor must reproduce them exactly.
+REPORT_DIGESTS = [
+    pytest.param(
+        ("verify", "--format", "json", "--add-zn", "360", "--add-zn", "720"),
+        "dfdfa2e965336fff78d34e15fce99c268efd5929f20cd9116d9a2f41b11c6bd9",
+        id="verify",
+    ),
+    pytest.param(
+        ("classify", "--zn", "5040", "--format", "json"),
+        "f3f6bf304da0324a67d87f42ab267718c35edf66001b5b9ebbf1514697aee02a",
+        id="classify",
+    ),
+    pytest.param(
+        ("hunt", "--have", "phi2-d1-primary", "--lack", "prime", "--format", "json"),
+        "085a95462d0e144dd8ae6a694145d3cd6569d9fbf264a224b3a203f14279b439",
+        id="hunt-lack-prime",
+    ),
+    pytest.param(
+        ("hunt", "--have", "phi2-d1-primary", "--lack", "primary", "--format", "json"),
+        "e1938a80e3c3cc6049be462cd2f20077c5a0a165eab5b54add92c9758713a1da",
+        id="hunt-lack-primary",
+    ),
+    pytest.param(
+        ("hunt", "--have", "2-potent-d0-primary", "--lack", "idempotent", "--format", "json"),
+        "85fdd7a3452200984b46f622cd7d5af19eacd7bbd3f230470758a86e7f603316",
+        id="hunt-lack-idempotent",
+    ),
+    pytest.param(
+        ("hunt", "--have", "phi2-d1-primary", "--lack", "d1-primary", "--format", "json"),
+        "13e278ff34df2a8e1e710d7025090d8742a1f908468900a5e7d2b44cce278713",
+        id="hunt-lack-d1-primary",
+    ),
+    pytest.param(
+        ("hunt", "--have", "phiomega-primary", "--lack", "phi0-prime", "--format", "json"),
+        "d89867985d34a5618f6b713fa96fdd74194caed9944e73fbf252977fa749330c",
+        id="hunt-lack-phi0-prime",
+    ),
+    pytest.param(
+        ("hunt", "--have", "phi2-prime", "--lack", "phi0-primary", "--format", "json"),
+        "e51505f035893a64c6310222e619ecf6f9263fe7c4adb1ea7bfebbf8e7238805",
+        id="hunt-lack-phi0-primary",
+    ),
+    pytest.param(
+        ("hunt", "--have", "d1-primary", "--lack", "phi3-d0-primary", "--format", "json"),
+        "b3a2a4c7439fab975b538813f39de88ef48cffc99c8abaf8d4ae513cabd99bed",
+        id="hunt-lack-phi3-d0-primary",
+    ),
+    pytest.param(
+        (
+            "hunt", "--have", "phi2-d1-primary", "--lack", "3-potent-d1-primary",
+            "--format", "json",
+        ),
+        "d5af066db4ac222b21f99e329a0c2d5f426067e8d37e0f2456ee5be906e902b4",
+        id="hunt-lack-3-potent-d1-primary",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", REPORT_DIGESTS)
+def test_report_output_is_byte_identical(capsys, argv, digest):
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

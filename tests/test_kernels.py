@@ -23,6 +23,7 @@ from multlat import (
     phi_delta_primary_violation,
     phi_primary_violation,
     phi_prime_violation,
+    power_stabilization,
     primary_violation,
     prime_violation,
     zn_ideal_lattice,
@@ -91,10 +92,10 @@ def test_witnesses_match_oracle(lattice):
 
 
 def test_large_power_is_the_stabilized_power(corpus):
-    for L in corpus.lattices():
+    for L in (*corpus.lattices(), zn_ideal_lattice(360), zn_ideal_lattice(5040)):
         for a in L.elements():
             assert L.power(a, 10**9) == omega_power(L, a)
-            for k in range(1, 6):
+            for k in range(1, max(6, power_stabilization(L, a) + 2)):
                 assert L.power(a, k) == oracle.power(L, a, k)
 
 

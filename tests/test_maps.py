@@ -4,8 +4,11 @@ import itertools
 
 import pytest
 
+import oracle
 from multlat import (
     MapValidationError,
+    boolean_frame,
+    chain_frame,
     check_global_property,
     enumerate_isomorphisms,
     global_property_witness,
@@ -15,8 +18,9 @@ from multlat import (
     map_leq,
     parse_map_table,
     radical,
+    zn_ideal_lattice,
 )
-from multlat.maps import is_automorphism_table
+from multlat.maps import UnaryMap, is_automorphism_table
 
 DELTA_KINDS = ("d0", "d1")
 PHI_KINDS = ("phi0", "phi1", "phi2", "phi3", "phi4", "phiomega")
@@ -66,6 +70,36 @@ def test_delta_rejects_non_monotone(z8):
     with pytest.raises(MapValidationError) as exc:
         make_delta(z8, "table", table=table)
     assert exc.value.witness == (i("(0)"), i("(4)"))
+
+
+def _inflationary_d0_edits(L):
+    """The d0 table with one entry a moved to a value strictly above a."""
+    for a in L.elements():
+        for v in L.elements():
+            if L.lt(a, v):
+                table = list(L.elements())
+                table[a] = v
+                yield tuple(table)
+
+
+@pytest.mark.parametrize(
+    "L",
+    [chain_frame(3), boolean_frame(2), zn_ideal_lattice(12), zn_ideal_lattice(24)],
+    ids=lambda L: L.name,
+)
+def test_order_checks_match_oracle_on_inflationary_edits(L):
+    outcomes = set()
+    for table in _inflationary_d0_edits(L):
+        want = oracle.order_break(L, table)
+        outcomes.add(want is None)
+        assert UnaryMap(L, table, "edit").monotone is (want is None)
+        if want is None:
+            assert make_delta(L, "table", table=table).table == table
+            continue
+        with pytest.raises(MapValidationError) as exc:
+            make_delta(L, "table", table=table)
+        assert exc.value.witness == want
+    assert outcomes == {True, False}
 
 
 def test_make_delta_unknown_kind(z8):

@@ -61,6 +61,23 @@ def test_twin_lattice_is_classified_without_comparing_lattices(monkeypatch):
     assert twin.to_dict() == first.to_dict()
 
 
+def test_run_all_compares_no_lattices(monkeypatch):
+    # Maps and isomorphisms carry the very lattice they are checked against,
+    # so an identity check settles every shared-lattice test.
+    calls = []
+    eq = FiniteMultiplicativeLattice.__eq__
+
+    def counting_eq(self, other):
+        calls.append((self.name, other))
+        return eq(self, other)
+
+    monkeypatch.setattr(FiniteMultiplicativeLattice, "__eq__", counting_eq)
+    report = run_all()
+    monkeypatch.undo()
+    assert len(calls) == 0
+    assert report.ok(("T12",))
+
+
 def _memo_decorators_used(tree):
     """(line, name) for every functools.lru_cache / functools.cache reference."""
     for node in ast.walk(tree):
