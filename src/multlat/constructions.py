@@ -54,9 +54,12 @@ def zn_ideal_lattice(n: int) -> FiniteMultiplicativeLattice:
 
 
 def chain_frame(k: int) -> FiniteMultiplicativeLattice:
-    """Chain of k+1 elements with meet as multiplication (k >= 0)."""
-    if not isinstance(k, int) or k < 0:
-        raise ValueError(f"chain_frame needs an integer k >= 0, got {k!r}")
+    """Chain of k+1 elements with meet as multiplication (0 <= k <= 1023).
+
+    The bound keeps the carrier at most 1,024 elements, as ``boolean_frame``'s does.
+    """
+    if not isinstance(k, int) or not 0 <= k <= 1023:
+        raise ValueError(f"chain_frame needs an integer in [0, 1023], got {k!r}")
     size = k + 1
     labels = [str(i) for i in range(size)]
     leq = [[i <= j for j in range(size)] for i in range(size)]

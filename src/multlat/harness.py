@@ -42,7 +42,7 @@ from .derived import (
     residual,
     structure_profile,
 )
-from .lattice import FiniteMultiplicativeLattice, _per_lattice
+from .lattice import FiniteMultiplicativeLattice, _bits, _per_lattice
 from .maps import (
     Expansion,
     Isomorphism,
@@ -82,6 +82,8 @@ class TheoremProperty:
     hypothesis: Hypothesis = field(compare=False)
     conclusion: Conclusion = field(compare=False)
     clause: str = "conclusion"
+    # (scanned, hits) that one instance stands for; None counts it as (1, 1)
+    weight: Callable[..., tuple[int, int]] | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -193,22 +195,19 @@ def _isomorphisms(L1, L2) -> tuple[Isomorphism, ...]:
 
 
 @_per_lattice
-def _proper_chains(L: FiniteMultiplicativeLattice) -> tuple[tuple[int, ...], ...]:
-    """All nonempty totally ordered subsets of the proper elements."""
-    proper = L.proper_elements
-    chains: list[tuple[int, ...]] = []
-
-    def extend(chain: list[int], start: int) -> None:
-        for idx in range(start, len(proper)):
-            e = proper[idx]
-            if all(L.leq_table[c][e] or L.leq_table[e][c] for c in chain):
-                chain.append(e)
-                chains.append(tuple(chain))
-                extend(chain, idx + 1)
-                chain.pop()
-
-    extend([], 0)
-    return tuple(chains)
+def _chain_counts(L, delta_kind: str, phi_kind: str) -> dict[int, tuple[int, int]]:
+    """Per proper e, how many chains of proper elements have e as largest member,
+    and how many of those are phi-delta-primary throughout: c(e) = 1 + the sum
+    of c(d) over d < e, h(e) the same over phi-delta-primary d, or 0 unless e is.
+    Keyed by kind strings, so a lookup hashes no map."""
+    delta, phi, down = _delta(L, delta_kind), _phi(L, phi_kind), L.down_sets
+    counts: dict[int, tuple[int, int]] = {}
+    for e in sorted(L.proper_elements, key=lambda e: down[e].bit_count()):
+        below = [counts[d] for d in _bits(down[e] & ~(1 << e))]
+        chains = 1 + sum(n for n, _ in below)
+        primary = is_phi_delta_primary(L, delta, phi, e)
+        counts[e] = (chains, 1 + sum(n for _, n in below) if primary else 0)
+    return counts
 
 
 def _every_phin_delta_primary(L, delta: Expansion, p: int) -> bool:
@@ -234,7 +233,6 @@ _DOMAINS = {
     "q": lambda L, config: L.proper_elements,
     "n": lambda L, config: config.potency,
     "k": lambda L, config: config.potency,
-    "chain": lambda L, config: _proper_chains(L),
 }
 
 
@@ -259,11 +257,12 @@ def registry() -> tuple[TheoremProperty, ...]:
     """One machine-checkable property per theorem, corollary, and example."""
     props: list[TheoremProperty] = []
 
-    def add(id, description, binding, hypothesis, conclusion, clause, instances=None):
+    def add(id, description, binding, hypothesis, conclusion, clause, instances=None,
+            weight=None):
         instances = instances or _from_binding(binding)
-        props.append(
-            TheoremProperty(id, description, binding, instances, hypothesis, conclusion, clause)
-        )
+        props.append(TheoremProperty(
+            id, description, binding, instances, hypothesis, conclusion, clause, weight
+        ))
 
     add(
         "T01",
@@ -521,16 +520,13 @@ def registry() -> tuple[TheoremProperty, ...]:
         "T21",
         "the join of a chain of phi-delta-primary elements is "
         "phi-delta-primary when phi is monotone",
-        ("delta", "phi", "chain"),
+        ("delta", "phi", "p"),
         lambda L, c, i: is_monotone(i["phi"])
-        and L.join(i["chain"]) != L.top
-        and all(
-            is_phi_delta_primary(L, i["delta"], i["phi"], p) for p in i["chain"]
-        ),
-        lambda L, c, i: is_phi_delta_primary(
-            L, i["delta"], i["phi"], L.join(i["chain"])
-        ),
+        and is_phi_delta_primary(L, i["delta"], i["phi"], i["p"]),
+        lambda L, c, i: is_phi_delta_primary(L, i["delta"], i["phi"], i["p"]),
         "join is phi-delta-primary",
+        # one instance per join p, standing for the chains whose largest member is p
+        weight=lambda L, c, i: _chain_counts(L, i["delta"].tag, i["phi"].tag)[i["p"]],
     )
 
     def t22_instances(L, corpus, config):
@@ -714,8 +710,6 @@ def _render_binding(L: FiniteMultiplicativeLattice, inst: Instance, key, value) 
         return value.tag
     if isinstance(value, Isomorphism):
         return value.describe()
-    if isinstance(value, tuple):
-        return "[" + " ".join(L.label(e) for e in value) + "]"
     if key in ("n", "k"):
         return str(value)
     if "f" in inst and key == "p":  # element of the isomorphism's target
@@ -754,13 +748,14 @@ def run_property(
         if L.n <= 1:  # no proper elements; nothing to quantify over
             continue
         for inst in prop.instances(L, corpus, config):
-            scanned += 1
+            n, n_hits = prop.weight(L, config, inst) if prop.weight else (1, 1)
+            scanned += n
             if not prop.hypothesis(L, config, inst):
                 continue
-            hits += 1
+            hits += n_hits
             if prop.conclusion(L, config, inst):
                 continue
-            violations += 1
+            violations += n_hits
             if len(witnesses) < config.witness_cap:
                 witnesses.append(_witness(prop, L, inst))
     return PropertyResult(

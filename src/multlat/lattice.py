@@ -276,7 +276,8 @@ class FiniteMultiplicativeLattice:
         Callers pass maps for which every such set is a principal down-set, as in a
         lawful lattice.  The carrier is split by image value and the parts are ORed
         along the covers, ordered by the upper end's rank so that each part is
-        complete before it is passed up: one pass per map.
+        complete before it is passed up: one pass per map.  A set that is not
+        principal raises ``LatticeStructureError`` naming the axioms the table breaks.
         """
         down = self.down_sets
         owner = {m: k for k, m in enumerate(down)}
@@ -288,7 +289,13 @@ class FiniteMultiplicativeLattice:
                 acc[v] |= 1 << x
             for c, t in steps:
                 acc[t] |= acc[c]
-            out.append([owner[m] for m in acc])
+            try:
+                out.append([owner[m] for m in acc])
+            except KeyError:
+                broken = ", ".join(self.validation.axiom_names())
+                raise LatticeStructureError(
+                    f"{self.name} has no residual or radical table: it breaks {broken}"
+                ) from None
         return out
 
     @cached_property

@@ -6,7 +6,8 @@ pairs row-major, the residual and radical tables join every qualifying x, the
 bound table filters every common bound, and ``naive_validate`` walks every
 tuple of each axiom with the bounds recomputed from the order.
 ``tests/test_kernels.py`` and ``tests/test_validate.py`` check the kernels in
-``multlat`` against them.  The primary scans take sqrt(p) from
+``multlat`` against them, and ``tests/test_harness.py`` checks T21's chain
+counts against ``proper_chains``.  The primary scans take sqrt(p) from
 ``multlat.radical``, which is checked against ``radical_table`` here.
 """
 
@@ -170,6 +171,24 @@ def compact_pair_violation(L, delta, phi, q):
             if not (L.leq(s, q) or L.leq(r, dq)):
                 return (r, s)
     return None
+
+
+def proper_chains(L):
+    """All nonempty totally ordered subsets of the proper elements."""
+    proper = L.proper_elements
+    chains: list[tuple[int, ...]] = []
+
+    def extend(chain: list[int], start: int) -> None:
+        for idx in range(start, len(proper)):
+            e = proper[idx]
+            if all(L.leq_table[c][e] or L.leq_table[e][c] for c in chain):
+                chain.append(e)
+                chains.append(tuple(chain))
+                extend(chain, idx + 1)
+                chain.pop()
+
+    extend([], 0)
+    return tuple(chains)
 
 
 def _first(iterable):

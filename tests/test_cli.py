@@ -192,6 +192,13 @@ def test_classify_output_file(tmp_path, capsys):
     assert json.loads(out_path.read_text())["lattice"] == "Z8"
 
 
+def test_oversized_frames_are_usage_errors(capsys):
+    for flag, k in (("--chain", "1024"), ("--chain", "-1"), ("--boolean", "11")):
+        rc, out, err = run(capsys, "classify", flag, k)
+        assert rc == 2 and not out
+        assert err.startswith("error: ")
+
+
 def test_classify_empty_lattice_prints_header_only(capsys):
     for flag in ("--chain", "--boolean"):
         rc, out, err = run(capsys, "classify", flag, "0")

@@ -72,6 +72,13 @@ def test_chain_frame():
         chain_frame(-1)
 
 
+def test_chain_frame_size_limit():
+    # 1,024 elements, the largest boolean_frame's size; one more is refused
+    assert chain_frame(1023).n == 1024
+    with pytest.raises(ValueError, match=r"\[0, 1023\]"):
+        chain_frame(1024)
+
+
 def test_boolean_frame():
     L = boolean_frame(2)
     assert L.n == 4 and validate(L).ok

@@ -10,11 +10,17 @@ b != c.
 
 import pytest
 
+import oracle
+from conftest import time_limit
 from multlat import (
     HarnessConfig,
     TheoremProperty,
+    boolean_frame,
+    chain_frame,
     default_corpus,
     hunt,
+    make_delta,
+    make_phi,
     parse_predicate,
     registry,
     run_all,
@@ -253,3 +259,75 @@ def test_binding_instances_nest_in_binding_order(z8):
     assert [(i["delta"].tag, i["n"], i["p"]) for i in instances] == [
         (d, n, p) for d in ("d0", "d1") for n in (2, 3, 4) for p in z8.proper_elements
     ]
+
+
+# -- T21 counts its chains -----------------------------------------------------
+
+T21 = {p.id: p for p in registry()}["T21"]
+
+
+def _listed_t21_counts(L, config=HarnessConfig()):
+    """T21's (instances_scanned, hypothesis_hits) on L by listing every chain:
+    one instance per (delta, phi, chain), a hit when phi is monotone and every
+    member is phi-delta-primary."""
+    chains = oracle.proper_chains(L)
+    hits = 0
+    for dk in config.delta_kinds:
+        for pk in config.phi_kinds:
+            delta, phi = make_delta(L, dk), make_phi(L, pk)
+            if oracle.order_break(L, phi.table) is not None:
+                continue
+            primary = {
+                p for p in L.proper_elements
+                if oracle.phi_delta_primary_violation(L, delta, phi, p) is None
+            }
+            hits += sum(primary.issuperset(chain) for chain in chains)
+    return len(config.delta_kinds) * len(config.phi_kinds) * len(chains), hits
+
+
+def _t21_counts(corpus):
+    r = run_property(T21, corpus)
+    return r.instances_scanned, r.hypothesis_hits
+
+
+@pytest.mark.parametrize("added", [(), (360,), (5040,)], ids=["default", "+Z360", "+Z5040"])
+def test_t21_counts_equal_the_listed_chains(corpus, added):
+    for n in added:
+        corpus = corpus.extended(zn_ideal_lattice(n), "added")
+    listed = [_listed_t21_counts(L) for L in corpus.lattices()]
+    assert _t21_counts(corpus) == tuple(map(sum, zip(*listed)))
+
+
+def test_t21_counts_equal_the_listed_chains_on_frames():
+    for L in [*map(chain_frame, range(6)), *map(boolean_frame, range(5))]:
+        assert _t21_counts(Corpus((CorpusEntry(L, "solo"),))) == _listed_t21_counts(L), L
+
+
+def test_t21_counts_millions_of_chains_without_listing_them(corpus):
+    # about 6.7 million chains of proper elements in Z720720 alone
+    with time_limit(30):
+        counts = _t21_counts(corpus.extended(zn_ideal_lattice(720720), "added"))
+    assert counts == (80_986_956, 13_660_292)
+
+
+WEIGHTED = TheoremProperty(
+    id="TW",
+    description="a conclusion that never holds, each instance weighted (3, 2)",
+    binding=("p",),
+    instances=_proper_instances,
+    hypothesis=_always,
+    conclusion=lambda L, config, inst: False,
+    clause="false",
+    weight=lambda L, config, inst: (3, 2),
+)
+
+
+def test_weighted_instances_count_their_weight():
+    z24 = zn_ideal_lattice(24)
+    solo = Corpus((CorpusEntry(z24, "solo"),))
+    r = run_property(WEIGHTED, solo, HarnessConfig(witness_cap=5))
+    assert (r.instances_scanned, r.hypothesis_hits, r.violations) == (21, 14, 14)
+    assert r.status == "FAIL"
+    # one witness per violating instance, not per unit of weight, up to the cap
+    first_five = [z24.label(p) for p in z24.proper_elements[:5]]
+    assert [w.bindings["p"] for w in r.witnesses] == first_five

@@ -1,9 +1,8 @@
 """Carrier structure, axiom validation, and the basic order/product API."""
 
-import signal
-
 import pytest
 
+from conftest import time_limit
 from multlat import (
     FiniteMultiplicativeLattice,
     LatticeStructureError,
@@ -11,6 +10,7 @@ from multlat import (
     omega_power,
     power_stabilization,
     radical,
+    residual,
     validate,
     zn_ideal_lattice,
 )
@@ -159,10 +159,6 @@ def test_power_chain_descends(corpus):
                 assert L.leq(L.power(a, k + 1), L.power(a, k))
 
 
-def _on_alarm(signum, frame):
-    raise TimeoutError("power chain walk did not end")
-
-
 def test_cyclic_powers_end_the_power_chain():
     # 0 < a, b < 1 with a*a = b and b*a = a: the powers of a cycle a, b, a, ...
     # and never reach a fixed point.  The table breaks the axioms, but the
@@ -172,9 +168,7 @@ def test_cyclic_powers_end_the_power_chain():
            [False, False, False, True]]
     L = FiniteMultiplicativeLattice("cyclic", ["0", "a", "b", "1"], leq, mul, 0, 3)
     assert not validate(L).ok
-    previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.alarm(5)
-    try:
+    with time_limit(5):
         assert L.power(1, 3) in L.elements()
         assert omega_power(L, 1) in L.elements()
         assert power_stabilization(L, 1) == 2
@@ -182,9 +176,18 @@ def test_cyclic_powers_end_the_power_chain():
             radical(L, 0)
         except (LookupError, ValueError):  # an unlawful table may be refused
             pass
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+
+
+def test_unlawful_table_names_its_broken_axioms():
+    # The table above: its residual and radical sets are not principal.
+    mul = [[0, 0, 0, 0], [0, 2, 1, 1], [0, 1, 2, 2], [0, 1, 2, 3]]
+    leq = [[True] * 4, [False, True, False, True], [False, False, True, True],
+           [False, False, False, True]]
+    L = FiniteMultiplicativeLattice("cyclic", ["0", "a", "b", "1"], leq, mul, 0, 3)
+    broken = "mul-join-distributive, mul-monotone"
+    for table in (lambda: residual(L, 0, 1), lambda: radical(L, 0)):
+        with pytest.raises(LatticeStructureError, match=broken):
+            table()
 
 
 def test_diagonal_patch_of_z8_is_still_a_lattice(z8):
