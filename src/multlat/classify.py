@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .derived import _residual_table, radical, residual
+from .derived import radical, residual
 from .lattice import FiniteMultiplicativeLattice, _per_lattice
 from .maps import Expansion, PhiMap, make_delta, make_phi
 
@@ -49,7 +49,7 @@ def _first_pair(L, target, excuse, row_skip, col_skip):
     rejected; p^k is the top exactly when p is.
     """
     _require_proper(L, target)
-    down, res = L.down_sets, _residual_table(L)
+    down, res = L.down_sets, L._residual_table
     excused = res[excuse] if excuse is not None else None
     skipped, keep = down[row_skip], ~down[col_skip]
     for a, t in enumerate(res[target]):

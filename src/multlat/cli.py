@@ -99,7 +99,10 @@ def _resolve_phi(L: FiniteMultiplicativeLattice, spec: str):
 
 def _emit(text: str, args: argparse.Namespace) -> None:
     if getattr(args, "output", None):
-        Path(args.output).write_text(text if text.endswith("\n") else text + "\n")
+        try:
+            Path(args.output).write_text(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise CliError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
     else:
         print(text)
 

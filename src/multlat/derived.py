@@ -2,14 +2,10 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from .lattice import FiniteMultiplicativeLattice, _per_lattice
-
-
-def _residual_table(L: FiniteMultiplicativeLattice) -> tuple[tuple[int, ...], ...]:
-    """(t : b) for every t, b, kept on the lattice."""
-    return L._residual_table
+from .lattice import FiniteMultiplicativeLattice, _bits, _gather, _per_lattice
 
 
 def residual(L: FiniteMultiplicativeLattice, a: int, b: int) -> int:
@@ -25,11 +21,6 @@ def omega_power(L: FiniteMultiplicativeLattice, a: int) -> int:
 def power_stabilization(L: FiniteMultiplicativeLattice, a: int) -> int:
     """Least s >= 1 with a^s = a^(s+1)."""
     return len(L._power_chains[a])
-
-
-def _radical_table(L: FiniteMultiplicativeLattice) -> tuple[int, ...]:
-    """sqrt(a) for every a, kept on the lattice."""
-    return L._radical_table
 
 
 def radical(L: FiniteMultiplicativeLattice, a: int) -> int:
@@ -56,25 +47,18 @@ def is_zero_divisor(L: FiniteMultiplicativeLattice, a: int) -> bool:
 
 
 def is_meet_principal(L: FiniteMultiplicativeLattice, e: int) -> bool:
-    """a ^ be = ((a:e) ^ b)e for all a, b."""
-    for a in range(L.n):
-        for b in range(L.n):
-            lhs = L.glb(a, L.mul(b, e))
-            rhs = L.mul(L.glb(residual(L, a, e), b), e)
-            if lhs != rhs:
-                return False
-    return True
+    """a ^ be = ((a:e) ^ b)e for all a, b: one row comparison per a."""
+    glb, res, me = L._glb, L._residual_table, L.mul_table[e]
+    by_e = _gather(me)
+    return all(by_e(glb[a]) == _gather(glb[res[a][e]])(me) for a in range(L.n))
 
 
 def is_join_principal(L: FiniteMultiplicativeLattice, e: int) -> bool:
-    """(ae v b):e = (b:e) v a for all a, b."""
-    for a in range(L.n):
-        for b in range(L.n):
-            lhs = residual(L, L.lub(L.mul(a, e), b), e)
-            rhs = L.lub(residual(L, b, e), a)
-            if lhs != rhs:
-                return False
-    return True
+    """(ae v b):e = (b:e) v a for all a, b: one row comparison per a."""
+    lub, me = L._lub, L.mul_table[e]
+    re = tuple(row[e] for row in L._residual_table)
+    by_re = _gather(re)
+    return all(_gather(lub[me[a]])(re) == by_re(lub[a]) for a in range(L.n))
 
 
 def is_principal(L: FiniteMultiplicativeLattice, e: int) -> bool:
@@ -95,9 +79,7 @@ def has_restricted_cancellation(L: FiniteMultiplicativeLattice, a: int) -> bool:
 
 def is_maximal(L: FiniteMultiplicativeLattice, a: int) -> bool:
     """Proper, with no proper element strictly above."""
-    if a == L.top:
-        return False
-    return all(not L.lt(a, x) or x == L.top for x in range(L.n))
+    return a != L.top and L.up_sets[a] == 1 << a | 1 << L.top
 
 
 def compact_elements(L: FiniteMultiplicativeLattice) -> tuple[int, ...]:
@@ -147,24 +129,27 @@ class StructureProfile:
 
 
 def is_modular(L: FiniteMultiplicativeLattice) -> bool:
-    """a <= c implies a v (b ^ c) = (a v b) ^ c."""
-    for a in range(L.n):
-        for c in range(L.n):
-            if not L.leq(a, c):
-                continue
-            for b in range(L.n):
-                if L.lub(a, L.glb(b, c)) != L.glb(L.lub(a, b), c):
-                    return False
-    return True
+    """a <= c implies a v (b ^ c) = (a v b) ^ c: one row comparison per a <= c."""
+    lub, glb = L._lub, L._glb
+    return all(
+        _gather(glb[c])(lub[a]) == _gather(lub[a])(glb[c])
+        for a in range(L.n)
+        for c in _bits(L.up_sets[a])
+    )
 
 
 def is_principally_generated(L: FiniteMultiplicativeLattice) -> bool:
-    """Every element is the join of the principal elements below it."""
-    principal = [e for e in range(L.n) if is_principal(L, e)]
-    for a in range(L.n):
-        if L.join(e for e in principal if L.leq(e, a)) != a:
-            return False
-    return True
+    """Every element is the join of the principal elements below it.
+
+    Equivalently, every join-irreducible element (one with exactly one lower
+    cover) is principal.  If so, every element is a join of principal elements,
+    since in a finite lattice it is the join of the join-irreducibles below it.
+    Conversely, a join-irreducible j that is the join of some elements below it
+    must be one of them, as the others all lie below j's one lower cover.
+    Assumes a lattice that passes ``validate``.
+    """
+    lower_covers = Counter(b for _, b in L.covers)
+    return all(is_principal(L, j) for j, k in lower_covers.items() if k == 1)
 
 
 def maximal_elements(L: FiniteMultiplicativeLattice) -> tuple[int, ...]:
@@ -179,26 +164,27 @@ def structure_profile(L: FiniteMultiplicativeLattice) -> StructureProfile:
     condition is automatic at finite scale); local_noether additionally
     requires a unique maximal prime element; krull means the power meet of
     every proper element is bottom.
-    """
-    from .classify import is_prime  # deferred: classify imports this module
 
+    The maximal primes are exactly the maximal elements, so local_noether is
+    noether and quasi_local.  A maximal m is prime: if ab <= m and a !<= m then
+    a v m = 1, so b = b(a v m) = ab v bm <= m.  Every prime lies below some
+    maximal element, which is prime, so a prime with no prime above it is
+    maximal.  Assumes a lattice that passes ``validate``.
+    """
     modular = is_modular(L)
     pg = is_principally_generated(L)
     noether = modular and pg
     domain = not any(is_zero_divisor(L, a) for a in range(L.n))
     maxes = maximal_elements(L)
-    primes = [p for p in L.proper_elements if is_prime(L, p)]
-    maximal_primes = [
-        p for p in primes if not any(q != p and L.lt(p, q) for q in primes)
-    ]
+    quasi_local = len(maxes) == 1
     krull = all(omega_power(L, a) == L.bottom for a in L.proper_elements)
     return StructureProfile(
         modular=modular,
         principally_generated=pg,
         noether=noether,
         domain=domain,
-        quasi_local=len(maxes) == 1,
-        local_noether=noether and len(maximal_primes) == 1,
+        quasi_local=quasi_local,
+        local_noether=noether and quasi_local,
         krull=krull,
         maximal_elements=maxes,
     )

@@ -6,12 +6,23 @@ pairs row-major, the residual and radical tables join every qualifying x, the
 bound table filters every common bound, and ``naive_validate`` walks every
 tuple of each axiom with the bounds recomputed from the order.
 ``tests/test_kernels.py`` and ``tests/test_validate.py`` check the kernels in
-``multlat`` against them, and ``tests/test_harness.py`` checks T21's chain
-counts against ``proper_chains``.  The primary scans take sqrt(p) from
-``multlat.radical``, which is checked against ``radical_table`` here.
+``multlat`` against them, ``tests/test_harness.py`` checks T21's chain counts
+against ``proper_chains``, and ``tests/test_derived.py`` checks the structure
+flags against the pair loops from ``is_meet_principal`` to
+``structure_profile``.  The primary scans take sqrt(p) from ``multlat.radical``
+and the principal checks take (a : e) from ``multlat.residual``; both are
+checked against ``radical_table`` and ``residual_table`` here.
 """
 
-from multlat import LatticeStructureError, ValidationReport, radical
+from multlat import (
+    LatticeStructureError,
+    StructureProfile,
+    ValidationReport,
+    is_zero_divisor,
+    omega_power,
+    radical,
+    residual,
+)
 
 
 def bound_table(L, upper):
@@ -189,6 +200,84 @@ def proper_chains(L):
 
     extend([], 0)
     return tuple(chains)
+
+
+def is_meet_principal(L, e):
+    """a ^ be = ((a:e) ^ b)e for all a, b."""
+    for a in range(L.n):
+        for b in range(L.n):
+            lhs = L.glb(a, L.mul(b, e))
+            rhs = L.mul(L.glb(residual(L, a, e), b), e)
+            if lhs != rhs:
+                return False
+    return True
+
+
+def is_join_principal(L, e):
+    """(ae v b):e = (b:e) v a for all a, b."""
+    for a in range(L.n):
+        for b in range(L.n):
+            lhs = residual(L, L.lub(L.mul(a, e), b), e)
+            rhs = L.lub(residual(L, b, e), a)
+            if lhs != rhs:
+                return False
+    return True
+
+
+def is_principal(L, e):
+    return is_meet_principal(L, e) and is_join_principal(L, e)
+
+
+def is_maximal(L, a):
+    """Proper, with no proper element strictly above."""
+    if a == L.top:
+        return False
+    return all(not L.lt(a, x) or x == L.top for x in range(L.n))
+
+
+def is_modular(L):
+    """a <= c implies a v (b ^ c) = (a v b) ^ c."""
+    for a in range(L.n):
+        for c in range(L.n):
+            if not L.leq(a, c):
+                continue
+            for b in range(L.n):
+                if L.lub(a, L.glb(b, c)) != L.glb(L.lub(a, b), c):
+                    return False
+    return True
+
+
+def is_principally_generated(L):
+    """Every element is the join of the principal elements below it."""
+    principal = [e for e in range(L.n) if is_principal(L, e)]
+    for a in range(L.n):
+        if L.join(e for e in principal if L.leq(e, a)) != a:
+            return False
+    return True
+
+
+def maximal_primes(L):
+    """The primes, found by scanning, with no prime strictly above."""
+    primes = [p for p in L.proper_elements if prime_violation(L, p) is None]
+    return [p for p in primes if not any(q != p and L.lt(p, q) for q in primes)]
+
+
+def structure_profile(L):
+    """The flags as first defined: local_noether counts the maximal primes."""
+    modular = is_modular(L)
+    pg = is_principally_generated(L)
+    noether = modular and pg
+    maxes = tuple(a for a in range(L.n) if is_maximal(L, a))
+    return StructureProfile(
+        modular=modular,
+        principally_generated=pg,
+        noether=noether,
+        domain=not any(is_zero_divisor(L, a) for a in range(L.n)),
+        quasi_local=len(maxes) == 1,
+        local_noether=noether and len(maximal_primes(L)) == 1,
+        krull=all(omega_power(L, a) == L.bottom for a in L.proper_elements),
+        maximal_elements=maxes,
+    )
 
 
 def _first(iterable):

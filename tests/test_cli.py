@@ -192,6 +192,23 @@ def test_classify_output_file(tmp_path, capsys):
     assert json.loads(out_path.read_text())["lattice"] == "Z8"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--zn", "8"),
+        ("verify",),
+        ("hunt", "--have", "phi2-d1-primary", "--lack", "d1-primary"),
+        ("export-dot", "--zn", "8"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_output_is_usage_error(tmp_path, capsys, argv):
+    for target in (tmp_path / "no" / "such" / "dir" / "x.out", tmp_path):
+        rc, out, err = run(capsys, *argv, "--output", str(target))
+        assert rc == 2 and not out
+        assert err.startswith(f"error: cannot write {target}: ")
+
+
 def test_oversized_frames_are_usage_errors(capsys):
     for flag, k in (("--chain", "1024"), ("--chain", "-1"), ("--boolean", "11")):
         rc, out, err = run(capsys, "classify", flag, k)

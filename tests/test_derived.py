@@ -2,12 +2,22 @@
 
 The radical gets two independent oracles: a brute-force "some power lands
 below" join computed with nothing but mul, and the squarefree-kernel formula
-for divisor lattices.
+for divisor lattices.  The principal, modularity and structure flags are
+checked against the pair loops in oracle.py, on Zn, chains, boolean frames and
+six non-distributive shapes built here from explicit tables.
 """
 
+import pytest
+
+import oracle
+from conftest import time_limit
 from multlat import (
+    FiniteMultiplicativeLattice,
+    StructureProfile,
+    boolean_frame,
     chain_frame,
     compact_elements,
+    default_corpus,
     element_profile,
     is_idempotent,
     is_nilpotent,
@@ -18,9 +28,18 @@ from multlat import (
     radical,
     residual,
     structure_profile,
+    validate,
     zn_ideal_lattice,
 )
-from multlat.derived import has_restricted_cancellation, is_maximal, is_principal
+from multlat.derived import (
+    has_restricted_cancellation,
+    is_join_principal,
+    is_maximal,
+    is_meet_principal,
+    is_modular,
+    is_principal,
+    is_principally_generated,
+)
 
 
 def _brute_radical(L, a):
@@ -193,3 +212,106 @@ def test_restricted_cancellation_edge_cases(corpus):
         for q in L.proper_elements:
             if q != L.bottom and not is_nilpotent(L, q):
                 assert not has_restricted_cancellation(L, q)
+
+
+# -- structure flags against the oracle ------------------------------------------
+
+# (labels, covers) of a bounded lattice, bottom first; "ac" is the cover a < c
+N5 = "0abc1", ("0a", "ac", "c1", "0b", "b1")
+M3 = "0abc1", ("0a", "0b", "0c", "a1", "b1", "c1")
+
+
+def _adjoin_top(name, shape):
+    """The bounded lattice (labels, covers) with a new top T; x*y = bottom below T."""
+    labels, covers = shape
+    labels = (*labels, "T")
+    n, pos = len(labels), {lab: i for i, lab in enumerate(labels)}
+    leq = [[i == j or j == n - 1 for j in range(n)] for i in range(n)]
+    leq[0] = [True] * n
+    for _ in range(n):
+        for lo, hi in covers:
+            a, b = pos[lo], pos[hi]
+            leq[a] = [x or y for x, y in zip(leq[a], leq[b])]
+    top = n - 1
+    mul = [[j if i == top else i if j == top else 0 for j in range(n)] for i in range(n)]
+    return FiniteMultiplicativeLattice(name, labels, leq, mul, 0, top)
+
+
+def _product(L1, L2):
+    """Componentwise order and multiplication on pairs (x, y), x-major."""
+    pairs = [(x, y) for x in L1.elements() for y in L2.elements()]
+    index = {xy: k for k, xy in enumerate(pairs)}
+    return FiniteMultiplicativeLattice(
+        f"{L1.name}x{L2.name}",
+        [f"{L1.label(x)},{L2.label(y)}" for x, y in pairs],
+        [[L1.leq(x, u) and L2.leq(y, v) for u, v in pairs] for x, y in pairs],
+        [[index[L1.mul(x, u), L2.mul(y, v)] for u, v in pairs] for x, y in pairs],
+        index[L1.bottom, L2.bottom],
+        index[L1.top, L2.top],
+    )
+
+
+def _shapes():
+    n5, m3 = _adjoin_top("N5+", N5), _adjoin_top("M3+", M3)
+    z4 = zn_ideal_lattice(4)
+    return [
+        n5,
+        m3,
+        _product(chain_frame(2), boolean_frame(2)),
+        _product(zn_ideal_lattice(8), m3),
+        _product(n5, z4),
+        _product(z4, zn_ideal_lattice(9)),
+    ]
+
+
+SHAPES = _shapes()
+PROFILED = [
+    *default_corpus().lattices(),
+    zn_ideal_lattice(360),
+    zn_ideal_lattice(5040),
+    *(chain_frame(k) for k in range(6)),
+    *(boolean_frame(k) for k in range(5)),
+    *SHAPES,
+]
+
+
+@pytest.mark.parametrize("L", SHAPES, ids=lambda L: L.name)
+def test_shapes_are_multiplicative_lattices(L):
+    assert validate(L).ok, validate(L).describe(L)
+
+
+@pytest.mark.parametrize("L", PROFILED, ids=lambda L: L.name)
+def test_structure_flags_match_oracle(L):
+    for e in L.elements():
+        assert is_meet_principal(L, e) == oracle.is_meet_principal(L, e), L.label(e)
+        assert is_join_principal(L, e) == oracle.is_join_principal(L, e), L.label(e)
+        assert is_maximal(L, e) == oracle.is_maximal(L, e), L.label(e)
+    assert is_modular(L) == oracle.is_modular(L)
+    assert is_principally_generated(L) == oracle.is_principally_generated(L)
+    assert structure_profile(L) == oracle.structure_profile(L)
+
+
+def test_profiled_lattices_cover_every_branch():
+    profiles = [structure_profile(L) for L in PROFILED]
+    assert any(not p.modular for p in profiles)
+    assert any(not p.principally_generated for p in profiles)
+    assert any(p.noether and not p.quasi_local for p in profiles)
+    assert any(p.local_noether for p in profiles)
+
+
+def test_structure_profile_of_z720720_is_fast():
+    with time_limit(5):
+        L = zn_ideal_lattice(720720)
+        prof = structure_profile(L)
+    maxes = tuple(L.label(a) for a in prof.maximal_elements)
+    assert maxes == ("(2)", "(3)", "(5)", "(7)", "(11)", "(13)")
+    assert prof == StructureProfile(
+        modular=True,
+        principally_generated=True,
+        noether=True,
+        domain=False,
+        quasi_local=False,
+        local_noether=False,
+        krull=False,
+        maximal_elements=prof.maximal_elements,
+    )

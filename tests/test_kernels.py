@@ -28,7 +28,6 @@ from multlat import (
     prime_violation,
     zn_ideal_lattice,
 )
-from multlat.derived import _radical_table, _residual_table
 
 DELTA_KINDS = ("d0", "d1")
 PHI_KINDS = ("none", "phi0", "phi1", "phi2", "phi3", "phiomega")
@@ -57,8 +56,8 @@ def test_bound_tables_match_oracle(lattice):
 
 
 def test_residual_and_radical_tables_match_oracle(lattice):
-    assert _residual_table(lattice) == oracle.residual_table(lattice)
-    assert _radical_table(lattice) == oracle.radical_table(lattice)
+    assert lattice._residual_table == oracle.residual_table(lattice)
+    assert lattice._radical_table == oracle.radical_table(lattice)
 
 
 def test_witnesses_match_oracle(lattice):
