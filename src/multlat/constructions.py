@@ -230,12 +230,16 @@ def serialize(L: FiniteMultiplicativeLattice) -> str:
 
 
 def to_dot(L: FiniteMultiplicativeLattice) -> str:
-    """Hasse diagram as Graphviz DOT, drawn upward from the bottom element."""
-    lines = [f'digraph "{L.name}" {{', "  rankdir=BT;"]
-    for lab in L.labels:
-        lines.append(f'  "{lab}";')
-    for a, b in sorted(L.covers):
-        lines.append(f'  "{L.label(a)}" -> "{L.label(b)}";')
+    """Hasse diagram as Graphviz DOT, drawn upward from the bottom element.
+
+    The name and every label become quoted IDs, with backslash and double
+    quote escaped by a backslash.
+    """
+    name, *ids = (
+        '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"' for s in (L.name, *L.labels)
+    )
+    lines = [f"digraph {name} {{", "  rankdir=BT;", *(f"  {i};" for i in ids)]
+    lines += (f"  {ids[a]} -> {ids[b]};" for a, b in sorted(L.covers))
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -530,16 +530,16 @@ def registry() -> tuple[TheoremProperty, ...]:
     )
 
     def t22_instances(L, corpus, config):
-        for delta in _deltas(L, config):
-            for phi in _phis(L, config):
-                for p in L.proper_elements:
-                    for q in range(L.n):
-                        yield {"delta": delta, "phi": phi, "p": p, "q": q}
+        for i in _from_binding(("delta", "phi", "p"))(L, corpus, config):
+            # decided once for every q: p's own status does not read q
+            primary = is_phi_delta_primary(L, i["delta"], i["phi"], i["p"])
+            for q in range(L.n):
+                yield {**i, "q": q, "primary": primary}
 
     def t22_hypothesis(L, c, i):
-        delta, phi, p, q = i["delta"], i["phi"], i["p"], i["q"]
-        if not is_phi_delta_primary(L, delta, phi, p):
+        if not i["primary"]:
             return False
+        phi, p, q = i["phi"], i["p"], i["q"]
         pq = residual(L, p, q)
         if pq == L.top:
             return False
@@ -577,26 +577,17 @@ def registry() -> tuple[TheoremProperty, ...]:
         "radical(p) <= delta(p)",
     )
 
-    def t24_hypothesis(L, c, i):
-        delta, phi, q = i["delta"], i["phi"], i["q"]
-        # delta as an automorphism of L: one of the self-isomorphisms T26 also uses
-        iso = next((f for f in _isomorphisms(L, L) if f.forward == delta.table), None)
-        if iso is None or not check_global_property(iso, phi, phi):
-            return False
-        dq = delta.table[q]
-        return (
-            is_phi_delta_primary(L, delta, phi, q)
-            and L.leq_table[delta.table[dq]][dq]
-            and dq != L.top
-        )
-
     add(
         "T24",
         "when delta is a multiplicative automorphism, phi has the global "
         "property under it, and delta(delta(q)) <= delta(q), the image "
         "delta(q) of a phi-delta-primary q is phi-prime",
         ("delta", "phi", "q"),
-        t24_hypothesis,
+        # An inflationary automorphism of a finite lattice is the identity
+        # (README "Acceptance status"). Under it phi has the global property,
+        # delta(delta(q)) = delta(q), and delta(q) = q is proper.
+        lambda L, c, i: i["delta"].table == _delta(L, "d0").table
+        and is_phi_delta_primary(L, i["delta"], i["phi"], i["q"]),
         lambda L, c, i: is_phi_prime(L, i["phi"], i["delta"].table[i["q"]]),
         "delta(q) is phi-prime",
     )
@@ -618,25 +609,22 @@ def registry() -> tuple[TheoremProperty, ...]:
             if M.n <= 1:
                 continue
             for f in _isomorphisms(L, M):
-                for dk in config.delta_kinds:
-                    for pk in config.phi_kinds:
-                        for p in M.proper_elements:
-                            yield {
-                                "f": f,
-                                "delta": _delta(M, dk),
-                                "phi": _phi(M, pk),
-                                "delta_src": _delta(L, dk),
-                                "phi_src": _phi(L, pk),
-                                "p": p,
-                            }
+                for dk, pk in product(config.delta_kinds, config.phi_kinds):
+                    delta, phi = _delta(M, dk), _phi(M, pk)
+                    delta_src, phi_src = _delta(L, dk), _phi(L, pk)
+                    # decided once for every p: the hypothesis reads only f and the maps
+                    transfers = (check_global_property(f, delta_src, delta)
+                                 and check_global_property(f, phi_src, phi))
+                    shared = {"f": f, "delta": delta, "phi": phi, "delta_src": delta_src,
+                              "phi_src": phi_src, "transfers": transfers}
+                    yield from ({**shared, "p": p} for p in M.proper_elements)
 
     add(
         "T26",
         "along an isomorphism under which delta and phi have the global "
         "property, phi-delta-primary transfers in both directions",
         ("f", "delta", "phi", "p"),
-        lambda L, c, i: check_global_property(i["f"], i["delta_src"], i["delta"])
-        and check_global_property(i["f"], i["phi_src"], i["phi"]),
+        lambda L, c, i: i["transfers"],
         lambda L, c, i: is_phi_delta_primary(
             i["f"].target, i["delta"], i["phi"], i["p"]
         )

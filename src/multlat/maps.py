@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from operator import getitem
 
 from .derived import omega_power, radical
 from .lattice import FiniteMultiplicativeLattice
@@ -161,7 +162,8 @@ def map_leq(g1: UnaryMap, g2: UnaryMap) -> bool:
         return True
     if getattr(g2, "none", False):
         return False
-    return all(L.leq(g1.table[a], g2.table[a]) for a in range(L.n))
+    # row g1(a) of the order table, read at g2(a), for every a in one C-level pass
+    return all(map(getitem, map(L.leq_table.__getitem__, g1.table), g2.table))
 
 
 def is_monotone(g: UnaryMap) -> bool:

@@ -7,9 +7,9 @@ bound table filters every common bound, and ``naive_validate`` walks every
 tuple of each axiom with the bounds recomputed from the order.
 ``tests/test_kernels.py`` and ``tests/test_validate.py`` check the kernels in
 ``multlat`` against them, ``tests/test_harness.py`` checks T21's chain counts
-against ``proper_chains``, and ``tests/test_derived.py`` checks the structure
-flags against the pair loops from ``is_meet_principal`` to
-``structure_profile``.  The primary scans take sqrt(p) from ``multlat.radical``
+against ``proper_chains`` and T24's hypothesis against ``t24_hypothesis``, and
+``tests/test_derived.py`` checks the structure flags against the pair loops
+from ``is_meet_principal`` to ``structure_profile``.  The primary scans take sqrt(p) from ``multlat.radical``
 and the principal checks take (a : e) from ``multlat.residual``; both are
 checked against ``radical_table`` and ``residual_table`` here.
 """
@@ -18,11 +18,14 @@ from multlat import (
     LatticeStructureError,
     StructureProfile,
     ValidationReport,
+    check_global_property,
+    is_phi_delta_primary,
     is_zero_divisor,
     omega_power,
     radical,
     residual,
 )
+from multlat.harness import _isomorphisms
 
 
 def bound_table(L, upper):
@@ -200,6 +203,22 @@ def proper_chains(L):
 
     extend([], 0)
     return tuple(chains)
+
+
+def t24_hypothesis(L, config, inst):
+    """T24's hypothesis as stated: delta is a multiplicative automorphism (one
+    of L's self-isomorphisms), phi has the global property under it, q is
+    phi-delta-primary, delta(delta(q)) <= delta(q) and delta(q) is proper."""
+    delta, phi, q = inst["delta"], inst["phi"], inst["q"]
+    iso = next((f for f in _isomorphisms(L, L) if f.forward == delta.table), None)
+    if iso is None or not check_global_property(iso, phi, phi):
+        return False
+    dq = delta.table[q]
+    return (
+        is_phi_delta_primary(L, delta, phi, q)
+        and L.leq_table[delta.table[dq]][dq]
+        and dq != L.top
+    )
 
 
 def is_meet_principal(L, e):

@@ -1,5 +1,6 @@
 """Corpus builders, the lattice file format, and DOT export."""
 
+import re
 from math import gcd
 
 import pytest
@@ -183,6 +184,28 @@ def test_dot_export(z8):
     nodes = [ln for ln in lines if ln.endswith(";") and "->" not in ln and "rankdir" not in ln]
     assert len(nodes) == 4 and len(edges) == 3
     assert '"(0)" -> "(4)";' in lines
+
+
+DOT_ID = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+def test_dot_export_escapes_quotes_and_backslashes():
+    text = (
+        Z8_TEXT.replace("lattice Z8x", 'lattice q"x')
+        .replace("(4)", 'a"b')
+        .replace("(2)", "c\\d")
+        .replace("(1)", '\\"')
+    )
+    L = parse_lattice(text)
+    assert validate(L).ok
+    names = []
+    for line in to_dot(L).splitlines():
+        # every double quote belongs to a well-formed quoted ID
+        assert '"' not in DOT_ID.sub("", line), line
+        names.append([re.sub(r"\\(.)", r"\1", t[1:-1]) for t in DOT_ID.findall(line)])
+    edges = [[L.label(a), L.label(b)] for a, b in sorted(L.covers)]
+    assert names == [[L.name], [], *([lab] for lab in L.labels), *edges, []]
+    assert L.name == 'q"x' and L.labels == ("(0)", 'a"b', "c\\d", '\\"')
 
 
 @settings(max_examples=40, deadline=None)

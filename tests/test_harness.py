@@ -18,6 +18,7 @@ from multlat import (
     boolean_frame,
     chain_frame,
     default_corpus,
+    enumerate_isomorphisms,
     hunt,
     make_delta,
     make_phi,
@@ -27,6 +28,7 @@ from multlat import (
     run_property,
     zn_ideal_lattice,
 )
+from multlat import maps
 from multlat.constructions import Corpus, CorpusEntry
 
 EXPECTED_COUNTS = {
@@ -331,3 +333,58 @@ def test_weighted_instances_count_their_weight():
     # one witness per violating instance, not per unit of weight, up to the cap
     first_five = [z24.label(p) for p in z24.proper_elements[:5]]
     assert [w.bindings["p"] for w in r.witnesses] == first_five
+
+
+# -- element-free conditions are decided once ----------------------------------
+
+REGISTRY = {p.id: p for p in registry()}
+
+
+def test_t24_hypothesis_equals_the_literal_one(corpus):
+    for n in (360, 5040, 30030):
+        corpus = corpus.extended(zn_ideal_lattice(n), "added")
+    t24, config = REGISTRY["T24"], HarnessConfig()
+    hit_deltas = set()
+    for L in corpus.lattices():
+        if L.n <= 1:
+            continue
+        for inst in t24.instances(L, corpus, config):
+            expected = oracle.t24_hypothesis(L, config, inst)
+            assert t24.hypothesis(L, config, inst) == expected, (L.name, inst)
+            if expected:
+                hit_deltas.add(inst["delta"].tag)
+    # d1 is the identity on every radical lattice (Z30, Z30030, the frames)
+    assert hit_deltas == {"d0", "d1"}
+
+
+def test_global_property_is_checked_once_per_isomorphism_and_maps(monkeypatch):
+    corpus, config = default_corpus(), HarnessConfig()
+    lattices = [L for L in corpus.lattices() if L.n > 1]
+    isomorphisms = sum(len(enumerate_isomorphisms(L, M)) for L in lattices for M in lattices)
+    calls = []
+    witness = maps.global_property_witness
+
+    def counting_witness(*args):
+        calls.append(args)
+        return witness(*args)
+
+    monkeypatch.setattr(maps, "global_property_witness", counting_witness)
+    report = run_all(corpus)
+    monkeypatch.undo()
+    assert report.ok(config.expected_vacuous)
+    # two checks (delta, then phi) per (f, delta kind, phi kind); T24 makes none
+    per_isomorphism = 2 * len(config.delta_kinds) * len(config.phi_kinds)
+    assert 0 < len(calls) <= per_isomorphism * isomorphisms
+
+
+def test_element_free_conditions_keep_their_counts_at_scale():
+    # at 720720 these three took about 6 s when each instance rechecked them
+    with time_limit(4):
+        corpus = default_corpus().extended(zn_ideal_lattice(720720), "added")
+        results = [run_property(REGISTRY[pid], corpus) for pid in ("T22", "T24", "T26")]
+    assert [(r.instances_scanned, r.hypothesis_hits) for r in results] == [
+        (691_872, 159_562),
+        (3_444, 825),
+        (70_032, 70_032),
+    ]
+    assert all(r.violations == 0 for r in results)

@@ -167,6 +167,14 @@ def test_none_phi_sits_strictly_below_everything(z8):
     assert map_leq(none, make_phi(z8, "none"))
 
 
+def test_map_leq_is_the_pointwise_order(corpus):
+    for L in corpus.lattices():
+        maps = [make_delta(L, k) for k in DELTA_KINDS] + [make_phi(L, k) for k in PHI_KINDS]
+        for g1, g2 in itertools.product(maps, repeat=2):
+            expected = all(L.leq(g1.table[a], g2.table[a]) for a in range(L.n))
+            assert map_leq(g1, g2) == expected, (L.name, g1.tag, g2.tag)
+
+
 def test_map_leq_requires_shared_lattice(z8, z24):
     with pytest.raises(ValueError):
         map_leq(make_phi(z8, "phi0"), make_phi(z24, "phi0"))
@@ -218,6 +226,20 @@ def test_is_automorphism_table(z24):
     a, b = z24.index_of("(4)"), z24.index_of("(6)")
     swapped[a], swapped[b] = swapped[b], swapped[a]
     assert not is_automorphism_table(z24, tuple(swapped))
+
+
+def test_an_inflationary_automorphism_is_the_identity():
+    # T24's hypothesis rests on this: if delta(a) != a, the orbit
+    # a < delta(a) <= delta^2(a) <= ... would have to come back to a.
+    lattices = [
+        *map(chain_frame, range(6)),
+        *map(boolean_frame, range(4)),
+        *map(zn_ideal_lattice, (8, 12, 24)),
+    ]
+    for L in lattices:
+        ups = [[b for b in range(L.n) if L.leq_table[a][b]] for a in range(L.n)]
+        automorphisms = [t for t in itertools.product(*ups) if is_automorphism_table(L, t)]
+        assert automorphisms == [tuple(range(L.n))], L.name
 
 
 def test_global_property_transfer(z8, z27):
