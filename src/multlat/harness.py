@@ -769,7 +769,8 @@ def run_all(
 @dataclass(frozen=True)
 class Predicate:
     """A hunt predicate: ``witness(L, q)`` is its first violating pair at the
-    proper element q, or None when q has it; ``test`` reads that verdict."""
+    proper element q, or None when q has it; ``test`` reads that verdict.
+    It hashes and compares on its normalized name only."""
 
     name: str
     witness: Callable[[FiniteMultiplicativeLattice, int], tuple[int, int] | None] = field(
@@ -780,9 +781,10 @@ class Predicate:
         return self.witness(L, q) is None
 
 
-_POTENT_RE = re.compile(r"^(\d+)-potent-d([01])-primary$")
-_PHI_DELTA_RE = re.compile(r"^phi(\d+|omega)-d([01])-primary$")
-_PHI_PRIME_RE = re.compile(r"^phi(\d+|omega)-(prime|primary)$")
+# Numerals carry no leading zero, so each predicate has one spelling.
+_POTENT_RE = re.compile(r"^([1-9]\d*)-potent-d([01])-primary$")
+_PHI_DELTA_RE = re.compile(r"^phi(0|[1-9]\d*|omega)-d([01])-primary$")
+_PHI_PRIME_RE = re.compile(r"^phi(0|[1-9]\d*|omega)-(prime|primary)$")
 _DELTA_RE = re.compile(r"^d([01])-primary$")
 
 
@@ -791,9 +793,9 @@ def parse_predicate(name: str) -> Predicate:
 
     Grammar: prime | primary | idempotent | d<D>-primary | phi<P>-prime |
     phi<P>-primary | phi<P>-d<D>-primary | <k>-potent-d<D>-primary, with
-    D in {0, 1}, P a power exponent or "omega", and k >= 2.  Each name maps
-    to one finder over (lattice, element); the idempotent finder's pair is
-    (q, q^2).
+    D in {0, 1}, P a power exponent or "omega", and k >= 2, numerals without
+    a leading zero.  Each name maps to one finder over (lattice, element);
+    the idempotent finder's pair is (q, q^2).
     """
     name = name.strip().lower()
     if name == "prime":
@@ -844,22 +846,36 @@ class HuntHit:
         }
 
 
+@_per_lattice
+def _holders(L: FiniteMultiplicativeLattice, pred: Predicate) -> int:
+    """The proper elements that have pred, as a bitmask: bit q is set when
+    ``pred.witness(L, q)`` is None."""
+    return sum(1 << q for q in L.proper_elements if pred.witness(L, q) is None)
+
+
 def hunt(
     have: str | Iterable[str], lack: str, corpus: Corpus | None = None
 ) -> tuple[HuntHit, ...]:
     """All proper elements in the corpus with every `have` predicate but not
-    `lack`, each carrying the lacked predicate's first violating pair."""
+    `lack`, each carrying the lacked predicate's first violating pair.
+
+    Hits come per lattice in corpus order, then by ascending element index.
+    Each predicate's verdicts are one bitmask per lattice (``_holders``), so
+    only the hits read a witness.
+    """
     corpus = corpus if corpus is not None else default_corpus()
     names = [have] if isinstance(have, str) else list(have)
     preds = [parse_predicate(n) for n in names]
     lack_pred = parse_predicate(lack)
     hits: list[HuntHit] = []
     for L in corpus.lattices():
-        for q in L.proper_elements:
-            if all(p.witness(L, q) is None for p in preds) and (
-                pair := lack_pred.witness(L, q)
-            ) is not None:
-                hits.append(
-                    HuntHit(L.name, L.label(q), lack_pred.name, tuple(map(L.label, pair)))
-                )
+        proper = ((1 << L.n) - 1) ^ (1 << L.top)
+        mask = proper & ~_holders(L, lack_pred)
+        for p in preds:
+            mask &= _holders(L, p)
+        for q in _bits(mask):
+            pair = lack_pred.witness(L, q)
+            hits.append(
+                HuntHit(L.name, L.label(q), lack_pred.name, tuple(map(L.label, pair)))
+            )
     return tuple(hits)

@@ -11,17 +11,22 @@ against ``proper_chains`` and T24's hypothesis against ``t24_hypothesis``, and
 ``tests/test_derived.py`` checks the structure flags against the pair loops
 from ``is_meet_principal`` to ``structure_profile``.  The primary scans take sqrt(p) from ``multlat.radical``
 and the principal checks take (a : e) from ``multlat.residual``; both are
-checked against ``radical_table`` and ``residual_table`` here.
+checked against ``radical_table`` and ``residual_table`` here.  ``hunt``
+tests every element predicate by predicate; ``tests/test_harness.py`` checks
+the bitmask ``multlat.hunt`` against it.
 """
 
 from multlat import (
+    HuntHit,
     LatticeStructureError,
     StructureProfile,
     ValidationReport,
     check_global_property,
+    default_corpus,
     is_phi_delta_primary,
     is_zero_divisor,
     omega_power,
+    parse_predicate,
     radical,
     residual,
 )
@@ -219,6 +224,26 @@ def t24_hypothesis(L, config, inst):
         and L.leq_table[delta.table[dq]][dq]
         and dq != L.top
     )
+
+
+def hunt(have, lack, corpus=None):
+    """Every proper element with each `have` predicate but not `lack`: the
+    have predicates tested in order with short-circuiting, the lacked one
+    only on elements that pass them all."""
+    corpus = corpus if corpus is not None else default_corpus()
+    names = [have] if isinstance(have, str) else list(have)
+    preds = [parse_predicate(n) for n in names]
+    lack_pred = parse_predicate(lack)
+    hits = []
+    for L in corpus.lattices():
+        for q in L.proper_elements:
+            if all(p.witness(L, q) is None for p in preds) and (
+                pair := lack_pred.witness(L, q)
+            ) is not None:
+                hits.append(
+                    HuntHit(L.name, L.label(q), lack_pred.name, tuple(map(L.label, pair)))
+                )
+    return tuple(hits)
 
 
 def is_meet_principal(L, e):

@@ -173,6 +173,15 @@ def test_hunt_bad_predicate_is_usage_error(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("name", ["phi00-prime", "phi007-primary", "02-potent-d0-primary"])
+def test_hunt_rejects_numerals_with_a_leading_zero(capsys, name):
+    for argv in (("--have", name, "--lack", "prime"), ("--have", "prime", "--lack", name)):
+        rc, out, err = run(capsys, "hunt", *argv)
+        assert rc == 2
+        assert err.startswith(f"error: unknown predicate {name!r}")
+        assert not out
+
+
 def test_export_dot(tmp_path, capsys):
     out_path = tmp_path / "z8.dot"
     rc, _, _ = run(capsys, "export-dot", "--zn", "8", "--output", str(out_path))
@@ -318,6 +327,22 @@ REPORT_DIGESTS = [
         "d5af066db4ac222b21f99e329a0c2d5f426067e8d37e0f2456ee5be906e902b4",
         id="hunt-lack-3-potent-d1-primary",
     ),
+    pytest.param(
+        (
+            "hunt", "--have", "2-potent-d0-primary", "--have", "phi2-d1-primary",
+            "--lack", "prime", "--add-zn", "5040", "--add-zn", "55440", "--format", "json",
+        ),
+        "9f90ab0a786c0291bddc70607f570bb1141e74b25e87abb28a4853e5a8bff4ff",
+        id="hunt-at-scale-lack-prime",
+    ),
+    pytest.param(
+        (
+            "hunt", "--have", "phiomega-primary", "--lack", "phi3-d0-primary",
+            "--add-zn", "5040", "--add-zn", "55440", "--format", "json",
+        ),
+        "67edefcc73f9e3d7415a780fb14f3f53185626467ced9a8078d0129a2c9a956d",
+        id="hunt-at-scale-lack-phi3-d0-primary",
+    ),
 ]
 
 
@@ -326,3 +351,12 @@ def test_report_output_is_byte_identical(capsys, argv, digest):
     rc, out, _ = run(capsys, *argv)
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_hunt_at_scale_without_hits_prints_an_empty_list(capsys):
+    rc, out, _ = run(
+        capsys, "hunt", "--have", "phiomega-primary", "--lack", "phi3-d1-primary",
+        "--add-zn", "5040", "--add-zn", "55440", "--format", "json",
+    )
+    assert rc == 1
+    assert out == "[]\n"

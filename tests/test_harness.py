@@ -8,6 +8,9 @@ b = q^(s-1) (b = top when s = 1) and c = q^s gives q*b = q*c = q^s != 0 with
 b != c.
 """
 
+import random
+from collections import Counter
+
 import pytest
 
 import oracle
@@ -28,8 +31,9 @@ from multlat import (
     run_property,
     zn_ideal_lattice,
 )
-from multlat import maps
+from multlat import harness, maps
 from multlat.constructions import Corpus, CorpusEntry
+from test_derived import SHAPES
 
 EXPECTED_COUNTS = {
     # id: (instances_scanned, hypothesis_hits)
@@ -388,3 +392,80 @@ def test_element_free_conditions_keep_their_counts_at_scale():
         (70_032, 70_032),
     ]
     assert all(r.violations == 0 for r in results)
+
+
+# -- hunt reads one verdict bitmask per (lattice, predicate) -------------------
+
+EXPONENTS = ("0", "1", "2", "3", "4", "omega")
+PHI_FORMS = ("prime", "primary", "d0-primary", "d1-primary")
+PREDICATES = [
+    "prime", "primary", "idempotent", "d0-primary", "d1-primary",
+    *(f"phi{e}-{form}" for e in EXPONENTS for form in PHI_FORMS),
+    *(f"{k}-potent-d{d}-primary" for k in range(2, 5) for d in range(2)),
+]
+
+
+def _two_predicate_queries(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        have = rng.sample(PREDICATES, 2)
+        yield have, rng.choice([p for p in PREDICATES if p not in have])
+
+
+HUNT_CORPORA = {
+    "default+Z360+Z5040": lambda: [
+        *default_corpus().lattices(), zn_ideal_lattice(360), zn_ideal_lattice(5040)
+    ],
+    "chains": lambda: [chain_frame(k) for k in range(6)],
+    "boolean": lambda: [boolean_frame(k) for k in range(5)],
+    "non-distributive": lambda: SHAPES,
+}
+
+
+@pytest.mark.parametrize("name", HUNT_CORPORA)
+def test_hunt_equals_the_predicate_by_predicate_scan(name):
+    corpus = Corpus(tuple(CorpusEntry(L, "added") for L in HUNT_CORPORA[name]()))
+    assert len(PREDICATES) == 35
+    for lack in PREDICATES:
+        for have in PREDICATES:
+            assert hunt(have, lack, corpus) == oracle.hunt(have, lack, corpus), (have, lack)
+    for have, lack in _two_predicate_queries(1, 300):
+        assert hunt(have, lack, corpus) == oracle.hunt(have, lack, corpus), (have, lack)
+
+
+def test_warm_hunts_read_masks(monkeypatch):
+    corpus = default_corpus().extended(zn_ideal_lattice(5040), "added")
+    calls = Counter()
+    parse = harness.parse_predicate
+
+    def counting_parse(name):
+        pred = parse(name)
+
+        def witness(L, q):
+            calls[pred.name] += 1
+            return pred.witness(L, q)
+
+        return harness.Predicate(pred.name, witness)
+
+    monkeypatch.setattr(harness, "parse_predicate", counting_parse)
+    for name in PREDICATES:
+        hunt([], name, corpus)
+    queries = [
+        (["phi2-d1-primary"], "d1-primary"),
+        (["2-potent-d0-primary", "phi2-d1-primary"], "prime"),
+        *_two_predicate_queries(2, 50),
+    ]
+    for have, lack in queries:
+        calls.clear()
+        hits = hunt(have, lack, corpus)
+        assert all(calls[name] == 0 for name in have), (have, lack)
+        assert calls[lack] == len(hits), (have, lack)
+
+
+def test_predicate_numerals_have_no_leading_zero():
+    for bad in ("phi00-prime", "phi01-primary", "phi02-d1-primary", "phi007-primary",
+                "02-potent-d0-primary", "00-potent-d1-primary"):
+        with pytest.raises(ValueError, match="unknown predicate"):
+            parse_predicate(bad)
+    for good in ("phi0-prime", "phi10-primary", "phi100-d0-primary", "10-potent-d1-primary"):
+        assert parse_predicate(good).name == good
