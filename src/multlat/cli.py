@@ -23,7 +23,7 @@ from .constructions import (
     to_dot,
     zn_ideal_lattice,
 )
-from .harness import HarnessConfig, hunt, run_all
+from .harness import HarnessConfig, hunt, parse_predicate, run_all
 from .lattice import FiniteMultiplicativeLattice, validate
 from .maps import MapValidationError, make_delta, make_phi, parse_map_table
 
@@ -220,11 +220,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_hunt(args: argparse.Namespace) -> int:
-    corpus = _build_corpus(args)
-    try:
-        hits = hunt(args.have, args.lack, corpus)
+    try:  # a misspelt name fails before any lattice is built
+        for name in (*args.have, args.lack):
+            parse_predicate(name)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+    hits = hunt(args.have, args.lack, _build_corpus(args))
     if args.format == "json":
         _emit(json.dumps([h.to_dict() for h in hits], indent=2, sort_keys=True), args)
     else:

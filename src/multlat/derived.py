@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .lattice import FiniteMultiplicativeLattice, _bits, _gather, _per_lattice
@@ -148,8 +147,7 @@ def is_principally_generated(L: FiniteMultiplicativeLattice) -> bool:
     must be one of them, as the others all lie below j's one lower cover.
     Assumes a lattice that passes ``validate``.
     """
-    lower_covers = Counter(b for _, b in L.covers)
-    return all(is_principal(L, j) for j, k in lower_covers.items() if k == 1)
+    return all(is_principal(L, j) for j in L.join_irreducibles)
 
 
 def maximal_elements(L: FiniteMultiplicativeLattice) -> tuple[int, ...]:

@@ -225,6 +225,14 @@ class FiniteMultiplicativeLattice:
             out.extend((a, b) for b in _bits(above & ~beyond))
         return tuple(out)
 
+    @cached_property
+    def join_irreducibles(self) -> tuple[int, ...]:
+        """Elements with exactly one lower cover, in ascending order."""
+        lower = [0] * self.n
+        for _, b in self.covers:
+            lower[b] += 1
+        return tuple(b for b, k in enumerate(lower) if k == 1)
+
     # -- multiplication ----------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:

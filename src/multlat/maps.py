@@ -15,7 +15,7 @@ from functools import cached_property
 from operator import getitem
 
 from .derived import omega_power, radical
-from .lattice import FiniteMultiplicativeLattice
+from .lattice import FiniteMultiplicativeLattice, _gather
 
 
 class MapValidationError(ValueError):
@@ -203,71 +203,58 @@ def _signature(L: FiniteMultiplicativeLattice, i: int) -> tuple[int, int, int, i
 def enumerate_isomorphisms(
     L1: FiniteMultiplicativeLattice, L2: FiniteMultiplicativeLattice
 ) -> tuple[Isomorphism, ...]:
-    """All order+multiplication isomorphisms L1 -> L2, in lexicographic order
-    of the forward assignment.  Backtracks over order-compatible images and
-    checks multiplication on complete assignments (carriers here are small).
+    """All order+multiplication isomorphisms L1 -> L2, sorted by forward table.
+
+    An isomorphism sends join-irreducibles onto join-irreducibles and is fixed
+    by their images: f(x) is the join of f(j) over the join-irreducibles
+    j <= x.  So the search backtracks over those images only, each with the
+    signature of its preimage and in the same order relation to the images
+    placed so far.  A complete assignment is kept when f is a bijection, its
+    order rows match, and it preserves the products of join-irreducible pairs:
+    f then preserves joins, and products distribute over joins.  Assumes
+    lattices that pass ``validate``.
     """
-    n = L1.n
-    if L2.n != n:
+    n, ji1, ji2 = L1.n, L1.join_irreducibles, L2.join_irreducibles
+    if L2.n != n or len(ji1) != len(ji2):
         return ()
-    sig1 = [_signature(L1, i) for i in range(n)]
-    sig2 = [_signature(L2, j) for j in range(n)]
-    candidates = [[j for j in range(n) if sig2[j] == sig1[i]] for i in range(n)]
-    if any(not c for c in candidates):
-        return ()
+    leq1, leq2, mul2 = L1.leq_table, L2.leq_table, L2.mul_table
+    sig2 = [_signature(L2, j) for j in ji2]
+    candidates = [[j for j, s in zip(ji2, sig2) if s == _signature(L1, i)] for i in ji1]
+    below = [[k for k, j in enumerate(ji1) if leq1[j][x]] for x in range(n)]
+    pairs = [(k, m, L1.mul(ji1[k], ji1[m])) for k in range(len(ji1)) for m in range(k + 1)]
+    found: list[tuple[int, ...]] = []
+    image: list[int] = []
 
-    found: list[Isomorphism] = []
-    forward = [-1] * n
-    used = [False] * n
-
-    def ok_partial(i: int, j: int) -> bool:
-        for i2 in range(i):
-            j2 = forward[i2]
-            if L1.leq_table[i][i2] != L2.leq_table[j][j2]:
-                return False
-            if L1.leq_table[i2][i] != L2.leq_table[j2][j]:
-                return False
-        return True
-
-    def full_mul_ok() -> bool:
-        for a in range(n):
-            for b in range(a, n):
-                if forward[L1.mul(a, b)] != L2.mul(forward[a], forward[b]):
-                    return False
-        return True
-
-    def extend(i: int):
-        if i == n:
-            if full_mul_ok():
-                inv = [0] * n
-                for a, b in enumerate(forward):
-                    inv[b] = a
-                found.append(Isomorphism(L1, L2, tuple(forward), tuple(inv)))
+    def extend(k: int):
+        if k == len(ji1):
+            f = tuple(L2.join(map(image.__getitem__, ks)) for ks in below)
+            by_f = _gather(f)
+            if (
+                len(set(f)) == n  # implied by the order rows, and cheaper
+                and all(f[xy] == mul2[image[x]][image[y]] for x, y, xy in pairs)
+                and all(by_f(leq2[b]) == row for b, row in zip(f, leq1))
+            ):
+                found.append(f)
             return
-        for j in candidates[i]:
-            if used[j] or not ok_partial(i, j):
-                continue
-            forward[i] = j
-            used[j] = True
-            extend(i + 1)
-            used[j] = False
-            forward[i] = -1
+        i = ji1[k]
+        for j in candidates[k]:
+            # a repeated image j2 == j fails this: it would need i <= i2 <= i
+            if all(
+                leq1[i][i2] == leq2[j][j2] and leq1[i2][i] == leq2[j2][j]
+                for i2, j2 in zip(ji1, image)
+            ):
+                image.append(j)
+                extend(k + 1)
+                image.pop()
 
     extend(0)
-    return tuple(found)
-
-
-def is_automorphism_table(L: FiniteMultiplicativeLattice, table: tuple[int, ...]) -> bool:
-    """Whether a table is an order+multiplication automorphism of L."""
-    if sorted(table) != list(range(L.n)):
-        return False
-    for a in range(L.n):
-        for b in range(L.n):
-            if L.leq_table[a][b] != L.leq_table[table[a]][table[b]]:
-                return False
-            if table[L.mul(a, b)] != L.mul(table[a], table[b]):
-                return False
-    return True
+    isos = []
+    for f in sorted(found):
+        inv = [0] * n
+        for a, b in enumerate(f):
+            inv[b] = a
+        isos.append(Isomorphism(L1, L2, f, tuple(inv)))
+    return tuple(isos)
 
 
 def global_property_witness(

@@ -7,7 +7,9 @@ bound table filters every common bound, and ``naive_validate`` walks every
 tuple of each axiom with the bounds recomputed from the order.
 ``tests/test_kernels.py`` and ``tests/test_validate.py`` check the kernels in
 ``multlat`` against them, ``tests/test_harness.py`` checks T21's chain counts
-against ``proper_chains`` and T24's hypothesis against ``t24_hypothesis``, and
+against ``proper_chains`` and the T24 and T26 hypotheses against
+``t24_hypothesis`` and ``t26_hypothesis``; ``tests/test_maps.py`` checks every
+isomorphism the search returns with ``is_automorphism_table``; and
 ``tests/test_derived.py`` checks the structure flags against the pair loops
 from ``is_meet_principal`` to ``structure_profile``.  The primary scans take sqrt(p) from ``multlat.radical``
 and the principal checks take (a : e) from ``multlat.residual``; both are
@@ -18,6 +20,7 @@ the bitmask ``multlat.hunt`` against it.
 
 from multlat import (
     HuntHit,
+    Isomorphism,
     LatticeStructureError,
     StructureProfile,
     ValidationReport,
@@ -30,7 +33,7 @@ from multlat import (
     radical,
     residual,
 )
-from multlat.harness import _isomorphisms
+from multlat.lattice import _per_lattice
 
 
 def bound_table(L, upper):
@@ -210,12 +213,36 @@ def proper_chains(L):
     return tuple(chains)
 
 
+def is_automorphism_table(L, table):
+    """Whether a table is an order+multiplication automorphism of L."""
+    if sorted(table) != list(range(L.n)):
+        return False
+    for a in range(L.n):
+        for b in range(L.n):
+            if L.leq_table[a][b] != L.leq_table[table[a]][table[b]]:
+                return False
+            if table[L.mul(a, b)] != L.mul(table[a], table[b]):
+                return False
+    return True
+
+
+@_per_lattice
+def _automorphism(L, table):
+    """The automorphism of L with this forward table, or None if it is not one."""
+    if not is_automorphism_table(L, table):
+        return None
+    inverse = [0] * L.n
+    for a, b in enumerate(table):
+        inverse[b] = a
+    return Isomorphism(L, L, table, tuple(inverse))
+
+
 def t24_hypothesis(L, config, inst):
-    """T24's hypothesis as stated: delta is a multiplicative automorphism (one
-    of L's self-isomorphisms), phi has the global property under it, q is
-    phi-delta-primary, delta(delta(q)) <= delta(q) and delta(q) is proper."""
+    """T24's hypothesis as stated: delta is a multiplicative automorphism of L,
+    phi has the global property under it, q is phi-delta-primary,
+    delta(delta(q)) <= delta(q) and delta(q) is proper."""
     delta, phi, q = inst["delta"], inst["phi"], inst["q"]
-    iso = next((f for f in _isomorphisms(L, L) if f.forward == delta.table), None)
+    iso = _automorphism(L, delta.table)
     if iso is None or not check_global_property(iso, phi, phi):
         return False
     dq = delta.table[q]
@@ -223,6 +250,15 @@ def t24_hypothesis(L, config, inst):
         is_phi_delta_primary(L, delta, phi, q)
         and L.leq_table[delta.table[dq]][dq]
         and dq != L.top
+    )
+
+
+def t26_hypothesis(L, config, inst):
+    """T26's hypothesis as stated: delta and phi have the global property
+    along the isomorphism f."""
+    f = inst["f"]
+    return check_global_property(f, inst["delta_src"], inst["delta"]) and (
+        check_global_property(f, inst["phi_src"], inst["phi"])
     )
 
 

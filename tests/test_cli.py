@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from multlat import serialize, zn_ideal_lattice
+from multlat import cli, serialize, zn_ideal_lattice
 from multlat.cli import main
 
 Z8_BAD = """\
@@ -180,6 +180,18 @@ def test_hunt_rejects_numerals_with_a_leading_zero(capsys, name):
         assert rc == 2
         assert err.startswith(f"error: unknown predicate {name!r}")
         assert not out
+
+
+def test_hunt_rejects_a_bad_name_before_building_any_lattice(capsys, monkeypatch):
+    built = []
+    for builder in ("default_corpus", "zn_ideal_lattice"):
+        monkeypatch.setattr(cli, builder, lambda *args, b=builder: built.append((b, args)))
+    rc, out, err = run(capsys, "hunt", "--have", "phi00-prime", "--lack", "prime",
+                       "--add-zn", "720720")
+    assert rc == 2
+    assert err.startswith("error: unknown predicate 'phi00-prime'")
+    assert not out
+    assert built == []
 
 
 def test_export_dot(tmp_path, capsys):

@@ -5,7 +5,9 @@ import itertools
 import pytest
 
 import oracle
+from conftest import time_limit
 from multlat import (
+    FiniteMultiplicativeLattice,
     MapValidationError,
     boolean_frame,
     chain_frame,
@@ -18,9 +20,11 @@ from multlat import (
     map_leq,
     parse_map_table,
     radical,
+    validate,
     zn_ideal_lattice,
 )
-from multlat.maps import UnaryMap, is_automorphism_table
+from multlat.maps import UnaryMap
+from test_derived import SHAPES
 
 DELTA_KINDS = ("d0", "d1")
 PHI_KINDS = ("phi0", "phi1", "phi2", "phi3", "phi4", "phiomega")
@@ -196,6 +200,45 @@ def _brute_isomorphisms(L1, L2):
     return found
 
 
+def _lattice(name, up, products):
+    """A lattice from each element's up-set, bottom first and top last, with
+    the given products below the top; every other product is the bottom."""
+    labels = list(up)
+
+    def mul(x, y):
+        if labels[-1] in (x, y):
+            return y if x == labels[-1] else x
+        return products.get(x + y) or products.get(y + x) or labels[0]
+
+    return FiniteMultiplicativeLattice(
+        name, labels, [[y in up[x] for y in labels] for x in labels],
+        [[labels.index(mul(x, y)) for y in labels] for x in labels], 0, len(labels) - 1,
+    )
+
+
+# Two lattices on one order, whose join-irreducibles keep their signatures: a
+# search that skipped cross products (a*b) or squares (j*j) would find too much.
+# a*b differs between the tails, so they are not isomorphic; the spires are,
+# by swapping p and q.
+TAILS = {"0": "0zabmT", "z": "zabmT", "a": "amT", "b": "bmT", "m": "mT", "T": "T"}
+SPIRE = {"0": "0pqrjT", "p": "prjT", "q": "qrjT", "r": "rjT", "j": "jT", "T": "T"}
+TWINS = [
+    ([_lattice(f"tails-ab={v}", TAILS, {"aa": "z", "bb": "z", "am": "z", "bm": "z",
+                                         "mm": "z", "ab": v}) for v in "0z"], 0),
+    ([_lattice(f"spire-jj={v}", SPIRE, {"jj": v}) for v in "pq"], 1),
+]
+
+
+@pytest.mark.parametrize("twins, across", TWINS, ids=("tails", "spire"))
+def test_products_of_join_irreducibles_are_checked(twins, across):
+    for L1 in twins:
+        assert validate(L1).ok, validate(L1).describe(L1)
+        for L2 in twins:
+            tables = [f.forward for f in enumerate_isomorphisms(L1, L2)]
+            assert tables == _brute_isomorphisms(L1, L2)
+    assert len(enumerate_isomorphisms(*twins)) == across
+
+
 def test_unique_isomorphism_z8_to_z27(z8, z27):
     isos = enumerate_isomorphisms(z8, z27)
     assert len(isos) == 1
@@ -220,12 +263,50 @@ def test_self_isomorphisms_contain_identity(z8, z24, z30):
         assert tables == _brute_isomorphisms(L, L)
 
 
+@pytest.mark.parametrize("L", [*SHAPES, chain_frame(0)], ids=lambda L: L.name)
+def test_self_isomorphisms_of_shapes_match_the_oracles(L):
+    isos = enumerate_isomorphisms(L, L)
+    tables = [f.forward for f in isos]
+    assert tuple(range(L.n)) in tables
+    for f in isos:
+        assert oracle.is_automorphism_table(L, f.forward), f.describe()
+        assert all(f.pull_back(f.apply(a)) == a for a in L.elements())
+    if L.n <= 9:
+        assert tables == _brute_isomorphisms(L, L)
+
+
+@pytest.mark.parametrize(
+    "L, order",
+    [
+        (zn_ideal_lattice(30), 6),
+        (zn_ideal_lattice(30030), 720),
+        (zn_ideal_lattice(720720), 24),
+        (boolean_frame(5), 120),
+        *((chain_frame(k), 1) for k in range(6)),
+    ],
+    ids=lambda v: getattr(v, "name", str(v)),
+)
+def test_automorphism_group_orders(L, order):
+    isos = enumerate_isomorphisms(L, L)
+    assert len(isos) == order
+    assert [f.forward for f in isos] == sorted(f.forward for f in isos)
+    if L.n <= 32:
+        assert all(oracle.is_automorphism_table(L, f.forward) for f in isos)
+
+
+def test_automorphisms_of_z510510_are_fast():
+    # seven atoms permuted freely: 7! automorphisms of a 128-element lattice
+    with time_limit(5):
+        L = zn_ideal_lattice(510510)
+        assert len(enumerate_isomorphisms(L, L)) == 5040
+
+
 def test_is_automorphism_table(z24):
-    assert is_automorphism_table(z24, tuple(range(z24.n)))
+    assert oracle.is_automorphism_table(z24, tuple(range(z24.n)))
     swapped = list(range(z24.n))
     a, b = z24.index_of("(4)"), z24.index_of("(6)")
     swapped[a], swapped[b] = swapped[b], swapped[a]
-    assert not is_automorphism_table(z24, tuple(swapped))
+    assert not oracle.is_automorphism_table(z24, tuple(swapped))
 
 
 def test_an_inflationary_automorphism_is_the_identity():
@@ -238,7 +319,9 @@ def test_an_inflationary_automorphism_is_the_identity():
     ]
     for L in lattices:
         ups = [[b for b in range(L.n) if L.leq_table[a][b]] for a in range(L.n)]
-        automorphisms = [t for t in itertools.product(*ups) if is_automorphism_table(L, t)]
+        automorphisms = [
+            t for t in itertools.product(*ups) if oracle.is_automorphism_table(L, t)
+        ]
         assert automorphisms == [tuple(range(L.n))], L.name
 
 
