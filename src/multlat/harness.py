@@ -42,7 +42,7 @@ from .derived import (
     residual,
     structure_profile,
 )
-from .lattice import FiniteMultiplicativeLattice, _bits, _per_lattice
+from .lattice import FiniteMultiplicativeLattice, _bits, _gather, _per_lattice
 from .maps import (
     Expansion,
     Isomorphism,
@@ -207,6 +207,13 @@ def _chain_counts(L, delta_kind: str, phi_kind: str) -> dict[int, tuple[int, int
         primary = is_phi_delta_primary(L, delta, phi, e)
         counts[e] = (chains, 1 + sum(n for _, n in below) if primary else 0)
     return counts
+
+
+@_per_lattice
+def _primary_flags(L, delta_kind: str, phi_kind: str) -> tuple[bool, ...]:
+    """Per element, whether it is phi-delta-primary (False for the top)."""
+    delta, phi = _delta(L, delta_kind), _phi(L, phi_kind)
+    return tuple(q != L.top and is_phi_delta_primary(L, delta, phi, q) for q in range(L.n))
 
 
 def _every_phin_delta_primary(L, delta: Expansion, p: int) -> bool:
@@ -607,12 +614,18 @@ def registry() -> tuple[TheoremProperty, ...]:
         for M in corpus.lattices():
             if M.n <= 1:
                 continue
+            proper = len(M.proper_elements)
             for f in _isomorphisms(L, M):
+                pull_back = _gather(f.inverse)
                 for dk, pk in product(config.delta_kinds, config.phi_kinds):
                     delta, phi = _delta(M, dk), _phi(M, pk)
                     shared = {"f": f, "delta": delta, "phi": phi,
                               "delta_src": _delta(L, dk), "phi_src": _phi(L, pk)}
-                    yield from ({**shared, "p": p} for p in M.proper_elements)
+                    if _primary_flags(M, dk, pk) == pull_back(_primary_flags(L, dk, pk)):
+                        # every p agrees: one instance stands for all of them
+                        yield {**shared, "agree": proper}
+                    else:
+                        yield from ({**shared, "p": p} for p in M.proper_elements)
 
     add(
         "T26",
@@ -622,14 +635,14 @@ def registry() -> tuple[TheoremProperty, ...]:
         # Every stock map is defined from order and multiplication alone, so it
         # commutes with every isomorphism (README "Acceptance status").
         lambda L, c, i: True,
-        lambda L, c, i: is_phi_delta_primary(
-            i["f"].target, i["delta"], i["phi"], i["p"]
-        )
+        lambda L, c, i: "agree" in i
+        or is_phi_delta_primary(i["f"].target, i["delta"], i["phi"], i["p"])
         == is_phi_delta_primary(
             L, i["delta_src"], i["phi_src"], i["f"].pull_back(i["p"])
         ),
         "status agrees across the isomorphism",
         instances=t26_instances,
+        weight=lambda L, c, i: (i["agree"], i["agree"]) if "agree" in i else (1, 1),
     )
 
     add(
@@ -767,7 +780,8 @@ def run_all(
 class Predicate:
     """A hunt predicate: ``witness(L, q)`` is its first violating pair at the
     proper element q, or None when q has it; ``test`` reads that verdict.
-    It hashes and compares on its normalized name only."""
+    It compares on its normalized name only, and the per-lattice hunt memo
+    keys on that name, a str, never on the Predicate."""
 
     name: str
     witness: Callable[[FiniteMultiplicativeLattice, int], tuple[int, int] | None] = field(
@@ -827,7 +841,7 @@ def parse_predicate(name: str) -> Predicate:
     raise ValueError(f"unknown predicate {name!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HuntHit:
     lattice: str
     element: str
@@ -844,10 +858,24 @@ class HuntHit:
 
 
 @_per_lattice
-def _holders(L: FiniteMultiplicativeLattice, pred: Predicate) -> int:
-    """The proper elements that have pred, as a bitmask: bit q is set when
-    ``pred.witness(L, q)`` is None."""
-    return sum(1 << q for q in L.proper_elements if pred.witness(L, q) is None)
+def _hunt_record(
+    L: FiniteMultiplicativeLattice, name: str
+) -> tuple[int, int, tuple[HuntHit | None, ...]]:
+    """One pass of the named predicate's witness over L's proper elements:
+    the elements that have it and those that lack it, as bitmasks, and per
+    element the finished hit a hunt lacking it reports (None where there is
+    none)."""
+    witness = parse_predicate(name).witness
+    holders = lacking = 0
+    found: list[HuntHit | None] = [None] * L.n
+    for q in L.proper_elements:
+        pair = witness(L, q)
+        if pair is None:
+            holders |= 1 << q
+        else:
+            lacking |= 1 << q
+            found[q] = HuntHit(L.name, L.label(q), name, tuple(map(L.label, pair)))
+    return holders, lacking, tuple(found)
 
 
 def hunt(
@@ -857,22 +885,21 @@ def hunt(
     `lack`, each carrying the lacked predicate's first violating pair.
 
     Hits come per lattice in corpus order, then by ascending element index.
-    Each predicate's verdicts are one bitmask per lattice (``_holders``), so
-    only the hits read a witness.
+    Each predicate is one record per lattice (``_hunt_record``), so a query
+    ANDs bitmasks and hands out the record's hits.
     """
     corpus = corpus if corpus is not None else default_corpus()
     names = [have] if isinstance(have, str) else list(have)
-    preds = [parse_predicate(n) for n in names]
-    lack_pred = parse_predicate(lack)
+    have_names = [parse_predicate(n).name for n in names]
+    lack_name = parse_predicate(lack).name
     hits: list[HuntHit] = []
     for L in corpus.lattices():
-        proper = ((1 << L.n) - 1) ^ (1 << L.top)
-        mask = proper & ~_holders(L, lack_pred)
-        for p in preds:
-            mask &= _holders(L, p)
-        for q in _bits(mask):
-            pair = lack_pred.witness(L, q)
-            hits.append(
-                HuntHit(L.name, L.label(q), lack_pred.name, tuple(map(L.label, pair)))
-            )
+        _, lacking, found = _hunt_record(L, lack_name)
+        mask = lacking
+        for name in have_names:
+            mask &= _hunt_record(L, name)[0]
+        if mask == lacking:
+            hits.extend(filter(None, found))
+        else:
+            hits.extend(map(found.__getitem__, _bits(mask)))
     return tuple(hits)

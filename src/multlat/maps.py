@@ -218,36 +218,51 @@ def enumerate_isomorphisms(
     if L2.n != n or len(ji1) != len(ji2):
         return ()
     leq1, leq2, mul2 = L1.leq_table, L2.leq_table, L2.mul_table
+    sig1 = [_signature(L1, i) for i in ji1]
     sig2 = [_signature(L2, j) for j in ji2]
-    candidates = [[j for j, s in zip(ji2, sig2) if s == _signature(L1, i)] for i in ji1]
+    candidates = [[j for j, s in zip(ji2, sig2) if s == sig] for sig in sig1]
     below = [[k for k, j in enumerate(ji1) if leq1[j][x]] for x in range(n)]
     pairs = [(k, m, L1.mul(ji1[k], ji1[m])) for k in range(len(ji1)) for m in range(k + 1)]
     found: list[tuple[int, ...]] = []
     image: list[int] = []
 
-    def extend(k: int):
-        if k == len(ji1):
-            f = tuple(L2.join(map(image.__getitem__, ks)) for ks in below)
-            by_f = _gather(f)
-            if (
-                len(set(f)) == n  # implied by the order rows, and cheaper
-                and all(f[xy] == mul2[image[x]][image[y]] for x, y, xy in pairs)
-                and all(by_f(leq2[b]) == row for b, row in zip(f, leq1))
-            ):
-                found.append(f)
-            return
-        i = ji1[k]
-        for j in candidates[k]:
-            # a repeated image j2 == j fails this: it would need i <= i2 <= i
-            if all(
-                leq1[i][i2] == leq2[j][j2] and leq1[i2][i] == leq2[j2][j]
-                for i2, j2 in zip(ji1, image)
-            ):
-                image.append(j)
-                extend(k + 1)
-                image.pop()
+    def keep_if_isomorphism():
+        f = tuple(L2.join(map(image.__getitem__, ks)) for ks in below)
+        by_f = _gather(f)
+        if (
+            len(set(f)) == n  # implied by the order rows, and cheaper
+            and all(f[xy] == mul2[image[x]][image[y]] for x, y, xy in pairs)
+            and all(by_f(leq2[b]) == row for b, row in zip(f, leq1))
+        ):
+            found.append(f)
 
-    extend(0)
+    def fits(j):
+        i = ji1[len(image)]
+        # a repeated image j2 == j fails this: it would need i <= i2 <= i
+        return all(
+            leq1[i][i2] == leq2[j][j2] and leq1[i2][i] == leq2[j2][j]
+            for i2, j2 in zip(ji1, image)
+        )
+
+    # Depth-first with an explicit stack, so the depth (one level per
+    # join-irreducible) is not bounded by the recursion limit: untried[k]
+    # yields the candidates left for ji1[k], and image holds ji1[:k]'s images.
+    untried = [filter(fits, candidates[0])] if ji1 else []
+    if not ji1:
+        keep_if_isomorphism()
+    while untried:
+        j = next(untried[-1], None)
+        if j is None:
+            untried.pop()
+            if image:
+                image.pop()
+            continue
+        image.append(j)
+        if len(image) == len(ji1):
+            keep_if_isomorphism()
+            image.pop()
+        else:
+            untried.append(filter(fits, candidates[len(image)]))
     isos = []
     for f in sorted(found):
         inv = [0] * n

@@ -8,6 +8,7 @@ b = q^(s-1) (b = top when s = 1) and c = q^s gives q*b = q*c = q^s != 0 with
 b != c.
 """
 
+import itertools
 import random
 from collections import Counter
 
@@ -17,6 +18,7 @@ import oracle
 from conftest import time_limit
 from multlat import (
     HarnessConfig,
+    Isomorphism,
     TheoremProperty,
     boolean_frame,
     chain_frame,
@@ -370,13 +372,53 @@ def test_t26_hypothesis_equals_the_literal_one(corpus):
     checked = 0
     for L in lattices:
         for inst in t26.instances(L, corpus, config):
-            if inst["p"] != inst["f"].target.proper_elements[0]:
-                continue  # neither form reads p
+            # an isomorphism keeps every verdict: one instance per (f, delta, phi)
+            assert inst["agree"] == len(inst["f"].target.proper_elements)
             assert oracle.t26_hypothesis(L, config, inst), (L.name, inst["f"].describe())
             assert t26.hypothesis(L, config, inst)
             checked += 1
     isomorphisms = sum(len(enumerate_isomorphisms(L, M)) for L in lattices for M in lattices)
     assert checked == len(config.delta_kinds) * len(config.phi_kinds) * isomorphisms
+
+
+def _t26_by_oracle(f, config):
+    """T26 on the lone pair (f.source, f.target), one instance per p, with the
+    verdicts from the naive scan: (scanned, hits, violations, witnesses)."""
+    L, M = f.source, f.target
+    scanned, violations = 0, []
+    for dk, pk in itertools.product(config.delta_kinds, config.phi_kinds):
+        for p in M.proper_elements:
+            scanned += 1
+            here = oracle.phi_delta_primary_violation(
+                M, make_delta(M, dk), make_phi(M, pk), p) is None
+            there = oracle.phi_delta_primary_violation(
+                L, make_delta(L, dk), make_phi(L, pk), f.pull_back(p)) is None
+            if here != there:
+                violations.append((dk, pk, M.label(p)))
+    return scanned, scanned, len(violations), violations[: config.witness_cap]
+
+
+def test_t26_checks_each_p_when_the_verdicts_disagree(monkeypatch):
+    # A bijection that swaps two elements is no isomorphism, so some (delta,
+    # phi) see different verdicts on the two sides and T26 falls back to one
+    # instance per p; the others still stand as one instance each.
+    L = zn_ideal_lattice(24)
+    corpus = Corpus((CorpusEntry(L, "solo"),))
+    t26, config = REGISTRY["T26"], HarnessConfig()
+    forms = Counter()
+    for a, b in itertools.combinations(L.proper_elements, 2):
+        swap = list(L.elements())
+        swap[a], swap[b] = b, a
+        f = Isomorphism(L, L, tuple(swap), tuple(swap))
+        monkeypatch.setattr(harness, "_isomorphisms", lambda L1, L2: (f,))
+        forms.update("agree" if "agree" in i else "p" for i in t26.instances(L, corpus, config))
+        r = run_property(t26, corpus, config)
+        got = [(w.delta, w.phi, w.bindings["p"]) for w in r.witnesses]
+        assert all(w.bindings["f"] == f.describe() for w in r.witnesses)
+        assert (r.instances_scanned, r.hypothesis_hits, r.violations, got) == (
+            _t26_by_oracle(f, config)
+        ), (L.label(a), L.label(b))
+    assert forms["agree"] and forms["p"]
 
 
 def test_element_free_conditions_keep_their_counts_at_scale():
@@ -453,11 +495,13 @@ def test_warm_hunts_read_masks(monkeypatch):
         (["2-potent-d0-primary", "phi2-d1-primary"], "prime"),
         *_two_predicate_queries(2, 50),
     ]
+    found = 0
     for have, lack in queries:
         calls.clear()
-        hits = hunt(have, lack, corpus)
-        assert all(calls[name] == 0 for name in have), (have, lack)
-        assert calls[lack] == len(hits), (have, lack)
+        found += len(hunt(have, lack, corpus))
+        # the cold hunts kept every hit, so a warm query calls no witness
+        assert not calls, (have, lack, calls)
+    assert found
 
 
 def test_predicate_numerals_have_no_leading_zero():

@@ -301,6 +301,13 @@ def test_automorphisms_of_z510510_are_fast():
         assert len(enumerate_isomorphisms(L, L)) == 5040
 
 
+def test_the_longest_chain_has_only_the_identity():
+    # 1,023 join-irreducibles, one search level each: deeper than the
+    # recursion limit, so the search must not recurse per level
+    L = chain_frame(1023)
+    assert [f.forward for f in enumerate_isomorphisms(L, L)] == [tuple(range(L.n))]
+
+
 def test_is_automorphism_table(z24):
     assert oracle.is_automorphism_table(z24, tuple(range(z24.n)))
     swapped = list(range(z24.n))
