@@ -194,26 +194,26 @@ def _isomorphisms(L1, L2) -> tuple[Isomorphism, ...]:
 
 
 @_per_lattice
+def _primary_flags(L, delta_kind: str, phi_kind: str) -> tuple[bool, ...]:
+    """Per element, whether it is phi-delta-primary (False for the top).
+    Keyed by kind strings, so a lookup hashes no map."""
+    delta, phi = _delta(L, delta_kind), _phi(L, phi_kind)
+    return tuple(q != L.top and is_phi_delta_primary(L, delta, phi, q) for q in range(L.n))
+
+
+@_per_lattice
 def _chain_counts(L, delta_kind: str, phi_kind: str) -> dict[int, tuple[int, int]]:
     """Per proper e, how many chains of proper elements have e as largest member,
     and how many of those are phi-delta-primary throughout: c(e) = 1 + the sum
     of c(d) over d < e, h(e) the same over phi-delta-primary d, or 0 unless e is.
     Keyed by kind strings, so a lookup hashes no map."""
-    delta, phi, down = _delta(L, delta_kind), _phi(L, phi_kind), L.down_sets
+    primary, down = _primary_flags(L, delta_kind, phi_kind), L.down_sets
     counts: dict[int, tuple[int, int]] = {}
     for e in sorted(L.proper_elements, key=lambda e: down[e].bit_count()):
         below = [counts[d] for d in _bits(down[e] & ~(1 << e))]
         chains = 1 + sum(n for n, _ in below)
-        primary = is_phi_delta_primary(L, delta, phi, e)
-        counts[e] = (chains, 1 + sum(n for _, n in below) if primary else 0)
+        counts[e] = (chains, 1 + sum(n for _, n in below) if primary[e] else 0)
     return counts
-
-
-@_per_lattice
-def _primary_flags(L, delta_kind: str, phi_kind: str) -> tuple[bool, ...]:
-    """Per element, whether it is phi-delta-primary (False for the top)."""
-    delta, phi = _delta(L, delta_kind), _phi(L, phi_kind)
-    return tuple(q != L.top and is_phi_delta_primary(L, delta, phi, q) for q in range(L.n))
 
 
 def _every_phin_delta_primary(L, delta: Expansion, p: int) -> bool:
@@ -618,14 +618,19 @@ def registry() -> tuple[TheoremProperty, ...]:
             for f in _isomorphisms(L, M):
                 pull_back = _gather(f.inverse)
                 for dk, pk in product(config.delta_kinds, config.phi_kinds):
-                    delta, phi = _delta(M, dk), _phi(M, pk)
-                    shared = {"f": f, "delta": delta, "phi": phi,
-                              "delta_src": _delta(L, dk), "phi_src": _phi(L, pk)}
+                    shared = {"f": f, "delta": _delta(M, dk), "phi": _phi(M, pk)}
                     if _primary_flags(M, dk, pk) == pull_back(_primary_flags(L, dk, pk)):
                         # every p agrees: one instance stands for all of them
                         yield {**shared, "agree": proper}
                     else:
                         yield from ({**shared, "p": p} for p in M.proper_elements)
+
+    def t26_agrees(L, c, i):
+        f, dk, pk = i["f"], i["delta"].tag, i["phi"].tag
+        return "agree" in i or (
+            _primary_flags(f.target, dk, pk)[i["p"]]
+            == _primary_flags(L, dk, pk)[f.pull_back(i["p"])]
+        )
 
     add(
         "T26",
@@ -635,11 +640,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         # Every stock map is defined from order and multiplication alone, so it
         # commutes with every isomorphism (README "Acceptance status").
         lambda L, c, i: True,
-        lambda L, c, i: "agree" in i
-        or is_phi_delta_primary(i["f"].target, i["delta"], i["phi"], i["p"])
-        == is_phi_delta_primary(
-            L, i["delta_src"], i["phi_src"], i["f"].pull_back(i["p"])
-        ),
+        t26_agrees,
         "status agrees across the isomorphism",
         instances=t26_instances,
         weight=lambda L, c, i: (i["agree"], i["agree"]) if "agree" in i else (1, 1),
@@ -780,8 +781,8 @@ def run_all(
 class Predicate:
     """A hunt predicate: ``witness(L, q)`` is its first violating pair at the
     proper element q, or None when q has it; ``test`` reads that verdict.
-    It compares on its normalized name only, and the per-lattice hunt memo
-    keys on that name, a str, never on the Predicate."""
+    It compares on its normalized name only, and the per-lattice hunt memos
+    key on that name, a str, never on the Predicate."""
 
     name: str
     witness: Callable[[FiniteMultiplicativeLattice, int], tuple[int, int] | None] = field(
@@ -858,24 +859,38 @@ class HuntHit:
 
 
 @_per_lattice
-def _hunt_record(
+def _verdicts(
     L: FiniteMultiplicativeLattice, name: str
-) -> tuple[int, int, tuple[HuntHit | None, ...]]:
-    """One pass of the named predicate's witness over L's proper elements:
-    the elements that have it and those that lack it, as bitmasks, and per
-    element the finished hit a hunt lacking it reports (None where there is
-    none)."""
+) -> tuple[int, tuple[tuple[int, int] | None, ...]]:
+    """One pass of the named predicate's witness over L's proper elements: the
+    elements that have it, as a bitmask, and per element its first violating
+    pair (None where there is none)."""
     witness = parse_predicate(name).witness
-    holders = lacking = 0
-    found: list[HuntHit | None] = [None] * L.n
+    holders = 0
+    pairs: list[tuple[int, int] | None] = [None] * L.n
     for q in L.proper_elements:
-        pair = witness(L, q)
+        pair = pairs[q] = witness(L, q)
         if pair is None:
             holders |= 1 << q
+    return holders, tuple(pairs)
+
+
+@_per_lattice
+def _lacking(
+    L: FiniteMultiplicativeLattice, name: str
+) -> tuple[int, tuple[HuntHit | None, ...]]:
+    """The proper elements that lack the named predicate, as a bitmask, and
+    per element the finished hit a hunt lacking it reports (None where there
+    is none). Built only for predicates a hunt lacks."""
+    labels, lacking, found = L.labels, 0, []
+    for q, pair in enumerate(_verdicts(L, name)[1]):
+        if pair is None:
+            found.append(None)
         else:
             lacking |= 1 << q
-            found[q] = HuntHit(L.name, L.label(q), name, tuple(map(L.label, pair)))
-    return holders, lacking, tuple(found)
+            a, b = pair
+            found.append(HuntHit(L.name, labels[q], name, (labels[a], labels[b])))
+    return lacking, tuple(found)
 
 
 def hunt(
@@ -885,8 +900,9 @@ def hunt(
     `lack`, each carrying the lacked predicate's first violating pair.
 
     Hits come per lattice in corpus order, then by ascending element index.
-    Each predicate is one record per lattice (``_hunt_record``), so a query
-    ANDs bitmasks and hands out the record's hits.
+    Each predicate's verdicts are kept per lattice (``_verdicts``, and
+    ``_lacking`` for the lacked one), so a repeated query ANDs bitmasks and
+    hands out kept hits.
     """
     corpus = corpus if corpus is not None else default_corpus()
     names = [have] if isinstance(have, str) else list(have)
@@ -894,12 +910,8 @@ def hunt(
     lack_name = parse_predicate(lack).name
     hits: list[HuntHit] = []
     for L in corpus.lattices():
-        _, lacking, found = _hunt_record(L, lack_name)
-        mask = lacking
+        mask, found = _lacking(L, lack_name)
         for name in have_names:
-            mask &= _hunt_record(L, name)[0]
-        if mask == lacking:
-            hits.extend(filter(None, found))
-        else:
-            hits.extend(map(found.__getitem__, _bits(mask)))
+            mask &= _verdicts(L, name)[0]
+        hits.extend(map(found.__getitem__, _bits(mask)))
     return tuple(hits)

@@ -28,6 +28,8 @@ from multlat import (
     default_corpus,
     is_phi_delta_primary,
     is_zero_divisor,
+    make_delta,
+    make_phi,
     omega_power,
     parse_predicate,
     radical,
@@ -255,10 +257,10 @@ def t24_hypothesis(L, config, inst):
 
 def t26_hypothesis(L, config, inst):
     """T26's hypothesis as stated: delta and phi have the global property
-    along the isomorphism f."""
-    f = inst["f"]
-    return check_global_property(f, inst["delta_src"], inst["delta"]) and (
-        check_global_property(f, inst["phi_src"], inst["phi"])
+    along the isomorphism f, each map built on the source L from its kind."""
+    f, delta, phi = inst["f"], inst["delta"], inst["phi"]
+    return check_global_property(f, make_delta(L, delta.tag), delta) and (
+        check_global_property(f, make_phi(L, phi.tag), phi)
     )
 
 
