@@ -23,7 +23,7 @@ from .constructions import (
     to_dot,
     zn_ideal_lattice,
 )
-from .harness import HarnessConfig, hunt, parse_predicate, run_all
+from .harness import HarnessConfig, hunt, predicate_name, run_all
 from .lattice import FiniteMultiplicativeLattice, validate
 from .maps import MapValidationError, make_delta, make_phi, parse_map_table
 
@@ -108,9 +108,9 @@ def _emit(text: str, args: argparse.Namespace) -> None:
 
 
 def _build_corpus(args: argparse.Namespace):
-    corpus = default_corpus()
     if args.corpus != "default":
         raise CliError(f"unknown corpus {args.corpus!r}")
+    corpus = default_corpus()
     try:
         for n in args.add_zn or ():
             corpus = corpus.extended(zn_ideal_lattice(n), "command-line addition")
@@ -222,7 +222,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_hunt(args: argparse.Namespace) -> int:
     try:  # a misspelt name fails before any lattice is built
         for name in (*args.have, args.lack):
-            parse_predicate(name)
+            predicate_name(name)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     hits = hunt(args.have, args.lack, _build_corpus(args))

@@ -5,21 +5,31 @@ finite lattices and a configured set of expansion (delta) and phi maps.
 Outcomes are three-valued: FAIL when a violation exists, VACUOUS when the
 hypothesis never fired (reported loudly; silent vacuity is this harness's
 main failure mode), PASS otherwise.
+
+A property is decided a row of elements at a time.  A row fixes every
+binding but the last, the element, and holds as bitmasks over element
+indices the elements it ranges over and those where the hypothesis and the
+conclusion hold; a condition that does not read the element is decided
+once per row.  The masks come from one per-lattice verdict store,
+``_verdicts``, keyed by hunt predicate name and shared with ``hunt``.
+``tests/oracle.py`` keeps the per-instance statements the rows are checked
+against.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import product
-from typing import Callable, Iterable, Iterator
+from operator import and_, eq, getitem
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .classify import (
     compact_pair_violation,
     is_delta_primary,
     is_n_potent_delta_primary,
     is_phi_delta_primary,
-    is_phi_primary,
     is_phi_prime,
     is_prime,
     prime_violation,
@@ -38,8 +48,6 @@ from .derived import (
     is_idempotent,
     is_nilpotent,
     power_stabilization,
-    radical,
-    residual,
     structure_profile,
 )
 from .lattice import FiniteMultiplicativeLattice, _bits, _gather, _per_lattice
@@ -64,25 +72,41 @@ class HarnessConfig:
     expected_vacuous: tuple[str, ...] = ("T12",)
 
 
-Instance = dict
-Hypothesis = Callable[[FiniteMultiplicativeLattice, HarnessConfig, Instance], bool]
-Conclusion = Hypothesis
-Instances = Callable[
-    [FiniteMultiplicativeLattice, Corpus, HarnessConfig], Iterator[Instance]
-]
+ALL = -1  # the mask of every element: a condition that always holds
+
+
+class Row(NamedTuple):
+    """One assignment of a property's bindings but the element: ``values`` in
+    binding order, and as bitmasks over element indices the elements the row
+    ranges over and those where the hypothesis and the conclusion hold.
+    ``weights[e]`` is the (scanned, hits) that element e stands for; None
+    counts (1, 1)."""
+
+    values: tuple
+    domain: int
+    hypothesis: int
+    conclusion: int
+    weights: Sequence[tuple[int, int]] | None = None
+
+
+Rows = Callable[[FiniteMultiplicativeLattice, Corpus, HarnessConfig], Iterable[Row]]
 
 
 @dataclass(frozen=True)
 class TheoremProperty:
+    """A statement quantified over ``binding``, whose last name is the element.
+
+    ``rows(L, corpus, config)`` yields one Row per assignment of the other
+    names, in binding order; an element of a row is an instance, and it
+    violates the property where it is in the domain and the hypothesis but
+    not the conclusion.
+    """
+
     id: str
     description: str
     binding: tuple[str, ...]
-    instances: Instances = field(compare=False)
-    hypothesis: Hypothesis = field(compare=False)
-    conclusion: Conclusion = field(compare=False)
+    rows: Rows = field(compare=False)
     clause: str = "conclusion"
-    # (scanned, hits) that one instance stands for; None counts it as (1, 1)
-    weight: Callable[..., tuple[int, int]] | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -194,89 +218,157 @@ def _isomorphisms(L1, L2) -> tuple[Isomorphism, ...]:
 
 
 @_per_lattice
-def _primary_flags(L, delta_kind: str, phi_kind: str) -> tuple[bool, ...]:
-    """Per element, whether it is phi-delta-primary (False for the top).
-    Keyed by kind strings, so a lookup hashes no map."""
-    delta, phi = _delta(L, delta_kind), _phi(L, phi_kind)
-    return tuple(q != L.top and is_phi_delta_primary(L, delta, phi, q) for q in range(L.n))
+def _verdicts(
+    L: FiniteMultiplicativeLattice, name: str
+) -> tuple[int, tuple[bool, ...], tuple[tuple[int, int] | None, ...]]:
+    """One pass of the named predicate's finder over L's proper elements: the
+    elements that have it as a bitmask and as one flag per element (False at
+    the top), and per element its first violating pair (None where there is
+    none).  Keyed by the normalized predicate name, a str: the harness rows,
+    ``hunt``, T21's chain counts and T26 all read verdicts from here."""
+    witness = _finder(name)
+    pairs: list[tuple[int, int] | None] = [None] * L.n
+    flags = [False] * L.n
+    for q in L.proper_elements:
+        pair = pairs[q] = witness(L, q)
+        flags[q] = pair is None
+    return _mask(flags), tuple(flags), tuple(pairs)
 
 
 @_per_lattice
-def _chain_counts(L, delta_kind: str, phi_kind: str) -> dict[int, tuple[int, int]]:
+def _below(L, lower: str, upper: str) -> bool:
+    """Whether the map tagged lower is pointwise below the one tagged upper
+    (both delta kinds or both phi kinds): an element-free fact, kept per
+    lattice since many rows read it."""
+    by_tag = _delta if lower in ("d0", "d1") else _phi
+    return map_leq(by_tag(L, lower), by_tag(L, upper))
+
+
+def _name(form: str, phi: PhiMap | None = None) -> str:
+    """The predicate name of phi-<form> (form 'prime', 'primary' or
+    'd<D>-primary'); the none kind excuses nothing, so it is form itself."""
+    return form if phi is None or phi.none else f"{phi.tag}-{form}"
+
+
+def _held(L, form: str, phi: PhiMap | None = None) -> int:
+    """The proper elements with phi-<form>, as a bitmask."""
+    return _verdicts(L, _name(form, phi))[0]
+
+
+def _flags(L, form: str, phi: PhiMap | None = None) -> tuple[bool, ...]:
+    return _verdicts(L, _name(form, phi))[1]
+
+
+def _pdp(L, delta: Expansion, phi: PhiMap) -> int:
+    return _held(L, f"{delta.tag}-primary", phi)
+
+
+def _dp(L, delta: Expansion) -> int:
+    return _held(L, f"{delta.tag}-primary")
+
+
+@_per_lattice
+def _chain_counts(L, name: str) -> dict[int, tuple[int, int]]:
     """Per proper e, how many chains of proper elements have e as largest member,
-    and how many of those are phi-delta-primary throughout: c(e) = 1 + the sum
-    of c(d) over d < e, h(e) the same over phi-delta-primary d, or 0 unless e is.
-    Keyed by kind strings, so a lookup hashes no map."""
-    primary, down = _primary_flags(L, delta_kind, phi_kind), L.down_sets
+    and how many of those have the named predicate throughout: c(e) = 1 + the
+    sum of c(d) over d < e, h(e) the same over holders d, or 0 unless e holds."""
+    holds, down = _verdicts(L, name)[1], L.down_sets
     counts: dict[int, tuple[int, int]] = {}
     for e in sorted(L.proper_elements, key=lambda e: down[e].bit_count()):
         below = [counts[d] for d in _bits(down[e] & ~(1 << e))]
         chains = 1 + sum(n for n, _ in below)
-        counts[e] = (chains, 1 + sum(n for _, n in below) if primary[e] else 0)
+        counts[e] = (chains, 1 + sum(n for _, n in below) if holds[e] else 0)
     return counts
 
 
-def _every_phin_delta_primary(L, delta: Expansion, p: int) -> bool:
-    # p^n for n beyond the stabilization index repeats p^s, so "for all
+# -- masks ---------------------------------------------------------------------
+
+
+_BINARY = bytes.maketrans(b"\0\1", b"01")
+
+
+def _mask(flags: Iterable[bool]) -> int:
+    """The indices of the true entries of a flag per element, as a bitmask."""
+    return int(bytes(flags)[::-1].translate(_BINARY), 2)
+
+
+def _proper(L) -> int:
+    return ((1 << L.n) - 1) ^ (1 << L.top)
+
+
+def _where(L, test: Callable[[int], bool]) -> int:
+    """The proper elements q with test(q), as a bitmask."""
+    return sum(1 << q for q in L.proper_elements if test(q))
+
+
+def _pull(flags: Sequence[bool], table: Sequence[int]) -> int:
+    """The elements x with flags[table[x]]."""
+    return _mask(_gather(table)(flags))
+
+
+def _leq_mask(L, xs: Sequence[int], ys: Sequence[int]) -> int:
+    """The elements x with xs[x] <= ys[x]."""
+    return _mask(map(getitem, map(L.leq_table.__getitem__, xs), ys))
+
+
+def _squares(L) -> list[int]:
+    return [L.power(q, 2) for q in range(L.n)]
+
+
+def _agree(*masks: int) -> int:
+    """The elements on which every mask says the same."""
+    return reduce(and_, (~(a ^ b) for a, b in zip(masks, masks[1:])), ALL)
+
+
+def _every_phin(L, delta: Expansion) -> int:
+    """The elements that are phin-delta-primary for every n >= 2."""
+    # p^n for n beyond the stabilization index s repeats p^s, so "for all
     # n >= 2" is decided by n in 2..max(2, s).
-    return all(
-        is_phi_delta_primary(L, delta, _phi(L, f"phi{n}"), p)
-        for n in range(2, max(2, power_stabilization(L, p)) + 1)
-    )
+    stable = [power_stabilization(L, p) for p in range(L.n)]
+    every = ALL
+    for n in range(2, max(2, *stable) + 1):
+        needs = ALL if n == 2 else sum(1 << p for p, s in enumerate(stable) if s >= n)
+        every &= ~needs | _pdp(L, delta, _phi(L, f"phi{n}"))
+    return every
 
 
-# -- instance generators -------------------------------------------------------
+# -- the registry --------------------------------------------------------------
 
 
-# What each binding name ranges over, given the lattice and the config.
+# What each binding name but the element ranges over, given the lattice and
+# the config.
 _DOMAINS = {
     "delta": _deltas,
     "gamma": _deltas,
     "phi": _phis,
     "g1": _phis,
     "g2": _phis,
-    "p": lambda L, config: L.proper_elements,
-    "q": lambda L, config: L.proper_elements,
     "n": lambda L, config: config.potency,
     "k": lambda L, config: config.potency,
 }
-
-
-def _from_binding(binding: tuple[str, ...]) -> Instances:
-    """The instances of a binding: the product of its domains, in binding order."""
-
-    def instances(L, corpus, config) -> Iterator[Instance]:
-        domains = [_DOMAINS[name](L, config) for name in binding]
-        return (dict(zip(binding, values)) for values in product(*domains))
-
-    return instances
-
-
-# -- the registry --------------------------------------------------------------
-
-
-def _implies(a: bool, b: bool) -> bool:
-    return (not a) or b
 
 
 def registry() -> tuple[TheoremProperty, ...]:
     """One machine-checkable property per theorem, corollary, and example."""
     props: list[TheoremProperty] = []
 
-    def add(id, description, binding, hypothesis, conclusion, clause, instances=None,
-            weight=None):
-        instances = instances or _from_binding(binding)
-        props.append(TheoremProperty(
-            id, description, binding, instances, hypothesis, conclusion, clause, weight
-        ))
+    def add(id, description, binding, decide, clause, rows=None):
+        # decide(L, config, *values) gives the (hypothesis, conclusion) masks
+        # of one assignment of binding[:-1], or None where it is out of range.
+        def decided(L, corpus, config) -> Iterator[Row]:
+            domain = _proper(L)
+            for values in product(*(_DOMAINS[name](L, config) for name in binding[:-1])):
+                masks = decide(L, config, *values)
+                if masks is not None:
+                    yield Row(values, domain, *masks)
+
+        props.append(TheoremProperty(id, description, binding, rows or decided, clause))
 
     add(
         "T01",
         "phi-d0-primary if and only if phi-prime",
         ("phi", "p"),
-        lambda L, c, i: True,
-        lambda L, c, i: is_phi_delta_primary(L, _delta(L, "d0"), i["phi"], i["p"])
-        == is_phi_prime(L, i["phi"], i["p"]),
+        lambda L, c, phi: (ALL, _agree(_pdp(L, _delta(L, "d0"), phi), _held(L, "prime", phi))),
         "phi-d0-primary <=> phi-prime",
     )
 
@@ -284,9 +376,9 @@ def registry() -> tuple[TheoremProperty, ...]:
         "T02",
         "phi-d1-primary if and only if phi-primary",
         ("phi", "p"),
-        lambda L, c, i: True,
-        lambda L, c, i: is_phi_delta_primary(L, _delta(L, "d1"), i["phi"], i["p"])
-        == is_phi_primary(L, i["phi"], i["p"]),
+        lambda L, c, phi: (
+            ALL, _agree(_pdp(L, _delta(L, "d1"), phi), _held(L, "primary", phi))
+        ),
         "phi-d1-primary <=> phi-primary",
     )
 
@@ -294,9 +386,9 @@ def registry() -> tuple[TheoremProperty, ...]:
         "T03",
         "phi-delta-primary implies phi-gamma-primary when delta <= gamma",
         ("delta", "gamma", "phi", "p"),
-        lambda L, c, i: map_leq(i["delta"], i["gamma"])
-        and is_phi_delta_primary(L, i["delta"], i["phi"], i["p"]),
-        lambda L, c, i: is_phi_delta_primary(L, i["gamma"], i["phi"], i["p"]),
+        lambda L, c, delta, gamma, phi: (
+            _pdp(L, delta, phi), _pdp(L, gamma, phi)
+        ) if _below(L, delta.tag, gamma.tag) else (0, 0),
         "phi-gamma-primary",
     )
 
@@ -304,8 +396,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         "T04",
         "a prime element is phi-delta-primary for every expansion and phi",
         ("delta", "phi", "p"),
-        lambda L, c, i: is_prime(L, i["p"]),
-        lambda L, c, i: is_phi_delta_primary(L, i["delta"], i["phi"], i["p"]),
+        lambda L, c, delta, phi: (_held(L, "prime"), _pdp(L, delta, phi)),
         "phi-delta-primary",
     )
 
@@ -314,12 +405,11 @@ def registry() -> tuple[TheoremProperty, ...]:
         "definition, first residual characterization, and the compact-pair "
         "form agree",
         ("delta", "phi", "q"),
-        lambda L, c, i: True,
-        lambda L, c, i: (
-            is_phi_delta_primary(L, i["delta"], i["phi"], i["q"])
-            == residual_characterization_A(L, i["delta"], i["phi"], i["q"])
-            == (compact_pair_violation(L, i["delta"], i["phi"], i["q"]) is None)
-        ),
+        lambda L, c, delta, phi: (ALL, _agree(
+            _pdp(L, delta, phi),
+            _where(L, lambda q: residual_characterization_A(L, delta, phi, q)),
+            _where(L, lambda q: compact_pair_violation(L, delta, phi, q) is None),
+        )),
         "definition <=> characterization-A <=> compact-pair form",
     )
 
@@ -327,27 +417,28 @@ def registry() -> tuple[TheoremProperty, ...]:
         "T06",
         "definition and second residual characterization agree",
         ("delta", "phi", "q"),
-        lambda L, c, i: True,
-        lambda L, c, i: is_phi_delta_primary(L, i["delta"], i["phi"], i["q"])
-        == residual_characterization_B(L, i["delta"], i["phi"], i["q"]),
+        lambda L, c, delta, phi: (ALL, _agree(
+            _pdp(L, delta, phi),
+            _where(L, lambda q: residual_characterization_B(L, delta, phi, q)),
+        )),
         "definition <=> characterization-B",
     )
 
-    def t07_hypothesis(L, c, i):
+    def t07(L, c):
         prof = structure_profile(L)
         if not (prof.noether and prof.quasi_local):
-            return False
+            return 0, 0
         m = prof.maximal_elements[0]
-        p, mm = i["p"], L.power(m, 2)
-        return L.power(p, 2) == mm and L.leq_table[mm][p] and L.leq_table[p][m]
+        mm = L.power(m, 2)
+        squares = _mask(sq == mm for sq in _squares(L))
+        return L.up_sets[mm] & L.down_sets[m] & squares, _held(L, "phi2-d1-primary")
 
     add(
         "T07",
         "in a quasi-local Noether lattice, p^2 = m^2 <= p <= m forces p to be "
         "phi2-d1-primary",
         ("p",),
-        t07_hypothesis,
-        lambda L, c, i: is_phi_delta_primary(L, _delta(L, "d1"), _phi(L, "phi2"), i["p"]),
+        t07,
         "phi2-d1-primary",
     )
 
@@ -355,31 +446,25 @@ def registry() -> tuple[TheoremProperty, ...]:
         "T08",
         "g1-delta-primary implies g2-delta-primary when g1 <= g2 pointwise",
         ("delta", "g1", "g2", "p"),
-        lambda L, c, i: map_leq(i["g1"], i["g2"])
-        and is_phi_delta_primary(L, i["delta"], i["g1"], i["p"]),
-        lambda L, c, i: is_phi_delta_primary(L, i["delta"], i["g2"], i["p"]),
+        lambda L, c, delta, g1, g2: (
+            _pdp(L, delta, g1), _pdp(L, delta, g2)
+        ) if _below(L, g1.tag, g2.tag) else (0, 0),
         "g2-delta-primary",
     )
 
-    def t09_conclusion(L, c, i):
-        delta, n, p = i["delta"], i["n"], i["p"]
-        steps = [
-            is_delta_primary(L, delta, p),
-            is_phi_delta_primary(L, delta, _phi(L, "phi0"), p),
-            is_phi_delta_primary(L, delta, _phi(L, "phiomega"), p),
-            is_phi_delta_primary(L, delta, _phi(L, f"phi{n + 1}"), p),
-            is_phi_delta_primary(L, delta, _phi(L, f"phi{n}"), p),
-            is_phi_delta_primary(L, delta, _phi(L, "phi2"), p),
+    def t09(L, c, delta, n):
+        steps = [_dp(L, delta)] + [
+            _pdp(L, delta, _phi(L, kind))
+            for kind in ("phi0", "phiomega", f"phi{n + 1}", f"phi{n}", "phi2")
         ]
-        return all(_implies(a, b) for a, b in zip(steps, steps[1:]))
+        return ALL, reduce(and_, (~a | b for a, b in zip(steps, steps[1:])))
 
     add(
         "T09",
         "implication chain: delta-primary => phi0 => phiomega => phi(n+1) => "
         "phi(n) => phi2 (delta-primary throughout)",
         ("delta", "n", "p"),
-        lambda L, c, i: True,
-        t09_conclusion,
+        t09,
         "each arrow of the chain",
     )
 
@@ -387,36 +472,39 @@ def registry() -> tuple[TheoremProperty, ...]:
         "T10",
         "phiomega-delta-primary iff phin-delta-primary for every n >= 2",
         ("delta", "p"),
-        lambda L, c, i: True,
-        lambda L, c, i: is_phi_delta_primary(L, i["delta"], _phi(L, "phiomega"), i["p"])
-        == _every_phin_delta_primary(L, i["delta"], i["p"]),
+        lambda L, c, delta: (
+            ALL, _agree(_pdp(L, delta, _phi(L, "phiomega")), _every_phin(L, delta))
+        ),
         "phiomega <=> all phin",
     )
 
-    def t11_hypothesis(L, c, i):
+    def t11(L, c, delta):
         prof = structure_profile(L)
-        return prof.local_noether and prof.domain and prof.krull
+        if not (prof.local_noether and prof.domain and prof.krull):
+            return 0, 0
+        return ALL, _agree(_every_phin(L, delta), _dp(L, delta))
 
     add(
         "T11",
         "in a local Noether domain with all proper power-meets zero, "
         "phin-delta-primary for every n >= 2 iff delta-primary",
         ("delta", "p"),
-        t11_hypothesis,
-        lambda L, c, i: _every_phin_delta_primary(L, i["delta"], i["p"])
-        == is_delta_primary(L, i["delta"], i["p"]),
+        t11,
         "all phin <=> delta-primary",
     )
 
-    def t12_hypothesis(L, c, i):
-        q = i["q"]
-        return (
-            structure_profile(L).noether
-            and q != L.bottom
-            and not is_nilpotent(L, q)
-            and has_restricted_cancellation(L, q)
-            and map_leq(i["phi"], _phi(L, "phi2"))
-        )
+    def t12_rows(L, corpus, config):
+        domain = _proper(L)
+        # the conjuncts that read only q, decided once per lattice
+        cancelling = _where(L, lambda q: (
+            q != L.bottom and not is_nilpotent(L, q) and has_restricted_cancellation(L, q)
+        )) if structure_profile(L).noether else 0
+        for delta, phi in product(_deltas(L, config), _phis(L, config)):
+            if cancelling and _below(L, phi.tag, "phi2"):
+                same = _agree(_pdp(L, delta, phi), _dp(L, delta))
+                yield Row((delta, phi), domain, cancelling, same)
+            else:
+                yield Row((delta, phi), domain, 0, 0)
 
     add(
         "T12",
@@ -424,10 +512,9 @@ def registry() -> tuple[TheoremProperty, ...]:
         "restricted cancellation law is phi-delta-primary (phi <= phi2, and "
         "likewise phi <= phin for n >= 2) iff delta-primary",
         ("delta", "phi", "q"),
-        t12_hypothesis,
-        lambda L, c, i: is_phi_delta_primary(L, i["delta"], i["phi"], i["q"])
-        == is_delta_primary(L, i["delta"], i["q"]),
+        None,
         "phi-delta-primary <=> delta-primary",
+        rows=t12_rows,
     )
 
     add(
@@ -435,37 +522,32 @@ def registry() -> tuple[TheoremProperty, ...]:
         "a 2-potent delta-primary element (the d0 form included) is "
         "phi-delta-primary for phi <= phi2 iff delta-primary",
         ("delta", "phi", "q"),
-        lambda L, c, i: is_n_potent_delta_primary(L, i["delta"], i["q"], 2)
-        and map_leq(i["phi"], _phi(L, "phi2")),
-        lambda L, c, i: is_phi_delta_primary(L, i["delta"], i["phi"], i["q"])
-        == is_delta_primary(L, i["delta"], i["q"]),
+        lambda L, c, delta, phi: (
+            _held(L, f"2-potent-{delta.tag}-primary"),
+            _agree(_pdp(L, delta, phi), _dp(L, delta)),
+        ) if _below(L, phi.tag, "phi2") else (0, 0),
         "phi-delta-primary <=> delta-primary",
     )
-
-    def t14_instances(L, corpus, config):
-        every = _from_binding(("delta", "phi", "q", "n", "k"))(L, corpus, config)
-        return (i for i in every if i["k"] <= i["n"])
 
     add(
         "T14",
         "for k <= n, a k-potent delta-primary element is phi-delta-primary "
         "for phi <= phin iff delta-primary",
-        ("delta", "phi", "q", "n", "k"),
-        lambda L, c, i: map_leq(i["phi"], _phi(L, f"phi{i['n']}"))
-        and is_n_potent_delta_primary(L, i["delta"], i["q"], i["k"]),
-        lambda L, c, i: is_phi_delta_primary(L, i["delta"], i["phi"], i["q"])
-        == is_delta_primary(L, i["delta"], i["q"]),
+        ("delta", "phi", "n", "k", "q"),
+        lambda L, c, delta, phi, n, k: None if k > n else (
+            _held(L, f"{k}-potent-{delta.tag}-primary"),
+            _agree(_pdp(L, delta, phi), _dp(L, delta)),
+        ) if _below(L, phi.tag, f"phi{n}") else (0, 0),
         "phi-delta-primary <=> delta-primary",
-        instances=t14_instances,
     )
 
     add(
         "T15",
         "a phi-delta-primary q with q^2 not below phi(q) is delta-primary",
         ("delta", "phi", "q"),
-        lambda L, c, i: is_phi_delta_primary(L, i["delta"], i["phi"], i["q"])
-        and not L.leq_table[L.power(i["q"], 2)][i["phi"].table[i["q"]]],
-        lambda L, c, i: is_delta_primary(L, i["delta"], i["q"]),
+        lambda L, c, delta, phi: (
+            _pdp(L, delta, phi) & ~_leq_mask(L, _squares(L), phi.table), _dp(L, delta)
+        ),
         "delta-primary",
     )
 
@@ -473,9 +555,9 @@ def registry() -> tuple[TheoremProperty, ...]:
         "T16",
         "a phi-delta-primary q that is not delta-primary has q^2 <= phi(q)",
         ("delta", "phi", "q"),
-        lambda L, c, i: is_phi_delta_primary(L, i["delta"], i["phi"], i["q"])
-        and not is_delta_primary(L, i["delta"], i["q"]),
-        lambda L, c, i: L.leq_table[L.power(i["q"], 2)][i["phi"].table[i["q"]]],
+        lambda L, c, delta, phi: (
+            _pdp(L, delta, phi) & ~_dp(L, delta), _leq_mask(L, _squares(L), phi.table)
+        ),
         "q^2 <= phi(q)",
     )
 
@@ -484,9 +566,10 @@ def registry() -> tuple[TheoremProperty, ...]:
         "a phi-delta-primary q that is not delta-primary has "
         "radical(q) = radical(phi(q))",
         ("delta", "phi", "q"),
-        lambda L, c, i: is_phi_delta_primary(L, i["delta"], i["phi"], i["q"])
-        and not is_delta_primary(L, i["delta"], i["q"]),
-        lambda L, c, i: radical(L, i["q"]) == radical(L, i["phi"].table[i["q"]]),
+        lambda L, c, delta, phi: (
+            _pdp(L, delta, phi) & ~_dp(L, delta),
+            _mask(map(eq, L._radical_table, _gather(phi.table)(L._radical_table))),
+        ),
         "radical(q) = radical(phi(q))",
     )
 
@@ -495,10 +578,10 @@ def registry() -> tuple[TheoremProperty, ...]:
         "a phi-delta-primary q with phi <= phi3 is phin-delta-primary for "
         "every n >= 2 and phiomega-delta-primary",
         ("delta", "phi", "q"),
-        lambda L, c, i: map_leq(i["phi"], _phi(L, "phi3"))
-        and is_phi_delta_primary(L, i["delta"], i["phi"], i["q"]),
-        lambda L, c, i: is_phi_delta_primary(L, i["delta"], _phi(L, "phiomega"), i["q"])
-        and _every_phin_delta_primary(L, i["delta"], i["q"]),
+        lambda L, c, delta, phi: (
+            _pdp(L, delta, phi),
+            _pdp(L, delta, _phi(L, "phiomega")) & _every_phin(L, delta),
+        ) if _below(L, phi.tag, "phi3") else (0, 0),
         "phiomega and every phin",
     )
 
@@ -506,9 +589,10 @@ def registry() -> tuple[TheoremProperty, ...]:
         "T19",
         "a phi0-delta-primary q that is not delta-primary has q^2 = 0",
         ("delta", "q"),
-        lambda L, c, i: is_phi_delta_primary(L, i["delta"], _phi(L, "phi0"), i["q"])
-        and not is_delta_primary(L, i["delta"], i["q"]),
-        lambda L, c, i: L.power(i["q"], 2) == L.bottom,
+        lambda L, c, delta: (
+            _pdp(L, delta, _phi(L, "phi0")) & ~_dp(L, delta),
+            _mask(sq == L.bottom for sq in _squares(L)),
+        ),
         "q^2 = 0",
     )
 
@@ -516,70 +600,69 @@ def registry() -> tuple[TheoremProperty, ...]:
         "T20",
         "a phi-delta-primary q whose phi(q) is delta-primary is delta-primary",
         ("delta", "phi", "q"),
-        lambda L, c, i: is_phi_delta_primary(L, i["delta"], i["phi"], i["q"])
-        and is_delta_primary(L, i["delta"], i["phi"].table[i["q"]]),
-        lambda L, c, i: is_delta_primary(L, i["delta"], i["q"]),
+        lambda L, c, delta, phi: (
+            _pdp(L, delta, phi) & _pull(_flags(L, f"{delta.tag}-primary"), phi.table),
+            _dp(L, delta),
+        ),
         "delta-primary",
     )
+
+    def t21_rows(L, corpus, config):
+        # one element per join p, standing for the chains whose largest member is p
+        domain = _proper(L)
+        for delta, phi in product(_deltas(L, config), _phis(L, config)):
+            name = _name(f"{delta.tag}-primary", phi)
+            primary = _verdicts(L, name)[0]
+            hyp = primary if is_monotone(phi) else 0
+            yield Row((delta, phi), domain, hyp, primary, _chain_counts(L, name))
 
     add(
         "T21",
         "the join of a chain of phi-delta-primary elements is "
         "phi-delta-primary when phi is monotone",
         ("delta", "phi", "p"),
-        lambda L, c, i: is_monotone(i["phi"])
-        and is_phi_delta_primary(L, i["delta"], i["phi"], i["p"]),
-        lambda L, c, i: is_phi_delta_primary(L, i["delta"], i["phi"], i["p"]),
+        None,
         "join is phi-delta-primary",
-        # one instance per join p, standing for the chains whose largest member is p
-        weight=lambda L, c, i: _chain_counts(L, i["delta"].tag, i["phi"].tag)[i["p"]],
+        rows=t21_rows,
     )
 
-    def t22_instances(L, corpus, config):
-        for i in _from_binding(("delta", "phi", "p"))(L, corpus, config):
-            # decided once for every q: p's own status does not read q
-            primary = is_phi_delta_primary(L, i["delta"], i["phi"], i["p"])
-            for q in range(L.n):
-                yield {**i, "q": q, "primary": primary}
-
-    def t22_hypothesis(L, c, i):
-        if not i["primary"]:
-            return False
-        phi, p, q = i["phi"], i["p"], i["q"]
-        pq = residual(L, p, q)
-        if pq == L.top:
-            return False
-        return L.leq_table[residual(L, phi.table[p], q)][phi.table[pq]]
+    def t22_rows(L, corpus, config):
+        res, down, everything = L._residual_table, L.down_sets, (1 << L.n) - 1
+        at_residuals = [_gather(row) for row in res]  # q -> seq[(p:q)], per p
+        for delta, phi in product(_deltas(L, config), _phis(L, config)):
+            primary, flags, _ = _verdicts(L, _name(f"{delta.tag}-primary", phi))
+            for p in L.proper_elements:
+                if not primary >> p & 1:
+                    yield Row((delta, phi, p), everything, 0, 0)
+                    continue
+                at = at_residuals[p]
+                # (p:q) is the top exactly when q <= p
+                hyp = ~down[p] & _leq_mask(L, res[phi.table[p]], at(phi.table))
+                yield Row((delta, phi, p), everything, hyp, _mask(at(flags)))
 
     add(
         "T22",
         "residuals of a phi-delta-primary p stay phi-delta-primary when "
         "(phi(p):q) <= phi(p:q)",
         ("delta", "phi", "p", "q"),
-        t22_hypothesis,
-        lambda L, c, i: is_phi_delta_primary(
-            L, i["delta"], i["phi"], residual(L, i["p"], i["q"])
-        ),
+        None,
         "(p:q) is phi-delta-primary",
-        instances=t22_instances,
+        rows=t22_rows,
     )
 
-    def t23_conclusion(L, c, i):
-        dp = i["delta"].table[i["p"]]
-        rp = radical(L, i["p"])
-        if not L.leq_table[rp][dp]:
-            return False
+    def t23(L, c, delta, phi):
+        rad, dp = L._radical_table, delta.table
+        hyp = _pdp(L, delta, phi) & _leq_mask(L, _gather(phi.table)(rad), dp)
         # equality corollary: delta(p) <= radical(p) then forces equality
-        return not L.leq_table[dp][rp] or rp == dp
+        equal = ~_leq_mask(L, dp, rad) | _mask(map(eq, rad, dp))
+        return hyp, _leq_mask(L, rad, dp) & equal
 
     add(
         "T23",
         "a phi-delta-primary p with radical(phi(p)) <= delta(p) has "
         "radical(p) <= delta(p), with equality when also delta(p) <= radical(p)",
         ("delta", "phi", "p"),
-        lambda L, c, i: is_phi_delta_primary(L, i["delta"], i["phi"], i["p"])
-        and L.leq_table[radical(L, i["phi"].table[i["p"]])][i["delta"].table[i["p"]]],
-        t23_conclusion,
+        t23,
         "radical(p) <= delta(p)",
     )
 
@@ -592,45 +675,47 @@ def registry() -> tuple[TheoremProperty, ...]:
         # An inflationary automorphism of a finite lattice is the identity
         # (README "Acceptance status"). Under it phi has the global property,
         # delta(delta(q)) = delta(q), and delta(q) = q is proper.
-        lambda L, c, i: i["delta"].table == _delta(L, "d0").table
-        and is_phi_delta_primary(L, i["delta"], i["phi"], i["q"]),
-        lambda L, c, i: is_phi_prime(L, i["phi"], i["delta"].table[i["q"]]),
+        lambda L, c, delta, phi: (
+            _pdp(L, delta, phi), _pull(_flags(L, "prime", phi), delta.table)
+        ) if delta.table == _delta(L, "d0").table else (0, 0),
         "delta(q) is phi-prime",
     )
+
+    def t25(L, c, phi):
+        rad = L._radical_table
+        hyp = (
+            _held(L, "d1-primary", phi)
+            & _mask(map(eq, _gather(phi.table)(rad), _gather(rad)(phi.table)))
+            & _mask(r != L.top for r in rad)
+        )
+        return hyp, _pull(_flags(L, "prime", phi), rad)
 
     add(
         "T25",
         "a phi-d1-primary q with radical(phi(q)) = phi(radical(q)) has "
         "phi-prime radical (when the radical is proper)",
         ("phi", "q"),
-        lambda L, c, i: is_phi_delta_primary(L, _delta(L, "d1"), i["phi"], i["q"])
-        and radical(L, i["phi"].table[i["q"]]) == i["phi"].table[radical(L, i["q"])]
-        and radical(L, i["q"]) != L.top,
-        lambda L, c, i: is_phi_prime(L, i["phi"], radical(L, i["q"])),
+        t25,
         "radical(q) is phi-prime",
     )
 
-    def t26_instances(L, corpus, config):
+    def t26_rows(L, corpus, config):
+        kinds = tuple(product(config.delta_kinds, config.phi_kinds))
         for M in corpus.lattices():
-            if M.n <= 1:
+            if M.n <= 1 or not _isomorphisms(L, M):
                 continue
-            proper = len(M.proper_elements)
+            domain = _proper(M)
+            maps = [(_delta(M, dk), _phi(M, pk)) for dk, pk in kinds]
+            names = [_name(f"{delta.tag}-primary", phi) for delta, phi in maps]
+            verdicts = [(_verdicts(M, nm)[1], _verdicts(L, nm)[1]) for nm in names]
             for f in _isomorphisms(L, M):
                 pull_back = _gather(f.inverse)
-                for dk, pk in product(config.delta_kinds, config.phi_kinds):
-                    shared = {"f": f, "delta": _delta(M, dk), "phi": _phi(M, pk)}
-                    if _primary_flags(M, dk, pk) == pull_back(_primary_flags(L, dk, pk)):
-                        # every p agrees: one instance stands for all of them
-                        yield {**shared, "agree": proper}
-                    else:
-                        yield from ({**shared, "p": p} for p in M.proper_elements)
-
-    def t26_agrees(L, c, i):
-        f, dk, pk = i["f"], i["delta"].tag, i["phi"].tag
-        return "agree" in i or (
-            _primary_flags(f.target, dk, pk)[i["p"]]
-            == _primary_flags(L, dk, pk)[f.pull_back(i["p"])]
-        )
+                for (delta, phi), (here, source) in zip(maps, verdicts):
+                    there = pull_back(source)
+                    # one comparison of the whole tuples, which must agree along
+                    # an isomorphism; only a disagreement is decided per p
+                    agree = ALL if here == there else _mask(map(eq, here, there))
+                    yield Row((f, delta, phi), domain, ALL, agree)
 
     add(
         "T26",
@@ -639,11 +724,9 @@ def registry() -> tuple[TheoremProperty, ...]:
         ("f", "delta", "phi", "p"),
         # Every stock map is defined from order and multiplication alone, so it
         # commutes with every isomorphism (README "Acceptance status").
-        lambda L, c, i: True,
-        t26_agrees,
+        None,
         "status agrees across the isomorphism",
-        instances=t26_instances,
-        weight=lambda L, c, i: (i["agree"], i["agree"]) if "agree" in i else (1, 1),
+        rows=t26_rows,
     )
 
     add(
@@ -651,9 +734,10 @@ def registry() -> tuple[TheoremProperty, ...]:
         "every proper idempotent is phiomega-delta-primary, hence "
         "phin-delta-primary for every n >= 2",
         ("delta", "q"),
-        lambda L, c, i: is_idempotent(L, i["q"]),
-        lambda L, c, i: is_phi_delta_primary(L, i["delta"], _phi(L, "phiomega"), i["q"])
-        and _every_phin_delta_primary(L, i["delta"], i["q"]),
+        lambda L, c, delta: (
+            _mask(map(eq, _squares(L), range(L.n))),
+            _pdp(L, delta, _phi(L, "phiomega")) & _every_phin(L, delta),
+        ),
         "phiomega and every phin",
     )
 
@@ -663,13 +747,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         "Z8": "(4)",
     }
 
-    def t28_instances(L, corpus, config):
-        label = _T28_CASES.get(L.name)
-        if label is not None and label in L.labels:
-            yield {"q": L.index_of(label)}
-
-    def t28_conclusion(L, c, i):
-        q = i["q"]
+    def t28_holds(L, q):
         d0, d1, phi2 = _delta(L, "d0"), _delta(L, "d1"), _phi(L, "phi2")
         if not is_phi_delta_primary(L, d1, phi2, q):
             return False
@@ -685,6 +763,12 @@ def registry() -> tuple[TheoremProperty, ...]:
             and not is_prime(L, q)
         )
 
+    def t28_rows(L, corpus, config):
+        label = _T28_CASES.get(L.name)
+        if label is not None and label in L.labels:
+            q = L.index_of(label)
+            yield Row((), 1 << q, ALL, ALL if t28_holds(L, q) else 0)
+
     add(
         "T28",
         "the three separating examples: Z24 (4) phi2-d1-primary, not "
@@ -692,10 +776,9 @@ def registry() -> tuple[TheoremProperty, ...]:
         "2-potent d0-primary; Z8 (4) phi2-d1-primary, 2-potent d0-primary, "
         "not idempotent, not prime",
         ("q",),
-        lambda L, c, i: True,
-        t28_conclusion,
+        None,
         "example flags as published",
-        instances=t28_instances,
+        rows=t28_rows,
     )
 
     return tuple(props)
@@ -704,26 +787,24 @@ def registry() -> tuple[TheoremProperty, ...]:
 # -- runners -------------------------------------------------------------------
 
 
-def _render_binding(L: FiniteMultiplicativeLattice, inst: Instance, key, value) -> str:
+def _render_binding(L: FiniteMultiplicativeLattice, key, value) -> str:
     if isinstance(value, (Expansion, PhiMap)):
         return value.tag
     if isinstance(value, Isomorphism):
         return value.describe()
     if key in ("n", "k"):
         return str(value)
-    if "f" in inst and key == "p":  # element of the isomorphism's target
-        return inst["f"].target.label(value)
     return L.label(value)
 
 
-def _witness(prop: TheoremProperty, L, inst: Instance) -> Witness:
-    delta = inst.get("delta")
-    phi = inst.get("phi")
-    bindings = {
-        key: _render_binding(L, inst, key, value)
-        for key, value in inst.items()
-        if key in prop.binding
-    }
+def _witness(prop: TheoremProperty, L, values: tuple, element: int) -> Witness:
+    *keys, last = prop.binding
+    shown = dict(zip(keys, values))
+    bindings = {key: _render_binding(L, key, value) for key, value in shown.items()}
+    # an isomorphism's rows range over its target
+    bindings[last] = (shown["f"].target if "f" in shown else L).label(element)
+    delta = shown.get("delta")
+    phi = shown.get("phi")
     return Witness(
         prop.id,
         L.name,
@@ -746,17 +827,21 @@ def run_property(
     for L in corpus.lattices():
         if L.n <= 1:  # no proper elements; nothing to quantify over
             continue
-        for inst in prop.instances(L, corpus, config):
-            n, n_hits = prop.weight(L, config, inst) if prop.weight else (1, 1)
-            scanned += n
-            if not prop.hypothesis(L, config, inst):
-                continue
-            hits += n_hits
-            if prop.conclusion(L, config, inst):
-                continue
-            violations += n_hits
-            if len(witnesses) < config.witness_cap:
-                witnesses.append(_witness(prop, L, inst))
+        for values, domain, hypothesis, conclusion, weights in prop.rows(L, corpus, config):
+            held = hypothesis & domain
+            broken = held & ~conclusion
+            if weights is None:
+                scanned += domain.bit_count()
+                hits += held.bit_count()
+                violations += broken.bit_count()
+            else:
+                scanned += sum(weights[e][0] for e in _bits(domain))
+                hits += sum(weights[e][1] for e in _bits(held))
+                violations += sum(weights[e][1] for e in _bits(broken))
+            for e in _bits(broken) if broken else ():
+                if len(witnesses) >= config.witness_cap:
+                    break
+                witnesses.append(_witness(prop, L, values, e))
     return PropertyResult(
         prop.id, prop.description, scanned, hits, violations, tuple(witnesses)
     )
@@ -798,48 +883,62 @@ _POTENT_RE = re.compile(r"^([1-9]\d*)-potent-d([01])-primary$")
 _PHI_DELTA_RE = re.compile(r"^phi(0|[1-9]\d*|omega)-d([01])-primary$")
 _PHI_PRIME_RE = re.compile(r"^phi(0|[1-9]\d*|omega)-(prime|primary)$")
 _DELTA_RE = re.compile(r"^d([01])-primary$")
+_GRAMMAR = re.compile("|".join([
+    "^(prime|primary|idempotent)$",
+    *(r.pattern for r in (_DELTA_RE, _PHI_PRIME_RE, _PHI_DELTA_RE, _POTENT_RE)),
+]))
 
 
-def parse_predicate(name: str) -> Predicate:
-    """Resolve a kebab-case predicate name to its violation finder.
+def predicate_name(name: str) -> str:
+    """The normalized spelling of a predicate name, checked against the grammar.
 
     Grammar: prime | primary | idempotent | d<D>-primary | phi<P>-prime |
     phi<P>-primary | phi<P>-d<D>-primary | <k>-potent-d<D>-primary, with
     D in {0, 1}, P a power exponent or "omega", and k >= 2, numerals without
-    a leading zero.  Each name maps to one finder over (lattice, element);
-    the idempotent finder's pair is (q, q^2).
+    a leading zero.  Any other name raises ValueError.
     """
     name = name.strip().lower()
+    if not _GRAMMAR.match(name):
+        raise ValueError(f"unknown predicate {name!r}")
+    if name.startswith("1-potent-"):
+        raise ValueError(f"potency must be >= 2 in predicate {name!r}")
+    return name
+
+
+def _finder(name: str) -> Callable[[FiniteMultiplicativeLattice, int], tuple[int, int] | None]:
+    """The violation finder over (lattice, element) of a normalized predicate
+    name; the idempotent finder's pair is (q, q^2)."""
     if name == "prime":
-        return Predicate(name, prime_violation)
+        return prime_violation
     if name == "primary":
-        return Predicate(name, primary_violation)
+        return primary_violation
     if name == "idempotent":
-        return Predicate(
-            name, lambda L, q: None if is_idempotent(L, q) else (q, L.power(q, 2))
-        )
+        return lambda L, q: None if is_idempotent(L, q) else (q, L.power(q, 2))
     m = _DELTA_RE.match(name)
     if m:
         kind = f"d{m.group(1)}"
-        return Predicate(name, lambda L, q: delta_primary_violation(L, _delta(L, kind), q))
+        return lambda L, q: delta_primary_violation(L, _delta(L, kind), q)
     m = _PHI_PRIME_RE.match(name)
     if m:
         pk, which = f"phi{m.group(1)}", m.group(2)
         finder = phi_prime_violation if which == "prime" else phi_primary_violation
-        return Predicate(name, lambda L, q: finder(L, _phi(L, pk), q))
+        return lambda L, q: finder(L, _phi(L, pk), q)
     m = _PHI_DELTA_RE.match(name)
     if m:
         pk, dk = f"phi{m.group(1)}", f"d{m.group(2)}"
-        return Predicate(
-            name, lambda L, q: phi_delta_primary_violation(L, _delta(L, dk), _phi(L, pk), q)
-        )
+        return lambda L, q: phi_delta_primary_violation(L, _delta(L, dk), _phi(L, pk), q)
     m = _POTENT_RE.match(name)
     if m:
         k, dk = int(m.group(1)), f"d{m.group(2)}"
-        if k < 2:
-            raise ValueError(f"potency must be >= 2 in predicate {name!r}")
-        return Predicate(name, lambda L, q: n_potent_violation(L, _delta(L, dk), q, k))
+        return lambda L, q: n_potent_violation(L, _delta(L, dk), q, k)
     raise ValueError(f"unknown predicate {name!r}")
+
+
+def parse_predicate(name: str) -> Predicate:
+    """Resolve a kebab-case predicate name (grammar in ``predicate_name``) to
+    its violation finder."""
+    name = predicate_name(name)
+    return Predicate(name, _finder(name))
 
 
 @dataclass(frozen=True, slots=True)
@@ -859,23 +958,6 @@ class HuntHit:
 
 
 @_per_lattice
-def _verdicts(
-    L: FiniteMultiplicativeLattice, name: str
-) -> tuple[int, tuple[tuple[int, int] | None, ...]]:
-    """One pass of the named predicate's witness over L's proper elements: the
-    elements that have it, as a bitmask, and per element its first violating
-    pair (None where there is none)."""
-    witness = parse_predicate(name).witness
-    holders = 0
-    pairs: list[tuple[int, int] | None] = [None] * L.n
-    for q in L.proper_elements:
-        pair = pairs[q] = witness(L, q)
-        if pair is None:
-            holders |= 1 << q
-    return holders, tuple(pairs)
-
-
-@_per_lattice
 def _lacking(
     L: FiniteMultiplicativeLattice, name: str
 ) -> tuple[int, tuple[HuntHit | None, ...]]:
@@ -883,7 +965,7 @@ def _lacking(
     per element the finished hit a hunt lacking it reports (None where there
     is none). Built only for predicates a hunt lacks."""
     labels, lacking, found = L.labels, 0, []
-    for q, pair in enumerate(_verdicts(L, name)[1]):
+    for q, pair in enumerate(_verdicts(L, name)[2]):
         if pair is None:
             found.append(None)
         else:
@@ -901,13 +983,13 @@ def hunt(
 
     Hits come per lattice in corpus order, then by ascending element index.
     Each predicate's verdicts are kept per lattice (``_verdicts``, and
-    ``_lacking`` for the lacked one), so a repeated query ANDs bitmasks and
-    hands out kept hits.
+    ``_lacking`` for the lacked one), so a repeated query normalizes its
+    names, ANDs bitmasks and hands out kept hits: it builds no finder.
     """
     corpus = corpus if corpus is not None else default_corpus()
     names = [have] if isinstance(have, str) else list(have)
-    have_names = [parse_predicate(n).name for n in names]
-    lack_name = parse_predicate(lack).name
+    have_names = [predicate_name(n) for n in names]
+    lack_name = predicate_name(lack)
     hits: list[HuntHit] = []
     for L in corpus.lattices():
         mask, found = _lacking(L, lack_name)

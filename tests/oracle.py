@@ -15,26 +15,54 @@ from ``is_meet_principal`` to ``structure_profile``.  The primary scans take sqr
 and the principal checks take (a : e) from ``multlat.residual``; both are
 checked against ``radical_table`` and ``residual_table`` here.  ``hunt``
 tests every element predicate by predicate; ``tests/test_harness.py`` checks
-the bitmask ``multlat.hunt`` against it.
+the bitmask ``multlat.hunt`` against it.  ``registry`` and ``run_property``
+state every theorem one instance at a time, T24 and T26 with their literal
+hypotheses and T21 weighted by ``listed_chain_counts``;
+``tests/test_harness.py`` checks ``multlat``'s rows of elements against them.
 """
 
+from dataclasses import dataclass, field
+from itertools import product
+from typing import Callable
+
 from multlat import (
+    Expansion,
+    HarnessConfig,
     HuntHit,
     Isomorphism,
     LatticeStructureError,
+    PhiMap,
+    PropertyResult,
     StructureProfile,
     ValidationReport,
+    Witness,
     check_global_property,
     default_corpus,
+    enumerate_isomorphisms,
+    has_restricted_cancellation,
+    is_delta_primary,
+    is_idempotent,
+    is_monotone,
+    is_n_potent_delta_primary,
+    is_nilpotent,
     is_phi_delta_primary,
+    is_phi_primary,
+    is_phi_prime,
+    is_prime,
     is_zero_divisor,
     make_delta,
     make_phi,
+    map_leq,
     omega_power,
     parse_predicate,
+    power_stabilization,
     radical,
     residual,
+    residual_characterization_A,
+    residual_characterization_B,
 )
+from multlat import compact_pair_violation as fast_compact_pair_violation
+from multlat import structure_profile as fast_structure_profile
 from multlat.lattice import _per_lattice
 
 
@@ -463,3 +491,584 @@ def naive_validate(L):
         failures.append(("mul-monotone", w))
 
     return ValidationReport(ok=not failures, failures=tuple(failures))
+
+
+# -- the per-instance registry -------------------------------------------------
+#
+# Each property as it is stated: one instance dict per assignment of its
+# whole binding, with the hypothesis and the conclusion evaluated on it.
+# ``multlat.registry`` decides the same statements a row of elements at a
+# time; ``tests/test_harness.py`` checks that both give the same result.
+
+
+@dataclass(frozen=True)
+class InstanceProperty:
+    id: str
+    description: str
+    binding: tuple[str, ...]
+    instances: Callable = field(compare=False)
+    hypothesis: Callable = field(compare=False)
+    conclusion: Callable = field(compare=False)
+    clause: str = "conclusion"
+    # (scanned, hits) that one instance stands for; None counts it as (1, 1)
+    weight: Callable | None = field(default=None, compare=False)
+
+
+@_per_lattice
+def _delta(L, kind):
+    return make_delta(L, kind)
+
+
+@_per_lattice
+def _phi(L, kind):
+    return make_phi(L, kind)
+
+
+def _deltas(L, config):
+    return tuple(_delta(L, k) for k in config.delta_kinds)
+
+
+def _phis(L, config):
+    return tuple(_phi(L, k) for k in config.phi_kinds)
+
+
+@_per_lattice
+def _isomorphisms(L1, L2):
+    return enumerate_isomorphisms(L1, L2)
+
+
+@_per_lattice
+def _chains(L):
+    return proper_chains(L)
+
+
+@_per_lattice
+def listed_chain_counts(L, delta_kind, phi_kind):
+    """Per proper p, the chains of proper elements whose largest member is p,
+    and those of them that are phi-delta-primary throughout, by listing
+    every chain."""
+    delta, phi = _delta(L, delta_kind), _phi(L, phi_kind)
+    primary = {p for p in L.proper_elements if is_phi_delta_primary(L, delta, phi, p)}
+    counts = {p: (0, 0) for p in L.proper_elements}
+    for chain in _chains(L):
+        join = L.join(chain)
+        scanned, hits = counts[join]
+        counts[join] = (scanned + 1, hits + primary.issuperset(chain))
+    return counts
+
+
+def _every_phin_delta_primary(L, delta, p):
+    # p^n for n beyond the stabilization index repeats p^s, so "for all
+    # n >= 2" is decided by n in 2..max(2, s).
+    return all(
+        is_phi_delta_primary(L, delta, _phi(L, f"phi{n}"), p)
+        for n in range(2, max(2, power_stabilization(L, p)) + 1)
+    )
+
+
+# What each binding name ranges over, given the lattice and the config.
+_DOMAINS = {
+    "delta": _deltas,
+    "gamma": _deltas,
+    "phi": _phis,
+    "g1": _phis,
+    "g2": _phis,
+    "p": lambda L, config: L.proper_elements,
+    "q": lambda L, config: L.proper_elements,
+    "n": lambda L, config: config.potency,
+    "k": lambda L, config: config.potency,
+}
+
+
+def from_binding(binding):
+    """The instances of a binding: the product of its domains, in binding order."""
+
+    def instances(L, corpus, config):
+        domains = [_DOMAINS[name](L, config) for name in binding]
+        return (dict(zip(binding, values)) for values in product(*domains))
+
+    return instances
+
+
+def _implies(a, b):
+    return (not a) or b
+
+
+def registry():
+    """One per-instance property per theorem, corollary, and example."""
+    props = []
+
+    def add(id, description, binding, hypothesis, conclusion, clause, instances=None,
+            weight=None):
+        instances = instances or from_binding(binding)
+        props.append(InstanceProperty(
+            id, description, binding, instances, hypothesis, conclusion, clause, weight
+        ))
+
+    add(
+        "T01",
+        "phi-d0-primary if and only if phi-prime",
+        ("phi", "p"),
+        lambda L, c, i: True,
+        lambda L, c, i: is_phi_delta_primary(L, _delta(L, "d0"), i["phi"], i["p"])
+        == is_phi_prime(L, i["phi"], i["p"]),
+        "phi-d0-primary <=> phi-prime",
+    )
+
+    add(
+        "T02",
+        "phi-d1-primary if and only if phi-primary",
+        ("phi", "p"),
+        lambda L, c, i: True,
+        lambda L, c, i: is_phi_delta_primary(L, _delta(L, "d1"), i["phi"], i["p"])
+        == is_phi_primary(L, i["phi"], i["p"]),
+        "phi-d1-primary <=> phi-primary",
+    )
+
+    add(
+        "T03",
+        "phi-delta-primary implies phi-gamma-primary when delta <= gamma",
+        ("delta", "gamma", "phi", "p"),
+        lambda L, c, i: map_leq(i["delta"], i["gamma"])
+        and is_phi_delta_primary(L, i["delta"], i["phi"], i["p"]),
+        lambda L, c, i: is_phi_delta_primary(L, i["gamma"], i["phi"], i["p"]),
+        "phi-gamma-primary",
+    )
+
+    add(
+        "T04",
+        "a prime element is phi-delta-primary for every expansion and phi",
+        ("delta", "phi", "p"),
+        lambda L, c, i: is_prime(L, i["p"]),
+        lambda L, c, i: is_phi_delta_primary(L, i["delta"], i["phi"], i["p"]),
+        "phi-delta-primary",
+    )
+
+    add(
+        "T05",
+        "definition, first residual characterization, and the compact-pair "
+        "form agree",
+        ("delta", "phi", "q"),
+        lambda L, c, i: True,
+        lambda L, c, i: (
+            is_phi_delta_primary(L, i["delta"], i["phi"], i["q"])
+            == residual_characterization_A(L, i["delta"], i["phi"], i["q"])
+            == (fast_compact_pair_violation(L, i["delta"], i["phi"], i["q"]) is None)
+        ),
+        "definition <=> characterization-A <=> compact-pair form",
+    )
+
+    add(
+        "T06",
+        "definition and second residual characterization agree",
+        ("delta", "phi", "q"),
+        lambda L, c, i: True,
+        lambda L, c, i: is_phi_delta_primary(L, i["delta"], i["phi"], i["q"])
+        == residual_characterization_B(L, i["delta"], i["phi"], i["q"]),
+        "definition <=> characterization-B",
+    )
+
+    def t07_hypothesis(L, c, i):
+        prof = fast_structure_profile(L)
+        if not (prof.noether and prof.quasi_local):
+            return False
+        m = prof.maximal_elements[0]
+        p, mm = i["p"], L.power(m, 2)
+        return L.power(p, 2) == mm and L.leq_table[mm][p] and L.leq_table[p][m]
+
+    add(
+        "T07",
+        "in a quasi-local Noether lattice, p^2 = m^2 <= p <= m forces p to be "
+        "phi2-d1-primary",
+        ("p",),
+        t07_hypothesis,
+        lambda L, c, i: is_phi_delta_primary(L, _delta(L, "d1"), _phi(L, "phi2"), i["p"]),
+        "phi2-d1-primary",
+    )
+
+    add(
+        "T08",
+        "g1-delta-primary implies g2-delta-primary when g1 <= g2 pointwise",
+        ("delta", "g1", "g2", "p"),
+        lambda L, c, i: map_leq(i["g1"], i["g2"])
+        and is_phi_delta_primary(L, i["delta"], i["g1"], i["p"]),
+        lambda L, c, i: is_phi_delta_primary(L, i["delta"], i["g2"], i["p"]),
+        "g2-delta-primary",
+    )
+
+    def t09_conclusion(L, c, i):
+        delta, n, p = i["delta"], i["n"], i["p"]
+        steps = [
+            is_delta_primary(L, delta, p),
+            is_phi_delta_primary(L, delta, _phi(L, "phi0"), p),
+            is_phi_delta_primary(L, delta, _phi(L, "phiomega"), p),
+            is_phi_delta_primary(L, delta, _phi(L, f"phi{n + 1}"), p),
+            is_phi_delta_primary(L, delta, _phi(L, f"phi{n}"), p),
+            is_phi_delta_primary(L, delta, _phi(L, "phi2"), p),
+        ]
+        return all(_implies(a, b) for a, b in zip(steps, steps[1:]))
+
+    add(
+        "T09",
+        "implication chain: delta-primary => phi0 => phiomega => phi(n+1) => "
+        "phi(n) => phi2 (delta-primary throughout)",
+        ("delta", "n", "p"),
+        lambda L, c, i: True,
+        t09_conclusion,
+        "each arrow of the chain",
+    )
+
+    add(
+        "T10",
+        "phiomega-delta-primary iff phin-delta-primary for every n >= 2",
+        ("delta", "p"),
+        lambda L, c, i: True,
+        lambda L, c, i: is_phi_delta_primary(L, i["delta"], _phi(L, "phiomega"), i["p"])
+        == _every_phin_delta_primary(L, i["delta"], i["p"]),
+        "phiomega <=> all phin",
+    )
+
+    def t11_hypothesis(L, c, i):
+        prof = fast_structure_profile(L)
+        return prof.local_noether and prof.domain and prof.krull
+
+    add(
+        "T11",
+        "in a local Noether domain with all proper power-meets zero, "
+        "phin-delta-primary for every n >= 2 iff delta-primary",
+        ("delta", "p"),
+        t11_hypothesis,
+        lambda L, c, i: _every_phin_delta_primary(L, i["delta"], i["p"])
+        == is_delta_primary(L, i["delta"], i["p"]),
+        "all phin <=> delta-primary",
+    )
+
+    def t12_hypothesis(L, c, i):
+        q = i["q"]
+        return (
+            fast_structure_profile(L).noether
+            and q != L.bottom
+            and not is_nilpotent(L, q)
+            and has_restricted_cancellation(L, q)
+            and map_leq(i["phi"], _phi(L, "phi2"))
+        )
+
+    add(
+        "T12",
+        "in a Noether lattice, a nonzero non-nilpotent element with the "
+        "restricted cancellation law is phi-delta-primary (phi <= phi2, and "
+        "likewise phi <= phin for n >= 2) iff delta-primary",
+        ("delta", "phi", "q"),
+        t12_hypothesis,
+        lambda L, c, i: is_phi_delta_primary(L, i["delta"], i["phi"], i["q"])
+        == is_delta_primary(L, i["delta"], i["q"]),
+        "phi-delta-primary <=> delta-primary",
+    )
+
+    add(
+        "T13",
+        "a 2-potent delta-primary element (the d0 form included) is "
+        "phi-delta-primary for phi <= phi2 iff delta-primary",
+        ("delta", "phi", "q"),
+        lambda L, c, i: is_n_potent_delta_primary(L, i["delta"], i["q"], 2)
+        and map_leq(i["phi"], _phi(L, "phi2")),
+        lambda L, c, i: is_phi_delta_primary(L, i["delta"], i["phi"], i["q"])
+        == is_delta_primary(L, i["delta"], i["q"]),
+        "phi-delta-primary <=> delta-primary",
+    )
+
+    def t14_instances(L, corpus, config):
+        every = from_binding(("delta", "phi", "n", "k", "q"))(L, corpus, config)
+        return (i for i in every if i["k"] <= i["n"])
+
+    add(
+        "T14",
+        "for k <= n, a k-potent delta-primary element is phi-delta-primary "
+        "for phi <= phin iff delta-primary",
+        ("delta", "phi", "n", "k", "q"),
+        lambda L, c, i: map_leq(i["phi"], _phi(L, f"phi{i['n']}"))
+        and is_n_potent_delta_primary(L, i["delta"], i["q"], i["k"]),
+        lambda L, c, i: is_phi_delta_primary(L, i["delta"], i["phi"], i["q"])
+        == is_delta_primary(L, i["delta"], i["q"]),
+        "phi-delta-primary <=> delta-primary",
+        instances=t14_instances,
+    )
+
+    add(
+        "T15",
+        "a phi-delta-primary q with q^2 not below phi(q) is delta-primary",
+        ("delta", "phi", "q"),
+        lambda L, c, i: is_phi_delta_primary(L, i["delta"], i["phi"], i["q"])
+        and not L.leq_table[L.power(i["q"], 2)][i["phi"].table[i["q"]]],
+        lambda L, c, i: is_delta_primary(L, i["delta"], i["q"]),
+        "delta-primary",
+    )
+
+    add(
+        "T16",
+        "a phi-delta-primary q that is not delta-primary has q^2 <= phi(q)",
+        ("delta", "phi", "q"),
+        lambda L, c, i: is_phi_delta_primary(L, i["delta"], i["phi"], i["q"])
+        and not is_delta_primary(L, i["delta"], i["q"]),
+        lambda L, c, i: L.leq_table[L.power(i["q"], 2)][i["phi"].table[i["q"]]],
+        "q^2 <= phi(q)",
+    )
+
+    add(
+        "T17",
+        "a phi-delta-primary q that is not delta-primary has "
+        "radical(q) = radical(phi(q))",
+        ("delta", "phi", "q"),
+        lambda L, c, i: is_phi_delta_primary(L, i["delta"], i["phi"], i["q"])
+        and not is_delta_primary(L, i["delta"], i["q"]),
+        lambda L, c, i: radical(L, i["q"]) == radical(L, i["phi"].table[i["q"]]),
+        "radical(q) = radical(phi(q))",
+    )
+
+    add(
+        "T18",
+        "a phi-delta-primary q with phi <= phi3 is phin-delta-primary for "
+        "every n >= 2 and phiomega-delta-primary",
+        ("delta", "phi", "q"),
+        lambda L, c, i: map_leq(i["phi"], _phi(L, "phi3"))
+        and is_phi_delta_primary(L, i["delta"], i["phi"], i["q"]),
+        lambda L, c, i: is_phi_delta_primary(L, i["delta"], _phi(L, "phiomega"), i["q"])
+        and _every_phin_delta_primary(L, i["delta"], i["q"]),
+        "phiomega and every phin",
+    )
+
+    add(
+        "T19",
+        "a phi0-delta-primary q that is not delta-primary has q^2 = 0",
+        ("delta", "q"),
+        lambda L, c, i: is_phi_delta_primary(L, i["delta"], _phi(L, "phi0"), i["q"])
+        and not is_delta_primary(L, i["delta"], i["q"]),
+        lambda L, c, i: L.power(i["q"], 2) == L.bottom,
+        "q^2 = 0",
+    )
+
+    add(
+        "T20",
+        "a phi-delta-primary q whose phi(q) is delta-primary is delta-primary",
+        ("delta", "phi", "q"),
+        lambda L, c, i: is_phi_delta_primary(L, i["delta"], i["phi"], i["q"])
+        and is_delta_primary(L, i["delta"], i["phi"].table[i["q"]]),
+        lambda L, c, i: is_delta_primary(L, i["delta"], i["q"]),
+        "delta-primary",
+    )
+
+    add(
+        "T21",
+        "the join of a chain of phi-delta-primary elements is "
+        "phi-delta-primary when phi is monotone",
+        ("delta", "phi", "p"),
+        lambda L, c, i: is_monotone(i["phi"])
+        and is_phi_delta_primary(L, i["delta"], i["phi"], i["p"]),
+        lambda L, c, i: is_phi_delta_primary(L, i["delta"], i["phi"], i["p"]),
+        "join is phi-delta-primary",
+        # one instance per join p, standing for the chains whose largest member is p
+        weight=lambda L, c, i: listed_chain_counts(L, i["delta"].tag, i["phi"].tag)[i["p"]],
+    )
+
+    def t22_hypothesis(L, c, i):
+        phi, p, q = i["phi"], i["p"], i["q"]
+        if not is_phi_delta_primary(L, i["delta"], phi, p):
+            return False
+        pq = residual(L, p, q)
+        if pq == L.top:
+            return False
+        return L.leq_table[residual(L, phi.table[p], q)][phi.table[pq]]
+
+    add(
+        "T22",
+        "residuals of a phi-delta-primary p stay phi-delta-primary when "
+        "(phi(p):q) <= phi(p:q)",
+        ("delta", "phi", "p", "q"),
+        t22_hypothesis,
+        lambda L, c, i: is_phi_delta_primary(
+            L, i["delta"], i["phi"], residual(L, i["p"], i["q"])
+        ),
+        "(p:q) is phi-delta-primary",
+        instances=lambda L, corpus, config: (
+            {**i, "q": q}
+            for i in from_binding(("delta", "phi", "p"))(L, corpus, config)
+            for q in range(L.n)
+        ),
+    )
+
+    def t23_conclusion(L, c, i):
+        dp = i["delta"].table[i["p"]]
+        rp = radical(L, i["p"])
+        if not L.leq_table[rp][dp]:
+            return False
+        # equality corollary: delta(p) <= radical(p) then forces equality
+        return not L.leq_table[dp][rp] or rp == dp
+
+    add(
+        "T23",
+        "a phi-delta-primary p with radical(phi(p)) <= delta(p) has "
+        "radical(p) <= delta(p), with equality when also delta(p) <= radical(p)",
+        ("delta", "phi", "p"),
+        lambda L, c, i: is_phi_delta_primary(L, i["delta"], i["phi"], i["p"])
+        and L.leq_table[radical(L, i["phi"].table[i["p"]])][i["delta"].table[i["p"]]],
+        t23_conclusion,
+        "radical(p) <= delta(p)",
+    )
+
+    add(
+        "T24",
+        "when delta is a multiplicative automorphism, phi has the global "
+        "property under it, and delta(delta(q)) <= delta(q), the image "
+        "delta(q) of a phi-delta-primary q is phi-prime",
+        ("delta", "phi", "q"),
+        t24_hypothesis,
+        lambda L, c, i: is_phi_prime(L, i["phi"], i["delta"].table[i["q"]]),
+        "delta(q) is phi-prime",
+    )
+
+    add(
+        "T25",
+        "a phi-d1-primary q with radical(phi(q)) = phi(radical(q)) has "
+        "phi-prime radical (when the radical is proper)",
+        ("phi", "q"),
+        lambda L, c, i: is_phi_delta_primary(L, _delta(L, "d1"), i["phi"], i["q"])
+        and radical(L, i["phi"].table[i["q"]]) == i["phi"].table[radical(L, i["q"])]
+        and radical(L, i["q"]) != L.top,
+        lambda L, c, i: is_phi_prime(L, i["phi"], radical(L, i["q"])),
+        "radical(q) is phi-prime",
+    )
+
+    def t26_instances(L, corpus, config):
+        for M in corpus.lattices():
+            if M.n <= 1:
+                continue
+            for f in _isomorphisms(L, M):
+                for dk, pk in product(config.delta_kinds, config.phi_kinds):
+                    for p in M.proper_elements:
+                        yield {"f": f, "delta": _delta(M, dk), "phi": _phi(M, pk), "p": p}
+
+    def t26_conclusion(L, c, i):
+        f, delta, phi, p = i["f"], i["delta"], i["phi"], i["p"]
+        return is_phi_delta_primary(f.target, delta, phi, p) == is_phi_delta_primary(
+            L, _delta(L, delta.tag), _phi(L, phi.tag), f.pull_back(p)
+        )
+
+    add(
+        "T26",
+        "along an isomorphism under which delta and phi have the global "
+        "property, phi-delta-primary transfers in both directions",
+        ("f", "delta", "phi", "p"),
+        t26_hypothesis,
+        t26_conclusion,
+        "status agrees across the isomorphism",
+        instances=t26_instances,
+    )
+
+    add(
+        "T27",
+        "every proper idempotent is phiomega-delta-primary, hence "
+        "phin-delta-primary for every n >= 2",
+        ("delta", "q"),
+        lambda L, c, i: is_idempotent(L, i["q"]),
+        lambda L, c, i: is_phi_delta_primary(L, i["delta"], _phi(L, "phiomega"), i["q"])
+        and _every_phin_delta_primary(L, i["delta"], i["q"]),
+        "phiomega and every phin",
+    )
+
+    _T28_CASES = {
+        "Z24": "(4)",
+        "Z30": "(6)",
+        "Z8": "(4)",
+    }
+
+    def t28_instances(L, corpus, config):
+        label = _T28_CASES.get(L.name)
+        if label is not None and label in L.labels:
+            yield {"q": L.index_of(label)}
+
+    def t28_conclusion(L, c, i):
+        q = i["q"]
+        d0, d1, phi2 = _delta(L, "d0"), _delta(L, "d1"), _phi(L, "phi2")
+        if not is_phi_delta_primary(L, d1, phi2, q):
+            return False
+        if L.name == "Z24":
+            return not is_phi_prime(L, phi2, q) and not is_prime(L, q)
+        if L.name == "Z30":
+            return not is_delta_primary(L, d1, q) and not is_n_potent_delta_primary(
+                L, d0, q, 2
+            )
+        return (
+            not is_idempotent(L, q)
+            and is_n_potent_delta_primary(L, d0, q, 2)
+            and not is_prime(L, q)
+        )
+
+    add(
+        "T28",
+        "the three separating examples: Z24 (4) phi2-d1-primary, not "
+        "phi2-prime, not prime; Z30 (6) phi2-d1-primary, not d1-primary, not "
+        "2-potent d0-primary; Z8 (4) phi2-d1-primary, 2-potent d0-primary, "
+        "not idempotent, not prime",
+        ("q",),
+        lambda L, c, i: True,
+        t28_conclusion,
+        "example flags as published",
+        instances=t28_instances,
+    )
+
+    return tuple(props)
+
+
+def _render_binding(L, inst, key, value):
+    if isinstance(value, (Expansion, PhiMap)):
+        return value.tag
+    if isinstance(value, Isomorphism):
+        return value.describe()
+    if key in ("n", "k"):
+        return str(value)
+    if "f" in inst and key == "p":  # element of the isomorphism's target
+        return inst["f"].target.label(value)
+    return L.label(value)
+
+
+def _witness(prop, L, inst):
+    delta = inst.get("delta")
+    phi = inst.get("phi")
+    bindings = {
+        key: _render_binding(L, inst, key, value)
+        for key, value in inst.items()
+        if key in prop.binding
+    }
+    return Witness(
+        prop.id,
+        L.name,
+        delta.tag if isinstance(delta, Expansion) else "-",
+        phi.tag if isinstance(phi, PhiMap) else "-",
+        bindings,
+        prop.clause,
+    )
+
+
+def run_property(prop, corpus=None, config=None):
+    """One instance at a time: the hypothesis, then the conclusion where it holds."""
+    corpus = corpus if corpus is not None else default_corpus()
+    config = config if config is not None else HarnessConfig()
+    scanned = hits = violations = 0
+    witnesses = []
+    for L in corpus.lattices():
+        if L.n <= 1:  # no proper elements; nothing to quantify over
+            continue
+        for inst in prop.instances(L, corpus, config):
+            n, n_hits = prop.weight(L, config, inst) if prop.weight else (1, 1)
+            scanned += n
+            if not prop.hypothesis(L, config, inst):
+                continue
+            hits += n_hits
+            if prop.conclusion(L, config, inst):
+                continue
+            violations += n_hits
+            if len(witnesses) < config.witness_cap:
+                witnesses.append(_witness(prop, L, inst))
+    return PropertyResult(
+        prop.id, prop.description, scanned, hits, violations, tuple(witnesses)
+    )

@@ -128,23 +128,24 @@ def _prove_t12_vacuous(result, corpus, config):
             continue
         noether = structure_profile(L).noether
         phi2 = make_phi(L, "phi2")
-        for inst in prop.instances(L, corpus, config):
-            scanned += 1
-            q = inst["q"]
-            if not (
-                noether
-                and q != L.bottom
-                and not is_nilpotent(L, q)
-                and map_leq(inst["phi"], phi2)
-            ):
-                continue
-            candidates += 1
-            s = power_stabilization(L, q)
-            b = L.top if s == 1 else L.power(q, s - 1)
-            c = L.power(q, s)
-            qb = L.mul(q, b)
-            if not (qb == L.mul(q, c) and qb != L.bottom and b != c):
-                unbroken.append(f"{L.name} {L.labels[q]}")
+        # one row per (delta, phi), over the instances q of its domain
+        for (_, phi), domain, _, _, _ in prop.rows(L, corpus, config):
+            for q in (q for q in range(L.n) if domain >> q & 1):
+                scanned += 1
+                if not (
+                    noether
+                    and q != L.bottom
+                    and not is_nilpotent(L, q)
+                    and map_leq(phi, phi2)
+                ):
+                    continue
+                candidates += 1
+                s = power_stabilization(L, q)
+                b = L.top if s == 1 else L.power(q, s - 1)
+                c = L.power(q, s)
+                qb = L.mul(q, b)
+                if not (qb == L.mul(q, c) and qb != L.bottom and b != c):
+                    unbroken.append(f"{L.name} {L.labels[q]}")
     ok = (
         result.instances_scanned == scanned > 0
         and result.hypothesis_hits == 0

@@ -194,6 +194,21 @@ def test_hunt_rejects_a_bad_name_before_building_any_lattice(capsys, monkeypatch
     assert built == []
 
 
+@pytest.mark.parametrize("command", ["verify", "hunt"])
+def test_unknown_corpus_is_rejected_before_building_any_lattice(capsys, monkeypatch, command):
+    built = []
+    for builder in ("default_corpus", "zn_ideal_lattice"):
+        monkeypatch.setattr(cli, builder, lambda *args, b=builder: built.append((b, args)))
+    argv = [command, "--corpus", "bogus", "--add-zn", "720720"]
+    if command == "hunt":
+        argv += ["--have", "prime", "--lack", "primary"]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert err.startswith("error: unknown corpus 'bogus'")
+    assert not out
+    assert built == []
+
+
 def test_export_dot(tmp_path, capsys):
     out_path = tmp_path / "z8.dot"
     rc, _, _ = run(capsys, "export-dot", "--zn", "8", "--output", str(out_path))
@@ -290,6 +305,11 @@ REPORT_DIGESTS = [
         ("verify", "--format", "json", "--add-zn", "360", "--add-zn", "720"),
         "dfdfa2e965336fff78d34e15fce99c268efd5929f20cd9116d9a2f41b11c6bd9",
         id="verify",
+    ),
+    pytest.param(
+        ("verify", "--format", "json", "--add-zn", "30030"),
+        "9dc8f632bebbba1f4f0ad5886f6589f5747e5fcd91ea291968862ca9e7fc1e31",
+        id="verify-automorphisms",
     ),
     pytest.param(
         ("classify", "--zn", "5040", "--format", "json"),

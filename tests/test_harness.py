@@ -11,6 +11,7 @@ b != c.
 import itertools
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -19,12 +20,14 @@ from conftest import time_limit
 from multlat import (
     HarnessConfig,
     Isomorphism,
+    Row,
     TheoremProperty,
     boolean_frame,
     chain_frame,
     default_corpus,
     enumerate_isomorphisms,
     hunt,
+    is_prime,
     make_delta,
     make_phi,
     parse_predicate,
@@ -35,6 +38,7 @@ from multlat import (
 )
 from multlat import harness
 from multlat.constructions import Corpus, CorpusEntry
+from multlat.lattice import _bits
 from test_derived import SHAPES
 
 EXPECTED_COUNTS = {
@@ -83,7 +87,7 @@ def test_registry_is_well_formed():
     assert sorted(ids) == [f"T{i:02d}" for i in range(1, len(props) + 1)]
     for p in props:
         assert p.description and p.binding and p.clause
-        assert callable(p.instances) and callable(p.hypothesis) and callable(p.conclusion)
+        assert p.binding[-1] in ("p", "q") and callable(p.rows)
 
 
 def test_full_run_outcomes_frozen(full_report):
@@ -137,28 +141,20 @@ def test_single_element_lattices_are_skipped():
     assert {r.status for r in report.results} == {"VACUOUS"}
 
 
-def _always(L, config, inst):
-    return True
+def _proper(L):
+    return sum(1 << p for p in L.proper_elements)
 
 
-def _never_conclusion(L, config, inst):
-    from multlat import is_prime
-
-    return is_prime(L, inst["p"])
-
-
-def _proper_instances(L, corpus, config):
-    for p in L.proper_elements:
-        yield {"p": p}
+def _prime_rows(L, corpus, config):
+    primes = sum(1 << p for p in L.proper_elements if is_prime(L, p))
+    yield Row((), _proper(L), harness.ALL, primes)
 
 
 FAILING = TheoremProperty(
     id="TX",
     description="every proper element is prime (deliberately false)",
-    binding="p proper",
-    instances=_proper_instances,
-    hypothesis=_always,
-    conclusion=_never_conclusion,
+    binding=("p",),
+    rows=_prime_rows,
     clause="is_prime(p)",
 )
 
@@ -259,13 +255,18 @@ def test_t3_suite_runs_fast_enough(corpus):
 
 
 def test_binding_instances_nest_in_binding_order(z8):
-    from multlat.harness import _from_binding
-
+    # T09 binds (delta, n, p): one row per (delta, n), each over every proper p
     solo = Corpus((CorpusEntry(z8, "solo"),))
-    instances = list(_from_binding(("delta", "n", "p"))(z8, solo, HarnessConfig()))
+    rows = list(REGISTRY["T09"].rows(z8, solo, HarnessConfig()))
+    assert [(row.values[0].tag, row.values[1]) for row in rows] == [
+        (d, n) for d in ("d0", "d1") for n in (2, 3, 4)
+    ]
+    assert {row.domain for row in rows} == {_proper(z8)}
+    # the per-instance form nests the element innermost, in the same order
+    instances = list(oracle.from_binding(("delta", "n", "p"))(z8, solo, HarnessConfig()))
     assert all(list(i) == ["delta", "n", "p"] for i in instances)
     assert [(i["delta"].tag, i["n"], i["p"]) for i in instances] == [
-        (d, n, p) for d in ("d0", "d1") for n in (2, 3, 4) for p in z8.proper_elements
+        (row.values[0].tag, row.values[1], p) for row in rows for p in _bits(row.domain)
     ]
 
 
@@ -322,11 +323,8 @@ WEIGHTED = TheoremProperty(
     id="TW",
     description="a conclusion that never holds, each instance weighted (3, 2)",
     binding=("p",),
-    instances=_proper_instances,
-    hypothesis=_always,
-    conclusion=lambda L, config, inst: False,
+    rows=lambda L, corpus, config: [Row((), _proper(L), harness.ALL, 0, [(3, 2)] * L.n)],
     clause="false",
-    weight=lambda L, config, inst: (3, 2),
 )
 
 
@@ -354,11 +352,13 @@ def test_t24_hypothesis_equals_the_literal_one(corpus):
     for L in corpus.lattices():
         if L.n <= 1:
             continue
-        for inst in t24.instances(L, corpus, config):
-            expected = oracle.t24_hypothesis(L, config, inst)
-            assert t24.hypothesis(L, config, inst) == expected, (L.name, inst)
-            if expected:
-                hit_deltas.add(inst["delta"].tag)
+        for (delta, phi), domain, hypothesis, _, _ in t24.rows(L, corpus, config):
+            for q in _bits(domain):
+                inst = {"delta": delta, "phi": phi, "q": q}
+                expected = oracle.t24_hypothesis(L, config, inst)
+                assert bool(hypothesis >> q & 1) == expected, (L.name, inst)
+                if expected:
+                    hit_deltas.add(delta.tag)
     # d1 is the identity on every radical lattice (Z30, Z30030, the frames)
     assert hit_deltas == {"d0", "d1"}
 
@@ -371,11 +371,12 @@ def test_t26_hypothesis_equals_the_literal_one(corpus):
     lattices = [L for L in corpus.lattices() if L.n > 1]
     checked = 0
     for L in lattices:
-        for inst in t26.instances(L, corpus, config):
-            # an isomorphism keeps every verdict: one instance per (f, delta, phi)
-            assert inst["agree"] == len(inst["f"].target.proper_elements)
-            assert oracle.t26_hypothesis(L, config, inst), (L.name, inst["f"].describe())
-            assert t26.hypothesis(L, config, inst)
+        for (f, delta, phi), domain, hypothesis, conclusion, _ in t26.rows(L, corpus, config):
+            # an isomorphism keeps every verdict: one comparison per (f, delta, phi)
+            assert domain == _proper(f.target)
+            assert hypothesis == conclusion == harness.ALL
+            inst = {"f": f, "delta": delta, "phi": phi}
+            assert oracle.t26_hypothesis(L, config, inst), (L.name, f.describe())
             checked += 1
     isomorphisms = sum(len(enumerate_isomorphisms(L, M)) for L in lattices for M in lattices)
     assert checked == len(config.delta_kinds) * len(config.phi_kinds) * isomorphisms
@@ -400,8 +401,8 @@ def _t26_by_oracle(f, config):
 
 def test_t26_checks_each_p_when_the_verdicts_disagree(monkeypatch):
     # A bijection that swaps two elements is no isomorphism, so some (delta,
-    # phi) see different verdicts on the two sides and T26 falls back to one
-    # instance per p; the others still stand as one instance each.
+    # phi) see different verdicts on the two sides and T26 compares them per
+    # p; the others are still decided by one comparison each.
     L = zn_ideal_lattice(24)
     corpus = Corpus((CorpusEntry(L, "solo"),))
     t26, config = REGISTRY["T26"], HarnessConfig()
@@ -411,7 +412,10 @@ def test_t26_checks_each_p_when_the_verdicts_disagree(monkeypatch):
         swap[a], swap[b] = b, a
         f = Isomorphism(L, L, tuple(swap), tuple(swap))
         monkeypatch.setattr(harness, "_isomorphisms", lambda L1, L2: (f,))
-        forms.update("agree" if "agree" in i else "p" for i in t26.instances(L, corpus, config))
+        forms.update(
+            "agree" if row.conclusion == harness.ALL else "p"
+            for row in t26.rows(L, corpus, config)
+        )
         r = run_property(t26, corpus, config)
         got = [(w.delta, w.phi, w.bindings["p"]) for w in r.witnesses]
         assert all(w.bindings["f"] == f.describe() for w in r.witnesses)
@@ -432,6 +436,29 @@ def test_element_free_conditions_keep_their_counts_at_scale():
         (70_032, 70_032),
     ]
     assert all(r.violations == 0 for r in results)
+
+
+SCALE_COUNTS = {
+    # id: (instances_scanned, hypothesis_hits) on the default corpus plus Z720720
+    "T01": (1722, 1722), "T02": (1722, 1722), "T03": (6888, 2330),
+    "T04": (3444, 324), "T05": (3444, 3444), "T06": (3444, 3444), "T07": (287, 6),
+    "T08": (20664, 4697), "T09": (1722, 1722), "T10": (574, 574), "T11": (574, 2),
+    "T12": (3444, 0), "T13": (3444, 402), "T14": (20664, 2143),
+    "T15": (3444, 85), "T16": (3444, 1079), "T17": (3444, 1079), "T18": (3444, 806),
+    "T19": (574, 16), "T20": (3444, 339), "T21": (80_986_956, 13_660_292),
+    "T22": (691_872, 159_562), "T23": (3444, 1066), "T24": (3444, 825),
+    "T25": (1722, 432), "T26": (70_032, 70_032), "T27": (574, 184), "T28": (3, 3),
+}
+
+
+def test_whole_registry_keeps_its_counts_at_scale():
+    # about 3 s when each instance was decided on its own
+    with time_limit(8):
+        report = run_all(default_corpus().extended(zn_ideal_lattice(720720), "added"))
+    assert {r.id: (r.instances_scanned, r.hypothesis_hits) for r in report.results} == (
+        SCALE_COUNTS
+    )
+    assert all(r.violations == 0 for r in report.results)
 
 
 # -- hunt reads one verdict bitmask per (lattice, predicate) -------------------
@@ -462,6 +489,60 @@ HUNT_CORPORA = {
 }
 
 
+# -- rows against the per-instance statements ----------------------------------
+
+ORACLE = {p.id: p for p in oracle.registry()}
+
+
+def _negated(prop):
+    """The property with its conclusion false everywhere, so every hit is a violation."""
+    if isinstance(prop, TheoremProperty):
+        return replace(prop, rows=lambda L, corpus, config: (
+            row._replace(conclusion=0) for row in prop.rows(L, corpus, config)
+        ))
+    return replace(prop, conclusion=lambda L, config, inst: False)
+
+
+@pytest.mark.parametrize("name", HUNT_CORPORA)
+def test_rows_equal_the_per_instance_statements(name):
+    corpus = Corpus(tuple(CorpusEntry(L, "added") for L in HUNT_CORPORA[name]()))
+    assert set(REGISTRY) == set(ORACLE)
+    for pid, prop in REGISTRY.items():
+        expected = ORACLE[pid]
+        assert prop.binding == expected.binding, pid
+        got = run_property(prop, corpus).to_dict()
+        assert got == oracle.run_property(expected, corpus).to_dict(), pid
+        for cap in (3, 10):
+            config = HarnessConfig(witness_cap=cap)
+            got = run_property(_negated(prop), corpus, config).to_dict()
+            want = oracle.run_property(_negated(expected), corpus, config).to_dict()
+            assert got == want, (pid, cap)
+
+
+def test_rows_equal_the_per_instance_statements_under_other_kinds(corpus):
+    # spellings make_delta and make_phi accept, and the none kind, which
+    # excuses nothing: each reaches the verdicts of its normalized name
+    config = HarnessConfig(
+        delta_kinds=(" D1",), phi_kinds=("none", "phi5", "PHI2", "phi03"), potency=(2, 5)
+    )
+    for pid, prop in REGISTRY.items():
+        for got, want in ((prop, ORACLE[pid]), (_negated(prop), _negated(ORACLE[pid]))):
+            assert run_property(got, corpus, config).to_dict() == (
+                oracle.run_property(want, corpus, config).to_dict()
+            ), pid
+
+
+def test_verify_and_hunt_share_their_verdicts(monkeypatch):
+    corpus = default_corpus()
+    run_all(corpus)
+    built = []
+    finder = harness._finder
+    monkeypatch.setattr(harness, "_finder", lambda name: built.append(name) or finder(name))
+    # verify read phi2-d1-primary as the pair (d1, phi2) and d1-primary as (d1, none)
+    assert hunt("phi2-d1-primary", "d1-primary", corpus)
+    assert built == []
+
+
 @pytest.mark.parametrize("name", HUNT_CORPORA)
 def test_hunt_equals_the_predicate_by_predicate_scan(name):
     corpus = Corpus(tuple(CorpusEntry(L, "added") for L in HUNT_CORPORA[name]()))
@@ -475,19 +556,20 @@ def test_hunt_equals_the_predicate_by_predicate_scan(name):
 
 def test_warm_hunts_read_masks(monkeypatch):
     corpus = default_corpus().extended(zn_ideal_lattice(5040), "added")
-    calls = Counter()
-    parse = harness.parse_predicate
+    calls, built = Counter(), Counter()
+    finder = harness._finder
 
-    def counting_parse(name):
-        pred = parse(name)
+    def counting_finder(name):
+        built[name] += 1
+        witness = finder(name)
 
-        def witness(L, q):
-            calls[pred.name] += 1
-            return pred.witness(L, q)
+        def counted(L, q):
+            calls[name] += 1
+            return witness(L, q)
 
-        return harness.Predicate(pred.name, witness)
+        return counted
 
-    monkeypatch.setattr(harness, "parse_predicate", counting_parse)
+    monkeypatch.setattr(harness, "_finder", counting_finder)
     for name in PREDICATES:
         hunt([], name, corpus)
     queries = [
@@ -496,11 +578,14 @@ def test_warm_hunts_read_masks(monkeypatch):
         *_two_predicate_queries(2, 50),
     ]
     found = 0
+    assert set(built) == set(PREDICATES)
     for have, lack in queries:
         calls.clear()
+        built.clear()
         found += len(hunt(have, lack, corpus))
-        # the cold hunts kept every hit, so a warm query calls no witness
-        assert not calls, (have, lack, calls)
+        # the cold hunts kept every hit, so a warm query builds no finder
+        # and calls no witness
+        assert not built and not calls, (have, lack, built, calls)
     assert found
 
 
