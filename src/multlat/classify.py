@@ -15,9 +15,11 @@ d0-primary) share one entry, and the memo is freed with the lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import ne
 
-from .derived import radical, residual
-from .lattice import FiniteMultiplicativeLattice, _per_lattice
+from .derived import radical
+from .lattice import FiniteMultiplicativeLattice, _bits, _leq_mask, _mask, _per_lattice
 from .maps import Expansion, PhiMap, make_delta, make_phi
 
 
@@ -31,12 +33,6 @@ def _require_proper(L: FiniteMultiplicativeLattice, p: int) -> None:
 def _excuse(phi: PhiMap, p: int) -> int | None:
     """phi(p), below which products are excused; None for the none kind."""
     return None if phi.none else phi.table[p]
-
-
-def _phi_residual(L: FiniteMultiplicativeLattice, phi: PhiMap, q: int, a: int) -> int:
-    """(phi(q) : a); for the none kind no x satisfies xa <= phi(q), so join {} = bottom."""
-    excuse = _excuse(phi, q)
-    return L.bottom if excuse is None else residual(L, excuse, a)
 
 
 @_per_lattice
@@ -126,30 +122,48 @@ def is_n_potent_delta_primary(L, delta, p, k) -> bool:
     return n_potent_violation(L, delta, p, k) is None
 
 
+@_per_lattice
+def _delta_masks(L, deltas):
+    """Per q, the a with (q:a) != q and the a with (q:a) <= deltas[q]."""
+    res = L._residual_table
+    moved = tuple(_mask(map(q.__ne__, row)) for q, row in enumerate(res))
+    return moved, tuple(_leq_mask(L, row, repeat(d)) for row, d in zip(res, deltas))
+
+
+@_per_lattice
+def _phi_masks(L, excuses):
+    """Per q, the a with (q:a) != (excuses[q]:a); excuses None is the none kind,
+    whose (phi(q):a) reads bottom."""
+    res = L._residual_table
+    others = map(res.__getitem__, excuses) if excuses else (repeat(L.bottom) for _ in res)
+    return tuple(_mask(map(ne, row, other)) for row, other in zip(res, others))
+
+
+@_per_lattice
+def _failures(L, deltas, excuses):
+    """Per q, the a at which characterization A fails and those at which B fails."""
+    (moved, within), split, down = _delta_masks(L, deltas), _phi_masks(L, excuses), L.down_sets
+    return (
+        tuple(m & s & ~down[d] for m, s, d in zip(moved, split, deltas)),
+        tuple(~dq & s & ~w for dq, s, w in zip(down, split, within)),
+    )
+
+
+def characterization_failures(L, delta: Expansion, phi: PhiMap):
+    """Per element q, as bitmasks over a, where characterizations A and B fail."""
+    return _failures(L, delta.table, None if phi.none else phi.table)
+
+
 def characterization_A_witness(L, delta: Expansion, phi: PhiMap, q):
     """First a with a !<= delta(q) where (q:a) is neither q nor (phi(q):a)."""
     _require_proper(L, q)
-    dq = delta.table[q]
-    for a in range(L.n):
-        if L.leq(a, dq):
-            continue
-        res = residual(L, q, a)
-        if res != q and res != _phi_residual(L, phi, q, a):
-            return a
-    return None
+    return next(_bits(characterization_failures(L, delta, phi)[0][q]), None)
 
 
 def characterization_B_witness(L, delta: Expansion, phi: PhiMap, q):
     """First a with a !<= q where (q:a) !<= delta(q) and (q:a) != (phi(q):a)."""
     _require_proper(L, q)
-    dq = delta.table[q]
-    for a in range(L.n):
-        if L.leq(a, q):
-            continue
-        res = residual(L, q, a)
-        if not L.leq(res, dq) and res != _phi_residual(L, phi, q, a):
-            return a
-    return None
+    return next(_bits(characterization_failures(L, delta, phi)[1][q]), None)
 
 
 def residual_characterization_A(L, delta, phi, q) -> bool:
@@ -220,8 +234,7 @@ def classification_report(
         def put(name, violation):
             flags[name] = violation is None
             if violation is not None:
-                w = violation if isinstance(violation, tuple) else (violation,)
-                witnesses[name] = tuple(L.label(x) for x in w)
+                witnesses[name] = tuple(map(L.label, violation))
 
         put("prime", prime_violation(L, p))
         put("primary", primary_violation(L, p))
@@ -234,12 +247,8 @@ def classification_report(
             put(f"{k}_potent_delta_primary", n_potent_violation(L, delta, p, k))
         put("2_potent_d0_primary", n_potent_violation(L, d0, p, 2))
         sq = L.power(p, 2)
-        flags["idempotent"] = sq == p
-        if sq != p:
-            witnesses["idempotent"] = (L.label(p), L.label(sq))
-        records.append(
-            ClassificationRecord(element=L.label(p), flags=flags, witnesses=witnesses)
-        )
+        put("idempotent", None if sq == p else (p, sq))
+        records.append(ClassificationRecord(L.label(p), flags, witnesses))
     return ClassificationReport(
         lattice=L.name, delta=delta.tag, phi=phi.tag, records=tuple(records)
     )

@@ -40,16 +40,8 @@ def _add_source_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _resolve_lattice(args: argparse.Namespace) -> FiniteMultiplicativeLattice:
-    picked = [
-        spec
-        for spec in (
-            ("zn", args.zn),
-            ("chain", args.chain),
-            ("boolean", args.boolean),
-            ("file", args.file),
-        )
-        if spec[1] is not None
-    ]
+    sources = {"zn": args.zn, "chain": args.chain, "boolean": args.boolean, "file": args.file}
+    picked = [(which, value) for which, value in sources.items() if value is not None]
     if len(picked) != 1:
         raise CliError("exactly one of --zn/--chain/--boolean/--file is required")
     which, value = picked[0]
@@ -95,6 +87,11 @@ def _resolve_phi(L: FiniteMultiplicativeLattice, spec: str):
         raise CliError(
             f"bad phi spec {spec!r} (want 0 | 1 | 2 | n:<k> | omega | file:PATH): {exc}"
         ) from exc
+
+
+def _json(report) -> str:
+    # Reports are trees, so skipping the cycle check changes no byte.
+    return json.dumps(report, indent=2, sort_keys=True, check_circular=False)
 
 
 def _emit(text: str, args: argparse.Namespace) -> None:
@@ -166,20 +163,14 @@ def _classification_table(report: ClassificationReport) -> str:
         "-" * len(header),
     ]
     for rec in report.records:
-        cells = []
-        for key, head in _FLAG_COLUMNS:
-            mark = "Y" if rec.flags[key] else "."
-            cells.append(f"{mark:^{len(head)}}")
+        cells = (f"{'Y' if rec.flags[k] else '.':^{len(h)}}" for k, h in _FLAG_COLUMNS)
         lines.append(f"{rec.element:<{width}} " + " ".join(cells))
-    witness_lines = []
-    for rec in report.records:
-        for key, _ in _FLAG_COLUMNS:
-            pair = rec.witnesses.get(key)
-            if pair:
-                witness_lines.append(
-                    f"  {rec.element} fails {key.replace('_', '-')}: "
-                    f"({pair[0]}, {pair[1]})"
-                )
+    witness_lines = [
+        f"  {rec.element} fails {key.replace('_', '-')}: ({pair[0]}, {pair[1]})"
+        for rec in report.records
+        for key, _ in _FLAG_COLUMNS
+        if (pair := rec.witnesses.get(key))
+    ]
     if witness_lines:
         lines.append("witnesses:")
         lines.extend(witness_lines)
@@ -192,7 +183,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     phi = _resolve_phi(L, args.phi)
     report = classification_report(L, delta, phi)
     if args.format == "json":
-        _emit(json.dumps(report.to_dict(), indent=2, sort_keys=True), args)
+        _emit(_json(report.to_dict()), args)
     else:
         _emit(_classification_table(report), args)
     return 0
@@ -206,12 +197,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     config = HarnessConfig(witness_cap=args.witness_cap, expected_vacuous=expected)
     report = run_all(corpus, config)
     if args.format == "json":
-        _emit(json.dumps(report.to_dict(), indent=2, sort_keys=True), args)
+        _emit(_json(report.to_dict()), args)
     else:
         lines = [report.text_table()]
-        for r in report.results:
-            for w in r.witnesses:
-                lines.append(f"violation {w.to_dict()}")
+        lines += (f"violation {w.to_dict()}" for r in report.results for w in r.witnesses)
         unexpected = report.unexpected_vacuous(expected)
         if unexpected:
             lines.append("unexpectedly vacuous: " + ", ".join(unexpected))
@@ -227,17 +216,16 @@ def cmd_hunt(args: argparse.Namespace) -> int:
         raise CliError(str(exc)) from exc
     hits = hunt(args.have, args.lack, _build_corpus(args))
     if args.format == "json":
-        _emit(json.dumps([h.to_dict() for h in hits], indent=2, sort_keys=True), args)
+        _emit(_json([h.to_dict() for h in hits]), args)
+    elif not hits:
+        _emit("no elements found", args)
     else:
-        if not hits:
-            _emit("no elements found", args)
-        else:
-            lines = [
-                f"{h.lattice} {h.element} lacks {h.lacking}"
-                + (f" (pair {h.pair[0]}, {h.pair[1]})" if h.pair else "")
-                for h in hits
-            ]
-            _emit("\n".join(lines), args)
+        lines = [
+            f"{h.lattice} {h.element} lacks {h.lacking}"
+            + (f" (pair {h.pair[0]}, {h.pair[1]})" if h.pair else "")
+            for h in hits
+        ]
+        _emit("\n".join(lines), args)
     return 0 if hits else 1
 
 

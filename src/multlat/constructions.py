@@ -9,7 +9,9 @@ as multiplication.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import gcd, isqrt
+from operator import not_
 
 from .lattice import FiniteMultiplicativeLattice, LatticeStructureError, validate
 
@@ -39,17 +41,22 @@ def zn_ideal_lattice(n: int) -> FiniteMultiplicativeLattice:
         raise ValueError(f"zn_ideal_lattice needs an integer in [2, {_ZN_LIMIT}], got {n!r}")
     small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
     divisors = sorted({*small, *(n // d for d in small)})
-    values = [n] + [d for d in divisors if 1 < d < n] + [1]
+    values = [n] + divisors[1:-1] + [1]
     index = {v: i for i, v in enumerate(values)}
     labels = ["(0)"] + [f"({d})" for d in values[1:-1]] + ["(1)"]
-    size = len(values)
-    leq = [[values[i] % values[j] == 0 for j in range(size)] for i in range(size)]
-    mul = [
-        [index[gcd(values[i] * values[j], n)] for j in range(size)]
-        for i in range(size)
-    ]
+    # (v) = (p)(v/p) for v's least prime factor p, its least divisor above 1:
+    # v's row is p's row read at the entries of v/p's row, built before it.
+    rows = {1: tuple(range(len(values)))}
+    for v in divisors[1:]:
+        p = next(d for d in divisors[1:] if v % d == 0)
+        if p == v:  # a prime: the one kind of row that takes a gcd
+            ideals = map(gcd, map(v.__mul__, values), repeat(n))
+            rows[v] = tuple(map(index.__getitem__, ideals))
+        else:
+            rows[v] = tuple(map(rows[p].__getitem__, rows[v // p]))
+    leq = [tuple(map(not_, map(v.__mod__, values))) for v in values]
     return FiniteMultiplicativeLattice(
-        f"Z{n}", labels, leq, mul, bottom=0, top=size - 1
+        f"Z{n}", labels, leq, [rows[v] for v in values], bottom=0, top=len(values) - 1
     )
 
 
@@ -86,17 +93,14 @@ def boolean_frame(k: int) -> FiniteMultiplicativeLattice:
 
 
 def _closure_from_covers(n: int, covers: list[tuple[int, int]]) -> list[list[bool]]:
-    leq = [[i == j for j in range(n)] for i in range(n)]
+    up = [1 << i for i in range(n)]  # row i of the order as a bitmask
     for a, b in covers:
-        leq[a][b] = True
-    for k in range(n):  # Warshall
+        up[a] |= 1 << b
+    for k in range(n):  # Warshall, a whole row at a time
         for i in range(n):
-            if leq[i][k]:
-                row_i, row_k = leq[i], leq[k]
-                for j in range(n):
-                    if row_k[j]:
-                        row_i[j] = True
-    return leq
+            if up[i] >> k & 1:
+                up[i] |= up[k]
+    return [[bool(m >> j & 1) for j in range(n)] for m in up]
 
 
 def parse_lattice(text: str) -> FiniteMultiplicativeLattice:

@@ -22,10 +22,11 @@ import re
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
-from operator import and_, eq, getitem
+from operator import and_, eq, not_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .classify import (
+    characterization_failures,
     compact_pair_violation,
     is_delta_primary,
     is_n_potent_delta_primary,
@@ -39,8 +40,6 @@ from .classify import (
     phi_primary_violation,
     phi_delta_primary_violation,
     n_potent_violation,
-    residual_characterization_A,
-    residual_characterization_B,
 )
 from .constructions import Corpus, default_corpus
 from .derived import (
@@ -50,7 +49,7 @@ from .derived import (
     power_stabilization,
     structure_profile,
 )
-from .lattice import FiniteMultiplicativeLattice, _bits, _gather, _per_lattice
+from .lattice import FiniteMultiplicativeLattice, _bits, _gather, _leq_mask, _mask, _per_lattice
 from .maps import (
     Expansion,
     Isomorphism,
@@ -284,31 +283,18 @@ def _chain_counts(L, name: str) -> dict[int, tuple[int, int]]:
 # -- masks ---------------------------------------------------------------------
 
 
-_BINARY = bytes.maketrans(b"\0\1", b"01")
-
-
-def _mask(flags: Iterable[bool]) -> int:
-    """The indices of the true entries of a flag per element, as a bitmask."""
-    return int(bytes(flags)[::-1].translate(_BINARY), 2)
-
-
 def _proper(L) -> int:
     return ((1 << L.n) - 1) ^ (1 << L.top)
 
 
 def _where(L, test: Callable[[int], bool]) -> int:
     """The proper elements q with test(q), as a bitmask."""
-    return sum(1 << q for q in L.proper_elements if test(q))
+    return _mask(q != L.top and bool(test(q)) for q in range(L.n))
 
 
 def _pull(flags: Sequence[bool], table: Sequence[int]) -> int:
     """The elements x with flags[table[x]]."""
     return _mask(_gather(table)(flags))
-
-
-def _leq_mask(L, xs: Sequence[int], ys: Sequence[int]) -> int:
-    """The elements x with xs[x] <= ys[x]."""
-    return _mask(map(getitem, map(L.leq_table.__getitem__, xs), ys))
 
 
 def _squares(L) -> list[int]:
@@ -327,7 +313,7 @@ def _every_phin(L, delta: Expansion) -> int:
     stable = [power_stabilization(L, p) for p in range(L.n)]
     every = ALL
     for n in range(2, max(2, *stable) + 1):
-        needs = ALL if n == 2 else sum(1 << p for p, s in enumerate(stable) if s >= n)
+        needs = ALL if n == 2 else _mask(s >= n for s in stable)
         every &= ~needs | _pdp(L, delta, _phi(L, f"phi{n}"))
     return every
 
@@ -407,7 +393,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         ("delta", "phi", "q"),
         lambda L, c, delta, phi: (ALL, _agree(
             _pdp(L, delta, phi),
-            _where(L, lambda q: residual_characterization_A(L, delta, phi, q)),
+            _mask(map(not_, characterization_failures(L, delta, phi)[0])),
             _where(L, lambda q: compact_pair_violation(L, delta, phi, q) is None),
         )),
         "definition <=> characterization-A <=> compact-pair form",
@@ -419,7 +405,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         ("delta", "phi", "q"),
         lambda L, c, delta, phi: (ALL, _agree(
             _pdp(L, delta, phi),
-            _where(L, lambda q: residual_characterization_B(L, delta, phi, q)),
+            _mask(map(not_, characterization_failures(L, delta, phi)[1])),
         )),
         "definition <=> characterization-B",
     )

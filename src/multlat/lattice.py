@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from operator import itemgetter
+from operator import getitem, itemgetter
+from typing import Iterable, Sequence
 
 
 class LatticeStructureError(ValueError):
@@ -53,27 +54,22 @@ class FiniteMultiplicativeLattice:
     """
 
     def __init__(self, name, labels, leq, mul, bottom, top):
-        labels = tuple(str(x) for x in labels)
+        labels = tuple(map(str, labels))
         n = len(labels)
         if n == 0:
             raise LatticeStructureError("empty carrier")
         if len(set(labels)) != n:
             raise LatticeStructureError("duplicate element labels")
-        leq = tuple(tuple(bool(v) for v in row) for row in leq)
-        mul_rows = []
-        for row in mul:
-            mul_rows.append(tuple(int(v) for v in row))
-        mul = tuple(mul_rows)
+        leq = tuple(tuple(map(bool, row)) for row in leq)
+        mul = tuple(tuple(map(int, row)) for row in mul)
         if len(leq) != n or any(len(row) != n for row in leq):
             raise LatticeStructureError("order table is not n-by-n")
         if len(mul) != n or any(len(row) != n for row in mul):
             raise LatticeStructureError("multiplication table is not n-by-n")
-        for row in mul:
-            for v in row:
-                if not 0 <= v < n:
-                    raise LatticeStructureError(f"product index {v} out of range")
-        bottom = int(bottom)
-        top = int(top)
+        if min(map(min, mul)) < 0 or max(map(max, mul)) >= n:
+            v = next(v for row in mul for v in row if not 0 <= v < n)
+            raise LatticeStructureError(f"product index {v} out of range")
+        bottom, top = int(bottom), int(top)
         if not (0 <= bottom < n and 0 <= top < n):
             raise LatticeStructureError("bottom/top index out of range")
         self.name = str(name)
@@ -84,17 +80,21 @@ class FiniteMultiplicativeLattice:
         self.bottom = bottom
         self.top = top
         self._index = {lab: i for i, lab in enumerate(labels)}
-        self._hash = hash((self.name, labels, leq, mul, bottom, top))
         self._memo = {}  # filled by _per_lattice functions
 
     # -- identity ---------------------------------------------------------
+
+    @cached_property
+    def _hash(self) -> int:  # on first use: building a lattice hashes no table
+        return hash(
+            (self.name, self.labels, self.leq_table, self.mul_table, self.bottom, self.top)
+        )
 
     def __eq__(self, other):
         if not isinstance(other, FiniteMultiplicativeLattice):
             return NotImplemented
         return (
-            self._hash == other._hash
-            and self.name == other.name
+            self.name == other.name
             and self.labels == other.labels
             and self.leq_table == other.leq_table
             and self.mul_table == other.mul_table
@@ -138,13 +138,12 @@ class FiniteMultiplicativeLattice:
     @cached_property
     def up_sets(self) -> tuple[int, ...]:
         """Bitmask per element: bit k of ``up_sets[a]`` is set iff a <= k."""
-        return tuple(sum(v << k for k, v in enumerate(row)) for row in self.leq_table)
+        return tuple(map(_mask, self.leq_table))
 
     @cached_property
     def down_sets(self) -> tuple[int, ...]:
         """Bitmask per element: bit k of ``down_sets[a]`` is set iff k <= a."""
-        cols = zip(*self.leq_table)
-        return tuple(sum(v << k for k, v in enumerate(col)) for col in cols)
+        return tuple(map(_mask, zip(*self.leq_table)))
 
     @cached_property
     def _lub(self) -> tuple[tuple[int, ...], ...]:
@@ -290,15 +289,16 @@ class FiniteMultiplicativeLattice:
         down = self.down_sets
         owner = {m: k for k, m in enumerate(down)}
         steps = sorted(self.covers, key=lambda cover: down[cover[1]].bit_count())
+        singles = [1 << x for x in range(self.n)]
         out = []
         for image in images:
             acc = [0] * self.n
-            for x, v in enumerate(image):
-                acc[v] |= 1 << x
+            for v, bit in zip(image, singles):
+                acc[v] |= bit
             for c, t in steps:
                 acc[t] |= acc[c]
             try:
-                out.append([owner[m] for m in acc])
+                out.append(list(map(owner.__getitem__, acc)))
             except KeyError:
                 broken = ", ".join(self.validation.axiom_names())
                 raise LatticeStructureError(
@@ -331,6 +331,19 @@ def _per_lattice(fn):
             return value
 
     return kept
+
+
+_BINARY = bytes.maketrans(b"\0\1", b"01")
+
+
+def _mask(flags: Iterable[bool]) -> int:
+    """The indices of the true entries of a flag per element, as a bitmask."""
+    return int(bytes(flags)[::-1].translate(_BINARY), 2)
+
+
+def _leq_mask(L, xs: Sequence[int], ys: Iterable[int]) -> int:
+    """The elements x with xs[x] <= ys[x]."""
+    return _mask(map(getitem, map(L.leq_table.__getitem__, xs), ys))
 
 
 def _bits(mask: int):

@@ -18,11 +18,18 @@ tests every element predicate by predicate; ``tests/test_harness.py`` checks
 the bitmask ``multlat.hunt`` against it.  ``registry`` and ``run_property``
 state every theorem one instance at a time, T24 and T26 with their literal
 hypotheses and T21 weighted by ``listed_chain_counts``;
-``tests/test_harness.py`` checks ``multlat``'s rows of elements against them.
+``tests/test_harness.py`` checks ``multlat``'s rows of elements against them;
+T05 and T06 read the literal residual characterizations,
+``characterization_A_witness`` and ``characterization_B_witness``, which walk
+every a.  ``zn_tables`` builds Z mod n's tables from gcd and divisibility
+entry by entry, and ``up_sets``/``down_sets`` sum one shifted flag at a time;
+``tests/test_constructions.py`` and ``tests/test_kernels.py`` check the
+row-built tables against them.
 """
 
 from dataclasses import dataclass, field
 from itertools import product
+from math import gcd
 from typing import Callable
 
 from multlat import (
@@ -58,8 +65,6 @@ from multlat import (
     power_stabilization,
     radical,
     residual,
-    residual_characterization_A,
-    residual_characterization_B,
 )
 from multlat import compact_pair_violation as fast_compact_pair_violation
 from multlat import structure_profile as fast_structure_profile
@@ -223,6 +228,52 @@ def compact_pair_violation(L, delta, phi, q):
             if not (L.leq(s, q) or L.leq(r, dq)):
                 return (r, s)
     return None
+
+
+def _phi_residual(L, phi, q, a):
+    """(phi(q) : a); the none kind excuses nothing, so it reads bottom."""
+    return L.bottom if phi.none else residual(L, phi.table[q], a)
+
+
+def characterization_A_witness(L, delta, phi, q):
+    """First a with a !<= delta(q) where (q:a) is neither q nor (phi(q):a)."""
+    for a in range(L.n):
+        res = residual(L, q, a)
+        if not L.leq(a, delta.table[q]) and res != q and res != _phi_residual(L, phi, q, a):
+            return a
+    return None
+
+
+def characterization_B_witness(L, delta, phi, q):
+    """First a with a !<= q where (q:a) !<= delta(q) and (q:a) != (phi(q):a)."""
+    for a in range(L.n):
+        res = residual(L, q, a)
+        if not L.leq(a, q) and not L.leq(res, delta.table[q]) and (
+            res != _phi_residual(L, phi, q, a)
+        ):
+            return a
+    return None
+
+
+def zn_tables(n):
+    """Z mod n's order and product tables, entry by entry: the carrier is (0),
+    the proper divisors ascending, then (1); (a) <= (b) iff b | a, and
+    (a)(b) = (gcd(ab, n))."""
+    values = [n] + [d for d in range(2, n) if n % d == 0] + [1]
+    index = {v: i for i, v in enumerate(values)}
+    leq = tuple(tuple(a % b == 0 for b in values) for a in values)
+    mul = tuple(tuple(index[gcd(a * b, n)] for b in values) for a in values)
+    return leq, mul
+
+
+def up_sets(L):
+    """Bit k of entry a is set iff a <= k, summed one shifted flag at a time."""
+    return tuple(sum(v << k for k, v in enumerate(row)) for row in L.leq_table)
+
+
+def down_sets(L):
+    """Bit k of entry a is set iff k <= a, summed one shifted flag at a time."""
+    return tuple(sum(v << k for k, v in enumerate(col)) for col in zip(*L.leq_table))
 
 
 def proper_chains(L):
@@ -652,7 +703,7 @@ def registry():
         lambda L, c, i: True,
         lambda L, c, i: (
             is_phi_delta_primary(L, i["delta"], i["phi"], i["q"])
-            == residual_characterization_A(L, i["delta"], i["phi"], i["q"])
+            == (characterization_A_witness(L, i["delta"], i["phi"], i["q"]) is None)
             == (fast_compact_pair_violation(L, i["delta"], i["phi"], i["q"]) is None)
         ),
         "definition <=> characterization-A <=> compact-pair form",
@@ -664,7 +715,7 @@ def registry():
         ("delta", "phi", "q"),
         lambda L, c, i: True,
         lambda L, c, i: is_phi_delta_primary(L, i["delta"], i["phi"], i["q"])
-        == residual_characterization_B(L, i["delta"], i["phi"], i["q"]),
+        == (characterization_B_witness(L, i["delta"], i["phi"], i["q"]) is None),
         "definition <=> characterization-B",
     )
 

@@ -317,6 +317,21 @@ REPORT_DIGESTS = [
         id="classify",
     ),
     pytest.param(
+        ("classify", "--zn", "942480", "--format", "json"),
+        "cd4debe937d48d63c78f5bb23d7011a6d4a08c45dfe665e1db22df12bd6742dc",
+        id="classify-zn942480",
+    ),
+    pytest.param(
+        ("classify", "--boolean", "6", "--format", "json"),
+        "086666f666ac5514d9028e1b6f8d0c90df90a24f2530632fec3df0687533eea0",
+        id="classify-bool64",
+    ),
+    pytest.param(
+        ("classify", "--chain", "9", "--delta", "d0", "--phi", "omega", "--format", "json"),
+        "70aeed55b3bb35d98e9e578f13ee439aa9e283d1f6c02881a43e0ff740c43094",
+        id="classify-chain9-omega",
+    ),
+    pytest.param(
         ("hunt", "--have", "phi2-d1-primary", "--lack", "prime", "--format", "json"),
         "085a95462d0e144dd8ae6a694145d3cd6569d9fbf264a224b3a203f14279b439",
         id="hunt-lack-prime",

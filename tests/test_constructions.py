@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from multlat import (
     LatticeFormatError,
     LatticeValidationError,
@@ -51,6 +52,20 @@ def test_zn_rejects_bad_arguments():
     for n in (1, 0, -3, 10**6 + 1, "8", 2.0):
         with pytest.raises(ValueError):
             zn_ideal_lattice(n)
+
+
+def test_zn_tables_equal_the_literal_tables_up_to_2000():
+    # The rows are built from the primes' rows by (v) = (p)(v/p); every
+    # entry must equal the literal gcd and divisibility tables.
+    for n in range(2, 2001):
+        L = zn_ideal_lattice(n)
+        assert (L.leq_table, L.mul_table) == oracle.zn_tables(n), n
+
+
+@pytest.mark.parametrize("n", [942480, 986364, 919836, 981360, 720720])
+def test_zn_tables_equal_the_literal_tables_at_scale(n):
+    L = zn_ideal_lattice(n)
+    assert (L.leq_table, L.mul_table) == oracle.zn_tables(n)
 
 
 def test_zn_multiplication_is_ideal_product():

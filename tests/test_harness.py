@@ -18,6 +18,7 @@ import pytest
 import oracle
 from conftest import time_limit
 from multlat import (
+    FiniteMultiplicativeLattice,
     HarnessConfig,
     Isomorphism,
     Row,
@@ -31,9 +32,12 @@ from multlat import (
     make_delta,
     make_phi,
     parse_predicate,
+    phi_delta_primary_violation,
+    power_stabilization,
     registry,
     run_all,
     run_property,
+    validate,
     zn_ideal_lattice,
 )
 from multlat import harness
@@ -596,3 +600,55 @@ def test_predicate_numerals_have_no_leading_zero():
             parse_predicate(bad)
     for good in ("phi0-prime", "phi10-primary", "phi100-d0-primary", "10-potent-d1-primary"):
         assert parse_predicate(good).name == good
+
+
+# -- _every_phin at the stabilization index ------------------------------------
+
+
+def _valuation_chain():
+    """The chain 0 < x3 < x2 < p < a < 1 whose nonzero proper products add
+    valuations v(a) = v(p) = 1 and v(x2) = 2, capped at x3 (v = 3).
+
+    p stabilizes at s = 3 (p, x2, x3, x3, ...) and is phi2-d0-primary but not
+    phi3-d0-primary, witnessed by aa = x2: phi3 is the first map at which p
+    drops out, so "for every n >= 2" has to check n = s itself.
+    """
+    labels = ("0", "x3", "x2", "p", "a", "1")
+    value = {"x3": 3, "x2": 2, "p": 1, "a": 1}
+
+    def times(x, y):
+        if "1" in (x, y):
+            return y if x == "1" else x
+        if "0" in (x, y):
+            return "0"
+        return {2: "x2", 3: "x3"}[min(3, value[x] + value[y])]
+
+    leq = [[i <= j for j in range(6)] for i in range(6)]
+    mul = [[labels.index(times(x, y)) for y in labels] for x in labels]
+    return FiniteMultiplicativeLattice("valchain", labels, leq, mul, 0, 5)
+
+
+def test_every_phin_checks_the_stabilization_index_itself():
+    L = _valuation_chain()
+    assert validate(L).ok, validate(L).describe(L)
+    p, a = L.index_of("p"), L.index_of("a")
+    d0 = make_delta(L, "d0")
+    assert power_stabilization(L, p) == 3
+    assert phi_delta_primary_violation(L, d0, make_phi(L, "phi2"), p) is None
+    assert phi_delta_primary_violation(L, d0, make_phi(L, "phi3"), p) == (a, a)
+    every = harness._every_phin(L, d0)
+    for q in L.proper_elements:
+        assert (every >> q & 1) == oracle._every_phin_delta_primary(L, d0, q), L.label(q)
+    assert not every >> p & 1
+
+
+def test_valuation_chain_passes_every_theorem():
+    # Under `s > n` in place of `s >= n`, T10 reports FAIL here.
+    corpus = Corpus((CorpusEntry(_valuation_chain(), "phin boundary"),))
+    statuses = {r.id: r.status for r in run_all(corpus).results}
+    vacuous = {"T07", "T11", "T12", "T19", "T28"}
+    assert {k for k, v in statuses.items() if v == "VACUOUS"} == vacuous
+    assert {v for k, v in statuses.items() if k not in vacuous} == {"PASS"}
+    for pid in REGISTRY:
+        got = run_property(REGISTRY[pid], corpus).to_dict()
+        assert got == oracle.run_property(ORACLE[pid], corpus).to_dict(), pid

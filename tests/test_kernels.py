@@ -13,6 +13,8 @@ from multlat import (
     LatticeStructureError,
     boolean_frame,
     chain_frame,
+    characterization_A_witness,
+    characterization_B_witness,
     compact_pair_violation,
     default_corpus,
     delta_primary_violation,
@@ -26,8 +28,12 @@ from multlat import (
     power_stabilization,
     primary_violation,
     prime_violation,
+    residual_characterization_A,
+    residual_characterization_B,
     zn_ideal_lattice,
 )
+from multlat.classify import characterization_failures
+from test_derived import SHAPES
 
 DELTA_KINDS = ("d0", "d1")
 PHI_KINDS = ("none", "phi0", "phi1", "phi2", "phi3", "phiomega")
@@ -88,6 +94,39 @@ def test_witnesses_match_oracle(lattice):
                 assert compact_pair_violation(L, delta, phi, p) == (
                     oracle.compact_pair_violation(L, delta, phi, p)
                 ), where
+
+
+@pytest.mark.parametrize("L", [*LATTICES, *SHAPES], ids=lambda L: L.name)
+def test_order_masks_match_oracle(L):
+    assert L.up_sets == oracle.up_sets(L)
+    assert L.down_sets == oracle.down_sets(L)
+
+
+CHARACTERIZED = [
+    *default_corpus().lattices(),
+    zn_ideal_lattice(5040),
+    *(chain_frame(k) for k in range(6)),
+    *(boolean_frame(k) for k in range(5)),
+    *SHAPES,
+]
+
+
+@pytest.mark.parametrize("L", CHARACTERIZED, ids=lambda L: L.name)
+def test_characterization_masks_match_the_literal_scans(L):
+    # Each witness is the lowest bit of a per-q failure mask, which the
+    # harness reads for T05 and T06; the verdict is that mask being empty.
+    for delta in (make_delta(L, k) for k in DELTA_KINDS):
+        for phi in (make_phi(L, k) for k in PHI_KINDS):
+            fails_a, fails_b = characterization_failures(L, delta, phi)
+            for q in L.proper_elements:
+                where = (L.name, delta.tag, phi.tag, L.label(q))
+                a = oracle.characterization_A_witness(L, delta, phi, q)
+                b = oracle.characterization_B_witness(L, delta, phi, q)
+                assert (fails_a[q] == 0, fails_b[q] == 0) == (a is None, b is None), where
+                assert characterization_A_witness(L, delta, phi, q) == a, where
+                assert characterization_B_witness(L, delta, phi, q) == b, where
+                assert residual_characterization_A(L, delta, phi, q) == (a is None), where
+                assert residual_characterization_B(L, delta, phi, q) == (b is None), where
 
 
 def test_large_power_is_the_stabilized_power(corpus):

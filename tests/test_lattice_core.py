@@ -138,6 +138,39 @@ def test_structural_errors():
         FiniteMultiplicativeLattice("x", ok.labels, ok.leq_table, ok.mul_table, 0, 5)
 
 
+@pytest.mark.parametrize(
+    "entries, named",
+    [
+        ({(2, 1): -1, (1, 3): 7}, 7),
+        ({(1, 0): -2, (3, 3): 4}, -2),
+        ({(0, 3): 4, (0, 1): -1}, -1),
+        ({(3, 2): 99}, 99),
+        ({(2, 2): -1}, -1),
+    ],
+)
+def test_out_of_range_products_name_the_row_major_first(entries, named):
+    ok = zn_ideal_lattice(8)
+    mul = [list(r) for r in ok.mul_table]
+    for (a, b), v in entries.items():
+        mul[a][b] = v
+    with pytest.raises(LatticeStructureError) as err:
+        FiniteMultiplicativeLattice("x", ok.labels, ok.leq_table, mul, 0, 3)
+    assert str(err.value) == f"product index {named} out of range"
+
+
+def test_lattice_is_a_dict_key_before_any_table_is_read():
+    fresh = zn_ideal_lattice(24)
+    assert not {"_hash", "up_sets", "down_sets", "_lub"} & vars(fresh).keys()
+    seen = {fresh: "z24"}
+    assert seen[zn_ideal_lattice(24)] == "z24"
+    assert hash(fresh) == hash(zn_ideal_lattice(24))
+    assert not {"up_sets", "down_sets", "_lub", "_residual_table"} & vars(fresh).keys()
+    rebuilt = FiniteMultiplicativeLattice(
+        "Z24", fresh.labels, fresh.leq_table, fresh.mul_table, fresh.bottom, fresh.top
+    )
+    assert rebuilt == fresh and hash(rebuilt) == hash(fresh)
+
+
 def test_single_element_lattice_is_lawful():
     L = chain_frame(0)
     assert L.n == 1 and L.bottom == L.top

@@ -45,3 +45,34 @@ def test_no_module_imports_a_later_one():
             if target in ORDER and ORDER.index(target) >= rank:
                 back_edges.append(f"{name}.py:{lineno} imports {target}")
     assert back_edges == []
+
+
+def _tree(name):
+    return ast.parse((PACKAGE / f"{name}.py").read_text())
+
+
+def test_harness_takes_its_bitmask_builder_from_lattice():
+    imports = {
+        alias.name
+        for node in ast.walk(_tree("harness"))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "lattice"
+        for alias in node.names
+    }
+    assert "_mask" in imports
+
+
+def test_lattice_holds_the_only_bitmask_builder():
+    # One flags-to-bitmask builder, lattice._mask; no module sums shifted flags.
+    builders, shift_sums = [], []
+    for name in ORDER:
+        for node in ast.walk(_tree(name)):
+            if isinstance(node, ast.FunctionDef) and node.name == "_mask":
+                builders.append(name)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sum":
+                if any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.LShift)
+                       for n in ast.walk(node)):
+                    shift_sums.append(f"{name}.py:{node.lineno}")
+            if isinstance(node, ast.Attribute) and node.attr == "maketrans":
+                builders.append(f"{name} (maketrans)")
+    assert builders == ["lattice", "lattice (maketrans)"]
+    assert shift_sums == []
