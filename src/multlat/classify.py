@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import ne
+from operator import and_, ne
 
 from .derived import radical
 from .lattice import FiniteMultiplicativeLattice, _bits, _leq_mask, _mask, _per_lattice
@@ -124,10 +124,14 @@ def is_n_potent_delta_primary(L, delta, p, k) -> bool:
 
 @_per_lattice
 def _delta_masks(L, deltas):
-    """Per q, the a with (q:a) != q and the a with (q:a) <= deltas[q]."""
-    res = L._residual_table
-    moved = tuple(_mask(map(q.__ne__, row)) for q, row in enumerate(res))
-    return moved, tuple(_leq_mask(L, row, repeat(d)) for row, d in zip(res, deltas))
+    """Per q, the a at which characterizations A and B fail when (q:a) differs
+    from (phi(q):a): for A the a !<= deltas[q] with (q:a) != q, for B the
+    a !<= q with (q:a) !<= deltas[q]."""
+    down, fails_a, fails_b = L.down_sets, [], []
+    for q, (row, d) in enumerate(zip(L._residual_table, deltas)):
+        fails_a.append(_mask(map(q.__ne__, row)) & ~down[d])
+        fails_b.append(~down[q] & ~_leq_mask(L, row, repeat(d)))
+    return tuple(fails_a), tuple(fails_b)
 
 
 @_per_lattice
@@ -139,19 +143,10 @@ def _phi_masks(L, excuses):
     return tuple(_mask(map(ne, row, other)) for row, other in zip(res, others))
 
 
-@_per_lattice
-def _failures(L, deltas, excuses):
-    """Per q, the a at which characterization A fails and those at which B fails."""
-    (moved, within), split, down = _delta_masks(L, deltas), _phi_masks(L, excuses), L.down_sets
-    return (
-        tuple(m & s & ~down[d] for m, s, d in zip(moved, split, deltas)),
-        tuple(~dq & s & ~w for dq, s, w in zip(down, split, within)),
-    )
-
-
 def characterization_failures(L, delta: Expansion, phi: PhiMap):
     """Per element q, as bitmasks over a, where characterizations A and B fail."""
-    return _failures(L, delta.table, None if phi.none else phi.table)
+    split = _phi_masks(L, None if phi.none else phi.table)
+    return tuple(tuple(map(and_, part, split)) for part in _delta_masks(L, delta.table))
 
 
 def characterization_A_witness(L, delta: Expansion, phi: PhiMap, q):
