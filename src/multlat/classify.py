@@ -7,9 +7,11 @@ caller error, not a false answer.  False answers come with the
 lexicographically first violating pair, which makes reports deterministic.
 The pair scans read rows off the residual table, so they assume a lattice
 that passes ``validate``.  Every predicate is one scan, ``_first_pair``, whose
-verdict is kept in the lattice's own memo under its four element arguments;
-predicates that reduce to the same scan (prime, phi-prime for the none kind,
-d0-primary) share one entry, and the memo is freed with the lattice.
+verdict is kept in the lattice's own memo under its four element arguments,
+and the memo is freed with the lattice.  The paper's notions specialize
+phi-delta-primary (prime is delta = id, primary delta = radical,
+delta-primary phi = none), so their wrappers below share its entries; the
+harness calls only ``phi_delta_primary_violation`` and ``n_potent_violation``.
 """
 
 from __future__ import annotations

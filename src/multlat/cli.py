@@ -23,7 +23,7 @@ from .constructions import (
     to_dot,
     zn_ideal_lattice,
 )
-from .harness import HarnessConfig, hunt, predicate_name, run_all
+from .harness import HarnessConfig, hunt, predicate_name, registry, run_all
 from .lattice import FiniteMultiplicativeLattice, validate
 from .maps import MapValidationError, make_delta, make_phi, parse_map_table
 
@@ -192,8 +192,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.witness_cap < 0:
         raise CliError(f"--witness-cap must be >= 0, got {args.witness_cap}")
-    corpus = _build_corpus(args)
     expected = () if args.expect_vacuous == ["none"] else tuple(args.expect_vacuous)
+    known = {prop.id for prop in registry()}
+    for pid in expected:
+        if pid not in known:
+            raise CliError(f"unknown property id {pid!r}")
+    corpus = _build_corpus(args)
     config = HarnessConfig(witness_cap=args.witness_cap, expected_vacuous=expected)
     report = run_all(corpus, config)
     if args.format == "json":
@@ -274,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--expect-vacuous",
                 nargs="*",
-                default=["T12"],
+                default=list(HarnessConfig().expected_vacuous),
                 metavar="ID",
                 help="property ids allowed to be vacuous ('none' to allow none)",
             )

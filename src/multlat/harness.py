@@ -11,7 +11,8 @@ binding but the last, the element, and holds as bitmasks over element
 indices the elements it ranges over and those where the hypothesis and the
 conclusion hold; a condition that does not read the element is decided
 once per row.  The masks come from one per-lattice verdict store,
-``_verdicts``, keyed by hunt predicate name and shared with ``hunt``.
+``_verdicts``, keyed by a hunt predicate's kernel spelling and shared with
+``hunt``.
 ``tests/oracle.py`` keeps the per-instance statements the rows are checked
 against.
 """
@@ -28,18 +29,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from .classify import (
     characterization_failures,
     compact_pair_violation,
-    is_delta_primary,
-    is_n_potent_delta_primary,
-    is_phi_delta_primary,
-    is_phi_prime,
-    is_prime,
-    prime_violation,
-    primary_violation,
-    delta_primary_violation,
-    phi_prime_violation,
-    phi_primary_violation,
-    phi_delta_primary_violation,
     n_potent_violation,
+    phi_delta_primary_violation,
 )
 from .constructions import Corpus, default_corpus
 from .derived import (
@@ -223,8 +214,12 @@ def _verdicts(
     """One pass of the named predicate's finder over L's proper elements: the
     elements that have it as a bitmask and as one flag per element (False at
     the top), and per element its first violating pair (None where there is
-    none).  Keyed by the normalized predicate name, a str: the harness rows,
-    ``hunt``, T21's chain counts and T26 all read verdicts from here."""
+    none).  Keyed by the kernel spelling of a predicate name, whose entry an
+    alias shares: the harness rows, ``hunt``, T21's chain counts and T26 all
+    read verdicts from here."""
+    kernel = _kernel_name(name)
+    if kernel != name:
+        return _verdicts(L, kernel)
     witness = _finder(name)
     pairs: list[tuple[int, int] | None] = [None] * L.n
     flags = [False] * L.n
@@ -727,33 +722,20 @@ def registry() -> tuple[TheoremProperty, ...]:
         "phiomega and every phin",
     )
 
-    _T28_CASES = {
-        "Z24": "(4)",
-        "Z30": "(6)",
-        "Z8": "(4)",
+    # per lattice: the element, the predicates it has and those it lacks
+    examples = {
+        "Z24": ("(4)", ("phi2-d1-primary",), ("phi2-prime", "prime")),
+        "Z30": ("(6)", ("phi2-d1-primary",), ("d1-primary", "2-potent-d0-primary")),
+        "Z8": ("(4)", ("phi2-d1-primary", "2-potent-d0-primary"), ("idempotent", "prime")),
     }
 
-    def t28_holds(L, q):
-        d0, d1, phi2 = _delta(L, "d0"), _delta(L, "d1"), _phi(L, "phi2")
-        if not is_phi_delta_primary(L, d1, phi2, q):
-            return False
-        if L.name == "Z24":
-            return not is_phi_prime(L, phi2, q) and not is_prime(L, q)
-        if L.name == "Z30":
-            return not is_delta_primary(L, d1, q) and not is_n_potent_delta_primary(
-                L, d0, q, 2
-            )
-        return (
-            not is_idempotent(L, q)
-            and is_n_potent_delta_primary(L, d0, q, 2)
-            and not is_prime(L, q)
-        )
-
     def t28_rows(L, corpus, config):
-        label = _T28_CASES.get(L.name)
-        if label is not None and label in L.labels:
+        label, has, lacks = examples.get(L.name, (None, (), ()))
+        if label in L.labels:
             q = L.index_of(label)
-            yield Row((), 1 << q, ALL, ALL if t28_holds(L, q) else 0)
+            flags = [_verdicts(L, name)[1][q] for name in has + lacks]
+            published = all(flags[: len(has)]) and not any(flags[len(has):])
+            yield Row((), 1 << q, ALL, ALL if published else 0)
 
     add(
         "T28",
@@ -852,8 +834,9 @@ def run_all(
 class Predicate:
     """A hunt predicate: ``witness(L, q)`` is its first violating pair at the
     proper element q, or None when q has it; ``test`` reads that verdict.
-    It compares on its normalized name only, and the per-lattice hunt memos
-    key on that name, a str, never on the Predicate."""
+    Every name but idempotent is one call of the phi-delta-primary kernel or,
+    for k >= 2, the k-potent one.  It compares on its normalized name only,
+    and the per-lattice hunt memos key on a name, never on the Predicate."""
 
     name: str
     witness: Callable[[FiniteMultiplicativeLattice, int], tuple[int, int] | None] = field(
@@ -864,15 +847,13 @@ class Predicate:
         return self.witness(L, q) is None
 
 
-# Numerals carry no leading zero, so each predicate has one spelling.
-_POTENT_RE = re.compile(r"^([1-9]\d*)-potent-d([01])-primary$")
-_PHI_DELTA_RE = re.compile(r"^phi(0|[1-9]\d*|omega)-d([01])-primary$")
-_PHI_PRIME_RE = re.compile(r"^phi(0|[1-9]\d*|omega)-(prime|primary)$")
-_DELTA_RE = re.compile(r"^d([01])-primary$")
-_GRAMMAR = re.compile("|".join([
-    "^(prime|primary|idempotent)$",
-    *(r.pattern for r in (_DELTA_RE, _PHI_PRIME_RE, _PHI_DELTA_RE, _POTENT_RE)),
-]))
+# Numerals carry no leading zero, so each predicate has one spelling; the
+# groups are the kernel's arguments, and prime/primary are its d0/d1 forms.
+_GRAMMAR = re.compile(
+    r"^(?:phi(?P<phi>0|[1-9]\d*|omega)-|(?P<k>[1-9]\d*)-potent-(?=d))?"
+    r"(?:d(?P<d>[01])-primary|(?P<alias>prime|primary))$|^idempotent$"
+)
+_ALIASES = {"prime": "d0-primary", "primary": "d1-primary"}
 
 
 def predicate_name(name: str) -> str:
@@ -891,33 +872,25 @@ def predicate_name(name: str) -> str:
     return name
 
 
+def _kernel_name(name: str) -> str:
+    """The kernel spelling of a normalized name: prime and primary, alone or
+    after phi<P>-, are spelt d0-primary and d1-primary."""
+    m = _GRAMMAR.match(name)
+    return name[: m.start("alias")] + _ALIASES[m["alias"]] if m["alias"] else name
+
+
 def _finder(name: str) -> Callable[[FiniteMultiplicativeLattice, int], tuple[int, int] | None]:
     """The violation finder over (lattice, element) of a normalized predicate
     name; the idempotent finder's pair is (q, q^2)."""
-    if name == "prime":
-        return prime_violation
-    if name == "primary":
-        return primary_violation
-    if name == "idempotent":
+    m = _GRAMMAR.match(_kernel_name(name))
+    if m["d"] is None:
         return lambda L, q: None if is_idempotent(L, q) else (q, L.power(q, 2))
-    m = _DELTA_RE.match(name)
-    if m:
-        kind = f"d{m.group(1)}"
-        return lambda L, q: delta_primary_violation(L, _delta(L, kind), q)
-    m = _PHI_PRIME_RE.match(name)
-    if m:
-        pk, which = f"phi{m.group(1)}", m.group(2)
-        finder = phi_prime_violation if which == "prime" else phi_primary_violation
-        return lambda L, q: finder(L, _phi(L, pk), q)
-    m = _PHI_DELTA_RE.match(name)
-    if m:
-        pk, dk = f"phi{m.group(1)}", f"d{m.group(2)}"
-        return lambda L, q: phi_delta_primary_violation(L, _delta(L, dk), _phi(L, pk), q)
-    m = _POTENT_RE.match(name)
-    if m:
-        k, dk = int(m.group(1)), f"d{m.group(2)}"
+    dk = f"d{m['d']}"
+    if m["k"]:
+        k = int(m["k"])
         return lambda L, q: n_potent_violation(L, _delta(L, dk), q, k)
-    raise ValueError(f"unknown predicate {name!r}")
+    pk = f"phi{m['phi']}" if m["phi"] else "none"
+    return lambda L, q: phi_delta_primary_violation(L, _delta(L, dk), _phi(L, pk), q)
 
 
 def parse_predicate(name: str) -> Predicate:

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from multlat import cli, serialize, zn_ideal_lattice
+from multlat import HarnessConfig, cli, serialize, zn_ideal_lattice
 from multlat.cli import main
 
 Z8_BAD = """\
@@ -207,6 +207,25 @@ def test_unknown_corpus_is_rejected_before_building_any_lattice(capsys, monkeypa
     assert err.startswith("error: unknown corpus 'bogus'")
     assert not out
     assert built == []
+
+
+def test_verify_rejects_an_unknown_vacuous_id_before_building_any_lattice(
+    capsys, monkeypatch
+):
+    built = []
+    for builder in ("default_corpus", "zn_ideal_lattice"):
+        monkeypatch.setattr(cli, builder, lambda *args, b=builder: built.append((b, args)))
+    rc, out, err = run(capsys, "verify", "--expect-vacuous", "T12", "T99",
+                       "--add-zn", "720720")
+    assert rc == 2
+    assert err == "error: unknown property id 'T99'\n"
+    assert not out
+    assert built == []
+
+
+def test_verify_expects_the_config_vacuous_ids_by_default():
+    args = cli.build_parser().parse_args(["verify"])
+    assert tuple(args.expect_vacuous) == HarnessConfig().expected_vacuous
 
 
 def test_export_dot(tmp_path, capsys):

@@ -475,6 +475,14 @@ PREDICATES = [
     *(f"{k}-potent-d{d}-primary" for k in range(2, 5) for d in range(2)),
 ]
 
+# the kernel spelling of each alias: prime is the d0 form, primary the d1 form
+KERNEL = {
+    f"{head}{alias}": f"{head}{form}"
+    for head in ("", *(f"phi{e}-" for e in EXPONENTS))
+    for alias, form in (("prime", "d0-primary"), ("primary", "d1-primary"))
+}
+KERNELS = {KERNEL.get(name, name) for name in PREDICATES}
+
 
 def _two_predicate_queries(seed, count):
     rng = random.Random(seed)
@@ -582,7 +590,8 @@ def test_warm_hunts_read_masks(monkeypatch):
         *_two_predicate_queries(2, 50),
     ]
     found = 0
-    assert set(built) == set(PREDICATES)
+    # an alias reads its kernel's entry: 21 passes for the 35 names
+    assert set(built) == KERNELS and len(KERNELS) == 21
     for have, lack in queries:
         calls.clear()
         built.clear()
@@ -590,6 +599,22 @@ def test_warm_hunts_read_masks(monkeypatch):
         # the cold hunts kept every hit, so a warm query builds no finder
         # and calls no witness
         assert not built and not calls, (have, lack, built, calls)
+    assert found
+
+
+def test_aliases_share_the_kernel_entry(corpus):
+    for L in corpus.lattices():
+        for name in PREDICATES:
+            kernel = KERNEL.get(name, name)
+            assert harness._verdicts(L, name) is harness._verdicts(L, kernel), (L.name, name)
+    found = 0
+    for alias, kernel in KERNEL.items():
+        for have in PREDICATES:
+            hits = hunt(have, alias, corpus)
+            assert all(h.lacking == alias for h in hits), (have, alias)
+            # the same hits as the kernel name, but for the name they echo
+            assert [replace(h, lacking=kernel) for h in hits] == list(hunt(have, kernel, corpus))
+            found += len(hits)
     assert found
 
 

@@ -76,3 +76,20 @@ def test_lattice_holds_the_only_bitmask_builder():
                 builders.append(f"{name} (maketrans)")
     assert builders == ["lattice", "lattice (maketrans)"]
     assert shift_sums == []
+
+
+def test_harness_calls_the_kernel_not_a_per_form_wrapper():
+    # Every hunt predicate is spelt as the arguments of one kernel, so the
+    # harness needs no per-form dispatch over the classify wrappers.
+    imports = {
+        alias.name
+        for node in ast.walk(_tree("harness"))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "classify"
+        for alias in node.names
+    }
+    assert imports == {
+        "phi_delta_primary_violation",
+        "n_potent_violation",
+        "compact_pair_violation",
+        "characterization_failures",
+    }
