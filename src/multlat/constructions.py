@@ -8,7 +8,7 @@ as multiplication.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from math import gcd, isqrt
 from operator import not_
@@ -260,6 +260,8 @@ class CorpusEntry:
 @dataclass(frozen=True)
 class Corpus:
     entries: tuple[CorpusEntry, ...]
+    # filled by _per_lattice functions (the hunt index); not part of the value
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def lattices(self) -> tuple[FiniteMultiplicativeLattice, ...]:
         return tuple(e.lattice for e in self.entries)

@@ -11,8 +11,8 @@ binding but the last, the element, and holds as bitmasks over element
 indices the elements it ranges over and those where the hypothesis and the
 conclusion hold; a condition that does not read the element is decided
 once per row.  The masks come from one per-lattice verdict store,
-``_verdicts``, keyed by a hunt predicate's kernel spelling and shared with
-``hunt``.
+``_verdicts``, keyed by a hunt predicate's kernel spelling; ``hunt`` reads
+it once per predicate into one bitmask over the whole corpus.
 ``tests/oracle.py`` keeps the per-instance statements the rows are checked
 against.
 """
@@ -836,7 +836,7 @@ class Predicate:
     proper element q, or None when q has it; ``test`` reads that verdict.
     Every name but idempotent is one call of the phi-delta-primary kernel or,
     for k >= 2, the k-potent one.  It compares on its normalized name only,
-    and the per-lattice hunt memos key on a name, never on the Predicate."""
+    and the hunt memos key on a name, never on the Predicate."""
 
     name: str
     witness: Callable[[FiniteMultiplicativeLattice, int], tuple[int, int] | None] = field(
@@ -916,22 +916,40 @@ class HuntHit:
         }
 
 
+# The hunt index lives on the corpus (its ``_memo``, which ``_per_lattice``
+# fills as it does a lattice's): element q of a lattice is bit offset + q,
+# offset the sum of n over the lattices before it, so ascending bits run in
+# corpus order, then by element index.
+
+
 @_per_lattice
-def _lacking(
-    L: FiniteMultiplicativeLattice, name: str
-) -> tuple[int, tuple[HuntHit | None, ...]]:
-    """The proper elements that lack the named predicate, as a bitmask, and
-    per element the finished hit a hunt lacking it reports (None where there
-    is none). Built only for predicates a hunt lacks."""
-    labels, lacking, found = L.labels, 0, []
-    for q, pair in enumerate(_verdicts(L, name)[2]):
-        if pair is None:
-            found.append(None)
-        else:
-            lacking |= 1 << q
-            a, b = pair
-            found.append(HuntHit(L.name, labels[q], name, (labels[a], labels[b])))
-    return lacking, tuple(found)
+def _holders(corpus: Corpus, name: str) -> int:
+    """The corpus's proper elements that have the named predicate."""
+    mask = offset = 0
+    for L in corpus.lattices():
+        mask |= _verdicts(L, name)[0] << offset
+        offset += L.n
+    return mask
+
+
+@_per_lattice
+def _lacking(corpus: Corpus, name: str) -> tuple[int, tuple[HuntHit | None, ...]]:
+    """The corpus's proper elements that lack the named predicate, and per
+    element the finished hit a hunt lacking it reports (None where there is
+    none). Built only for predicates a hunt lacks; the mask is the proper
+    elements outside ``_holders``, so a name once lacked is also read as a
+    `have` without touching a lattice."""
+    proper, found = 0, []
+    for L in corpus.lattices():
+        proper |= _proper(L) << len(found)
+        labels = L.labels
+        for q, pair in enumerate(_verdicts(L, name)[2]):
+            if pair is None:
+                found.append(None)
+            else:
+                a, b = pair
+                found.append(HuntHit(L.name, labels[q], name, (labels[a], labels[b])))
+    return proper & ~_holders(corpus, name), tuple(found)
 
 
 def hunt(
@@ -941,18 +959,15 @@ def hunt(
     `lack`, each carrying the lacked predicate's first violating pair.
 
     Hits come per lattice in corpus order, then by ascending element index.
-    Each predicate's verdicts are kept per lattice (``_verdicts``, and
-    ``_lacking`` for the lacked one), so a repeated query normalizes its
-    names, ANDs bitmasks and hands out kept hits: it builds no finder.
+    The corpus keeps one bitmask per predicate over all its lattices
+    (``_holders``, and ``_lacking`` with its finished hits for the lacked
+    one), so a repeated query normalizes its names, ANDs one int per `have`
+    and hands out kept hits: it reads no lattice.
     """
     corpus = corpus if corpus is not None else default_corpus()
     names = [have] if isinstance(have, str) else list(have)
     have_names = [predicate_name(n) for n in names]
-    lack_name = predicate_name(lack)
-    hits: list[HuntHit] = []
-    for L in corpus.lattices():
-        mask, found = _lacking(L, lack_name)
-        for name in have_names:
-            mask &= _verdicts(L, name)[0]
-        hits.extend(map(found.__getitem__, _bits(mask)))
-    return tuple(hits)
+    mask, found = _lacking(corpus, predicate_name(lack))
+    for name in have_names:
+        mask &= _holders(corpus, name)
+    return tuple(map(found.__getitem__, _bits(mask)))

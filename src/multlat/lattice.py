@@ -317,7 +317,8 @@ def _per_lattice(fn):
 
     The result is stored in ``L._memo`` under ``(fn, *args)``: the key never
     holds L itself, so a lookup never compares lattices, and the result is
-    freed together with L.
+    freed together with L.  Only ``._memo`` is read, so any owner of such a
+    dict works the same way: ``hunt`` keeps its index on the ``Corpus``.
     """
 
     @wraps(fn)

@@ -566,8 +566,31 @@ def test_hunt_equals_the_predicate_by_predicate_scan(name):
         assert hunt(have, lack, corpus) == oracle.hunt(have, lack, corpus), (have, lack)
 
 
+def test_hunt_repeats_the_hits_of_a_repeated_lattice():
+    # the same Z24 object twice and an equal but distinct twin, around a
+    # smaller lattice, so every offset into the corpus masks is a sum of sizes
+    z24 = zn_ideal_lattice(24)
+    lattices = [z24, chain_frame(2), z24, zn_ideal_lattice(24)]
+    corpus = Corpus(tuple(CorpusEntry(L, "added") for L in lattices))
+    alone = [Corpus((CorpusEntry(L, "added"),)) for L in lattices]
+    found = 0
+    for lack in PREDICATES:
+        for have in ([], *([p] for p in PREDICATES)):
+            hits = hunt(have, lack, corpus)
+            assert hits == oracle.hunt(have, lack, corpus), (have, lack)
+            assert hits == sum((hunt(have, lack, c) for c in alone), ()), (have, lack)
+            found += len(hits)
+    assert found
+
+
 def test_warm_hunts_read_masks(monkeypatch):
     corpus = default_corpus().extended(zn_ideal_lattice(5040), "added")
+    queries = [
+        (["phi2-d1-primary"], "d1-primary"),
+        (["2-potent-d0-primary", "phi2-d1-primary"], "prime"),
+        *_two_predicate_queries(2, 50),
+    ]
+    expected = [oracle.hunt(have, lack, corpus) for have, lack in queries]
     calls, built = Counter(), Counter()
     finder = harness._finder
 
@@ -584,21 +607,22 @@ def test_warm_hunts_read_masks(monkeypatch):
     monkeypatch.setattr(harness, "_finder", counting_finder)
     for name in PREDICATES:
         hunt([], name, corpus)
-    queries = [
-        (["phi2-d1-primary"], "d1-primary"),
-        (["2-potent-d0-primary", "phi2-d1-primary"], "prime"),
-        *_two_predicate_queries(2, 50),
-    ]
-    found = 0
     # an alias reads its kernel's entry: 21 passes for the 35 names
     assert set(built) == KERNELS and len(KERNELS) == 21
-    for have, lack in queries:
-        calls.clear()
-        built.clear()
-        found += len(hunt(have, lack, corpus))
-        # the cold hunts kept every hit, so a warm query builds no finder
-        # and calls no witness
-        assert not built and not calls, (have, lack, built, calls)
+
+    def no_lattice(L, name):
+        raise AssertionError(f"a warm hunt read {L.name}'s verdicts for {name}")
+
+    # the cold hunts kept every mask and hit on the corpus, so a warm query
+    # reads no lattice, builds no finder and calls no witness
+    monkeypatch.setattr(harness, "_verdicts", no_lattice)
+    calls.clear()
+    built.clear()
+    found = 0
+    for (have, lack), want in zip(queries, expected):
+        assert hunt(have, lack, corpus) == want, (have, lack)
+        found += len(want)
+    assert not built and not calls, (built, calls)
     assert found
 
 

@@ -23,6 +23,7 @@ from multlat import (
     validate,
     zn_ideal_lattice,
 )
+from multlat import maps
 from multlat.maps import UnaryMap
 from test_derived import SHAPES
 
@@ -237,6 +238,32 @@ def test_products_of_join_irreducibles_are_checked(twins, across):
             tables = [f.forward for f in enumerate_isomorphisms(L1, L2)]
             assert tables == _brute_isomorphisms(L1, L2)
     assert len(enumerate_isomorphisms(*twins)) == across
+
+
+# Two lattices on four atoms a, b, c, d, x*y = 0 below the top T: in the
+# first e = a v b, in the second e = a v b v c, so c <= e there only.  Both
+# have 9 elements and the join-irreducibles a, b, c, d, T, and sending each
+# join-irreducible to its namesake gives a bijection preserving their
+# products, but not an isomorphism: the second has one more comparable pair.
+ONE_MORE_PAIR = [
+    _lattice(name, {"0": "0abcdeftT", "a": "aetT", "b": "betT", "c": c, "d": "dftT",
+                    "e": "etT", "f": "ftT", "t": "tT", "T": "T"}, {})
+    for name, c in (("ab", "cftT"), ("abc", "ceftT"))
+]
+
+
+def test_comparable_pair_counts_make_the_bijection_an_isomorphism(monkeypatch):
+    for L in ONE_MORE_PAIR:
+        assert validate(L).ok, validate(L).describe(L)
+        assert len(L.join_irreducibles) == 5
+    ab, abc = ONE_MORE_PAIR
+    assert enumerate_isomorphisms(ab, abc) == ()
+    # The signatures only prune: |up(c)| alone already tells c in ab from c
+    # in abc.  Without it every candidate fits, and only the count of
+    # comparable pairs rejects the bijection.
+    monkeypatch.setattr(maps, "_signature", lambda L, i: L.down_sets[i].bit_count())
+    assert enumerate_isomorphisms(ab, abc) == ()
+    assert [f.forward for f in enumerate_isomorphisms(ab, ab)] == _brute_isomorphisms(ab, ab)
 
 
 def test_unique_isomorphism_z8_to_z27(z8, z27):

@@ -1,9 +1,10 @@
-"""Memos live on the lattice they describe.
+"""Memos live on the lattice, or the corpus, they describe.
 
 Tables and verdicts are kept on the lattice object, keyed by element indices
 and map kinds, never by lattice value: a fresh lattice equal to a classified
 one is classified without comparing the two, and every result is freed with
-its lattice.  No module-level memo may come back.
+its lattice.  Hunt's corpus-wide masks are kept on the corpus the same way,
+outside its value.  No module-level memo may come back.
 """
 
 import ast
@@ -38,11 +39,20 @@ def test_results_are_freed_with_their_lattices():
     run_all(corpus)
     hunt("phi2-d1-primary", "prime", corpus)
     hunt(["2-potent-d0-primary", "phiomega-prime"], "d1-primary", corpus)
-    objects = [L, delta, phi, *corpus.lattices()]
+    objects = [L, delta, phi, corpus, *corpus.lattices()]
     refs = [weakref.ref(x) for x in objects]
     del corpus, L, delta, phi, objects
     gc.collect()  # maps hold their lattice and the lattice's memo holds maps
     assert [r() for r in refs] == [None] * len(refs)
+
+
+def test_the_hunt_index_lives_on_its_corpus():
+    hunted, fresh = default_corpus(), default_corpus()
+    hunt(["2-potent-d0-primary", "phiomega-prime"], "d1-primary", hunted)
+    assert hunted._memo and not fresh._memo
+    # the index is no part of the corpus's value
+    assert hunted == fresh and hash(hunted) == hash(fresh)
+    assert hunted.extended(zn_ideal_lattice(9), "added")._memo == {}
 
 
 def test_twin_lattice_is_classified_without_comparing_lattices(monkeypatch):
