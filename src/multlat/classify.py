@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from operator import and_, ne
 
-from .derived import radical
+from .derived import _idempotent_violation, radical
 from .lattice import FiniteMultiplicativeLattice, _bits, _leq_mask, _mask, _per_lattice
 from .maps import Expansion, PhiMap, make_delta, make_phi
 
@@ -193,6 +193,8 @@ class ClassificationReport:
     delta: str
     phi: str
     records: tuple[ClassificationRecord, ...]
+    # (flag, header) per column, in table order: the text table's layout
+    columns: tuple[tuple[str, str], ...] = field(default=(), compare=False)
 
     def record(self, label: str) -> ClassificationRecord:
         for rec in self.records:
@@ -207,6 +209,29 @@ class ClassificationReport:
             "phi": self.phi,
             "elements": [rec.to_dict() for rec in self.records],
         }
+
+    def text_table(self) -> str:
+        """One row of Y/. cells per element, then every witness, column by column."""
+        width = max([len("element")] + [len(r.element) for r in self.records])
+        header = f"{'element':<{width}} " + " ".join(h for _, h in self.columns)
+        lines = [
+            f"lattice {self.lattice}  delta={self.delta}  phi={self.phi}",
+            header,
+            "-" * len(header),
+        ]
+        for rec in self.records:
+            cells = (f"{'Y' if rec.flags[k] else '.':^{len(h)}}" for k, h in self.columns)
+            lines.append(f"{rec.element:<{width}} " + " ".join(cells))
+        witness_lines = [
+            f"  {rec.element} fails {key.replace('_', '-')}: ({pair[0]}, {pair[1]})"
+            for rec in self.records
+            for key, _ in self.columns
+            if (pair := rec.witnesses.get(key))
+        ]
+        if witness_lines:
+            lines.append("witnesses:")
+            lines.extend(witness_lines)
+        return "\n".join(lines)
 
 
 def classification_report(
@@ -223,29 +248,27 @@ def classification_report(
     """
     d0 = make_delta(L, "d0")
     phi0 = make_phi(L, "phi0")
+    # (flag, header, violation finder over p), in column order
+    checks = [
+        ("prime", "prime", lambda p: prime_violation(L, p)),
+        ("primary", "primary", lambda p: primary_violation(L, p)),
+        ("delta_primary", "d-primary", lambda p: delta_primary_violation(L, delta, p)),
+        ("weakly_delta_primary", "w-d-prim",
+         lambda p: phi_delta_primary_violation(L, delta, phi0, p)),
+        ("phi_prime", "phi-prime", lambda p: phi_prime_violation(L, phi, p)),
+        ("phi_primary", "phi-primary", lambda p: phi_primary_violation(L, phi, p)),
+        ("phi_delta_primary", "phi-d-prim",
+         lambda p: phi_delta_primary_violation(L, delta, phi, p)),
+        *((f"{k}_potent_delta_primary", f"{k}-potent",
+           lambda p, k=k: n_potent_violation(L, delta, p, k)) for k in potency),
+        ("2_potent_d0_primary", "2-pot-d0", lambda p: n_potent_violation(L, d0, p, 2)),
+        ("idempotent", "idem", lambda p: _idempotent_violation(L, p)),
+    ]
     records = []
     for p in L.proper_elements:
-        flags: dict[str, bool] = {}
-        witnesses: dict[str, tuple[str, ...]] = {}
-
-        def put(name, violation):
-            flags[name] = violation is None
-            if violation is not None:
-                witnesses[name] = tuple(map(L.label, violation))
-
-        put("prime", prime_violation(L, p))
-        put("primary", primary_violation(L, p))
-        put("delta_primary", delta_primary_violation(L, delta, p))
-        put("weakly_delta_primary", phi_delta_primary_violation(L, delta, phi0, p))
-        put("phi_prime", phi_prime_violation(L, phi, p))
-        put("phi_primary", phi_primary_violation(L, phi, p))
-        put("phi_delta_primary", phi_delta_primary_violation(L, delta, phi, p))
-        for k in potency:
-            put(f"{k}_potent_delta_primary", n_potent_violation(L, delta, p, k))
-        put("2_potent_d0_primary", n_potent_violation(L, d0, p, 2))
-        sq = L.power(p, 2)
-        put("idempotent", None if sq == p else (p, sq))
+        found = {flag: violation(p) for flag, _, violation in checks}
+        flags = {flag: pair is None for flag, pair in found.items()}
+        witnesses = {flag: tuple(map(L.label, pair)) for flag, pair in found.items() if pair}
         records.append(ClassificationRecord(L.label(p), flags, witnesses))
-    return ClassificationReport(
-        lattice=L.name, delta=delta.tag, phi=phi.tag, records=tuple(records)
-    )
+    columns = tuple((flag, header) for flag, header, _ in checks)
+    return ClassificationReport(L.name, delta.tag, phi.tag, tuple(records), columns)

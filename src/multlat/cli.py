@@ -11,8 +11,9 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
-from .classify import ClassificationReport, classification_report
+from .classify import classification_report
 from .constructions import (
     LatticeFormatError,
     LatticeValidationError,
@@ -32,27 +33,38 @@ class CliError(Exception):
     """Usage-level failure; reported on stderr with exit code 2."""
 
 
+class _Source(NamedTuple):
+    type: type
+    metavar: str
+    help: str
+    build: Callable[..., FiniteMultiplicativeLattice]
+
+
+# Each lattice source, by the flag --<key> that names it.
+_SOURCES = {
+    "zn": _Source(int, "N", "ideal lattice of Z mod N", zn_ideal_lattice),
+    "chain": _Source(int, "K", "chain of K+1 elements", chain_frame),
+    "boolean": _Source(int, "K", "powerset of K atoms", boolean_frame),
+    "file": _Source(str, "PATH", "lattice file", lambda p: parse_lattice(Path(p).read_text())),
+}
+# The sources that verify and hunt add to their corpus with --add-<key>, and
+# the origin each addition is recorded under.
+_ADDITIONS = {"zn": "command-line addition", "file": "file {}"}
+
+
 def _add_source_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--zn", type=int, metavar="N", help="ideal lattice of Z mod N")
-    sub.add_argument("--chain", type=int, metavar="K", help="chain of K+1 elements")
-    sub.add_argument("--boolean", type=int, metavar="K", help="powerset of K atoms")
-    sub.add_argument("--file", metavar="PATH", help="lattice file")
+    for flag, source in _SOURCES.items():
+        sub.add_argument(f"--{flag}", type=source.type, metavar=source.metavar, help=source.help)
 
 
 def _resolve_lattice(args: argparse.Namespace) -> FiniteMultiplicativeLattice:
-    sources = {"zn": args.zn, "chain": args.chain, "boolean": args.boolean, "file": args.file}
-    picked = [(which, value) for which, value in sources.items() if value is not None]
+    picked = [(flag, value) for flag in _SOURCES if (value := getattr(args, flag)) is not None]
     if len(picked) != 1:
-        raise CliError("exactly one of --zn/--chain/--boolean/--file is required")
-    which, value = picked[0]
+        flags = "/".join(f"--{flag}" for flag in _SOURCES)
+        raise CliError(f"exactly one of {flags} is required")
+    flag, value = picked[0]
     try:
-        if which == "zn":
-            return zn_ideal_lattice(value)
-        if which == "chain":
-            return chain_frame(value)
-        if which == "boolean":
-            return boolean_frame(value)
-        return parse_lattice(Path(value).read_text())
+        return _SOURCES[flag].build(value)
     except LatticeValidationError:
         raise
     except (ValueError, OSError) as exc:
@@ -109,12 +121,9 @@ def _build_corpus(args: argparse.Namespace):
         raise CliError(f"unknown corpus {args.corpus!r}")
     corpus = default_corpus()
     try:
-        for n in args.add_zn or ():
-            corpus = corpus.extended(zn_ideal_lattice(n), "command-line addition")
-        for path in args.add_file or ():
-            corpus = corpus.extended(
-                parse_lattice(Path(path).read_text()), f"file {path}"
-            )
+        for flag, origin in _ADDITIONS.items():
+            for value in getattr(args, f"add_{flag}") or ():
+                corpus = corpus.extended(_SOURCES[flag].build(value), origin.format(value))
     except (ValueError, OSError) as exc:
         raise CliError(str(exc)) from exc
     return corpus
@@ -138,45 +147,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-_FLAG_COLUMNS = [
-    ("prime", "prime"),
-    ("primary", "primary"),
-    ("delta_primary", "d-primary"),
-    ("weakly_delta_primary", "w-d-prim"),
-    ("phi_prime", "phi-prime"),
-    ("phi_primary", "phi-primary"),
-    ("phi_delta_primary", "phi-d-prim"),
-    ("2_potent_delta_primary", "2-potent"),
-    ("3_potent_delta_primary", "3-potent"),
-    ("4_potent_delta_primary", "4-potent"),
-    ("2_potent_d0_primary", "2-pot-d0"),
-    ("idempotent", "idem"),
-]
-
-
-def _classification_table(report: ClassificationReport) -> str:
-    width = max([len("element")] + [len(r.element) for r in report.records])
-    header = f"{'element':<{width}} " + " ".join(h for _, h in _FLAG_COLUMNS)
-    lines = [
-        f"lattice {report.lattice}  delta={report.delta}  phi={report.phi}",
-        header,
-        "-" * len(header),
-    ]
-    for rec in report.records:
-        cells = (f"{'Y' if rec.flags[k] else '.':^{len(h)}}" for k, h in _FLAG_COLUMNS)
-        lines.append(f"{rec.element:<{width}} " + " ".join(cells))
-    witness_lines = [
-        f"  {rec.element} fails {key.replace('_', '-')}: ({pair[0]}, {pair[1]})"
-        for rec in report.records
-        for key, _ in _FLAG_COLUMNS
-        if (pair := rec.witnesses.get(key))
-    ]
-    if witness_lines:
-        lines.append("witnesses:")
-        lines.extend(witness_lines)
-    return "\n".join(lines)
-
-
 def cmd_classify(args: argparse.Namespace) -> int:
     L = _resolve_lattice(args)
     delta = _resolve_delta(L, args.delta)
@@ -185,7 +155,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit(_json(report.to_dict()), args)
     else:
-        _emit(_classification_table(report), args)
+        _emit(report.text_table(), args)
     return 0
 
 
@@ -265,12 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = subs.add_parser(name, help=help_text)
         p.add_argument("--corpus", default="default", help="corpus name (default)")
-        p.add_argument(
-            "--add-zn", type=int, action="append", metavar="N", help="extend the corpus"
-        )
-        p.add_argument(
-            "--add-file", action="append", metavar="PATH", help="extend the corpus"
-        )
+        for flag in _ADDITIONS:
+            source = _SOURCES[flag]
+            p.add_argument(
+                f"--add-{flag}", type=source.type, action="append",
+                metavar=source.metavar, help="extend the corpus",
+            )
         p.add_argument("--format", choices=("table", "json"), default="table")
         p.add_argument("--output", metavar="PATH", help="write the report to a file")
         if name == "verify":

@@ -27,8 +27,14 @@ def radical(L: FiniteMultiplicativeLattice, a: int) -> int:
     return L._radical_table[a]
 
 
+def _idempotent_violation(L: FiniteMultiplicativeLattice, a: int) -> tuple[int, int] | None:
+    """(a, a^2) unless a^2 = a: the idempotent flag's witness in reports and hunts."""
+    square = L.mul(a, a)
+    return None if square == a else (a, square)
+
+
 def is_idempotent(L: FiniteMultiplicativeLattice, a: int) -> bool:
-    return L.mul(a, a) == a
+    return _idempotent_violation(L, a) is None
 
 
 def is_nilpotent(L: FiniteMultiplicativeLattice, a: int) -> bool:
@@ -65,15 +71,9 @@ def is_principal(L: FiniteMultiplicativeLattice, e: int) -> bool:
 
 
 def has_restricted_cancellation(L: FiniteMultiplicativeLattice, a: int) -> bool:
-    """ab = ac != 0 implies b = c."""
-    products = [L.mul(a, b) for b in range(L.n)]
-    for b in range(L.n):
-        if products[b] == L.bottom:
-            continue
-        for c in range(b + 1, L.n):
-            if products[b] == products[c]:
-                return False
-    return True
+    """ab = ac != 0 implies b = c: the nonzero products of a are distinct."""
+    nonzero = [x for x in L.mul_table[a] if x != L.bottom]
+    return len(set(nonzero)) == len(nonzero)
 
 
 def is_maximal(L: FiniteMultiplicativeLattice, a: int) -> bool:

@@ -34,8 +34,8 @@ from .classify import (
 )
 from .constructions import Corpus, default_corpus
 from .derived import (
+    _idempotent_violation,
     has_restricted_cancellation,
-    is_idempotent,
     is_nilpotent,
     power_stabilization,
     structure_profile,
@@ -292,10 +292,6 @@ def _pull(flags: Sequence[bool], table: Sequence[int]) -> int:
     return _mask(_gather(table)(flags))
 
 
-def _squares(L) -> list[int]:
-    return [L.power(q, 2) for q in range(L.n)]
-
-
 def _agree(*masks: int) -> int:
     """The elements on which every mask says the same."""
     return reduce(and_, (~(a ^ b) for a, b in zip(masks, masks[1:])), ALL)
@@ -411,7 +407,7 @@ def registry() -> tuple[TheoremProperty, ...]:
             return 0, 0
         m = prof.maximal_elements[0]
         mm = L.power(m, 2)
-        squares = _mask(sq == mm for sq in _squares(L))
+        squares = _mask(sq == mm for sq in _phi(L, "phi2").table)
         return L.up_sets[mm] & L.down_sets[m] & squares, _held(L, "phi2-d1-primary")
 
     add(
@@ -527,7 +523,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         "a phi-delta-primary q with q^2 not below phi(q) is delta-primary",
         ("delta", "phi", "q"),
         lambda L, c, delta, phi: (
-            _pdp(L, delta, phi) & ~_leq_mask(L, _squares(L), phi.table), _dp(L, delta)
+            _pdp(L, delta, phi) & ~_leq_mask(L, _phi(L, "phi2").table, phi.table), _dp(L, delta)
         ),
         "delta-primary",
     )
@@ -537,7 +533,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         "a phi-delta-primary q that is not delta-primary has q^2 <= phi(q)",
         ("delta", "phi", "q"),
         lambda L, c, delta, phi: (
-            _pdp(L, delta, phi) & ~_dp(L, delta), _leq_mask(L, _squares(L), phi.table)
+            _pdp(L, delta, phi) & ~_dp(L, delta), _leq_mask(L, _phi(L, "phi2").table, phi.table)
         ),
         "q^2 <= phi(q)",
     )
@@ -572,7 +568,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         ("delta", "q"),
         lambda L, c, delta: (
             _pdp(L, delta, _phi(L, "phi0")) & ~_dp(L, delta),
-            _mask(sq == L.bottom for sq in _squares(L)),
+            _mask(sq == L.bottom for sq in _phi(L, "phi2").table),
         ),
         "q^2 = 0",
     )
@@ -716,7 +712,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         "phin-delta-primary for every n >= 2",
         ("delta", "q"),
         lambda L, c, delta: (
-            _mask(map(eq, _squares(L), range(L.n))),
+            _mask(map(eq, _phi(L, "phi2").table, range(L.n))),
             _pdp(L, delta, _phi(L, "phiomega")) & _every_phin(L, delta),
         ),
         "phiomega and every phin",
@@ -881,10 +877,10 @@ def _kernel_name(name: str) -> str:
 
 def _finder(name: str) -> Callable[[FiniteMultiplicativeLattice, int], tuple[int, int] | None]:
     """The violation finder over (lattice, element) of a normalized predicate
-    name; the idempotent finder's pair is (q, q^2)."""
+    name."""
     m = _GRAMMAR.match(_kernel_name(name))
     if m["d"] is None:
-        return lambda L, q: None if is_idempotent(L, q) else (q, L.power(q, 2))
+        return _idempotent_violation
     dk = f"d{m['d']}"
     if m["k"]:
         k = int(m["k"])

@@ -106,7 +106,7 @@ def make_delta(
     return Expansion(L, t, tag or "table", "table")
 
 
-_PHI_N = re.compile(r"^phi(\d+)$")
+_PHI_K = re.compile(r"^phi(\d+)$")
 
 
 def make_phi(
@@ -118,26 +118,27 @@ def make_phi(
 ) -> PhiMap:
     """Build a phi map.
 
-    Kinds: none, phi0, phi1, phi2, phin (with k > 2), phiomega, table.
-    Shorthand "phi5" is accepted for phin with k=5.  Table kinds are
-    normalized pointwise by meeting with the identity so phi(p) <= p holds.
+    Kinds: none, phi<k>, phin (with k > 2), phiomega, table.  phi<k> is
+    phi(a) = a^k, read off a's power chain, with phi0 the constant bottom; it
+    is spelt phi followed by decimal digits, leading zeros allowed, so "phi03"
+    and "phin" with k=3 are the same map.  Its tag is phi<k> without leading
+    zeros, and its kind is phi0, phi1 or phi2 for k <= 2 and phin beyond.
+    Table kinds are normalized pointwise by meeting with the identity so
+    phi(p) <= p holds.
     """
     kind = kind.strip().lower()
-    m = _PHI_N.match(kind)
-    if m and int(m.group(1)) > 2:
-        kind, k = "phin", int(m.group(1))
     if kind == "none":
         return PhiMap(L, (L.bottom,) * L.n, tag or "none", "none")
-    if kind == "phi0":
-        return PhiMap(L, (L.bottom,) * L.n, tag or "phi0", "phi0")
-    if kind == "phi1":
-        return PhiMap(L, tuple(range(L.n)), tag or "phi1", "phi1")
-    if kind == "phi2":
-        return PhiMap(L, tuple(L.power(a, 2) for a in range(L.n)), tag or "phi2", "phi2")
-    if kind == "phin":
-        if k is None or k <= 2:
+    m = _PHI_K.match(kind)
+    if m or kind == "phin":
+        if m:
+            k = int(m.group(1))
+        elif k is None or k <= 2:
             raise ValueError("phin requires an exponent k > 2")
-        return PhiMap(L, tuple(L.power(a, k) for a in range(L.n)), tag or f"phi{k}", "phin")
+        powers = (L.bottom,) * L.n if k == 0 else (
+            chain[min(k, len(chain)) - 1] for chain in L._power_chains
+        )
+        return PhiMap(L, tuple(powers), tag or f"phi{k}", f"phi{k}" if k <= 2 else "phin")
     if kind == "phiomega":
         return PhiMap(
             L, tuple(omega_power(L, a) for a in range(L.n)), tag or "phiomega", "phiomega"

@@ -11,7 +11,7 @@ against ``proper_chains`` and the T24 and T26 hypotheses against
 ``t24_hypothesis`` and ``t26_hypothesis``; ``tests/test_maps.py`` checks every
 isomorphism the search returns with ``is_automorphism_table``; and
 ``tests/test_derived.py`` checks the structure flags against the pair loops
-from ``is_meet_principal`` to ``structure_profile``.  The primary scans take sqrt(p) from ``multlat.radical``
+from ``has_restricted_cancellation`` to ``structure_profile``.  The primary scans take sqrt(p) from ``multlat.radical``
 and the principal checks take (a : e) from ``multlat.residual``; both are
 checked against ``radical_table`` and ``residual_table`` here.  ``hunt``
 tests every element predicate by predicate; ``tests/test_harness.py`` checks
@@ -46,7 +46,6 @@ from multlat import (
     check_global_property,
     default_corpus,
     enumerate_isomorphisms,
-    has_restricted_cancellation,
     is_delta_primary,
     is_idempotent,
     is_monotone,
@@ -361,6 +360,16 @@ def hunt(have, lack, corpus=None):
                     HuntHit(L.name, L.label(q), lack_pred.name, tuple(map(L.label, pair)))
                 )
     return tuple(hits)
+
+
+def has_restricted_cancellation(L, a):
+    """ab = ac != 0 implies b = c, over every pair b < c."""
+    for b in range(L.n):
+        for c in range(b + 1, L.n):
+            ab = L.mul(a, b)
+            if ab == L.mul(a, c) and ab != L.bottom:
+                return False
+    return True
 
 
 def is_meet_principal(L, e):

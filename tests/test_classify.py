@@ -215,3 +215,12 @@ def test_classification_report_shape(z30):
     for r in data["elements"]:
         for flag, ok in r["flags"].items():
             assert ok == (flag not in r["witnesses"])
+
+
+def test_text_table_has_a_column_per_potency(z8):
+    rep = classification_report(z8, make_delta(z8, "d1"), make_phi(z8, "phi2"), potency=(2, 5))
+    header = rep.text_table().splitlines()[1].split()
+    assert "5-potent" in header and "3-potent" not in header
+    assert len(header) == 1 + len(rep.columns) == 12
+    for rec in rep.records:
+        assert set(rec.flags) == {flag for flag, _ in rep.columns}

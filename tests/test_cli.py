@@ -419,6 +419,59 @@ def test_report_output_is_byte_identical(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 of stdout and the exit code of the text renderings: the classify
+# table (an empty one included, and one under a delta read from a file that
+# sends every element to the top), the verify table with and without allowed
+# vacuity, and hunt's hit lines.  "ALL_TOP" stands for that file's path.
+TEXT_DIGESTS = [
+    pytest.param(
+        ("classify", "--zn", "24"), 0,
+        "b5a6659f24cf8cb9d309dfe1bd1c90bbe6549bcceafb1e10b9d88d6b5709a227",
+        id="classify-z24",
+    ),
+    pytest.param(
+        ("classify", "--chain", "0"), 0,
+        "87c97b496b2b4ec30fea6fd696a6a8645db9dea1074719b5d48c81e348dbf285",
+        id="classify-empty",
+    ),
+    pytest.param(
+        ("classify", "--zn", "8", "--delta", "ALL_TOP", "--phi", "0"), 0,
+        "d3a39cb15a0db626e0e135ef2cdf9c095ff71cbc671c9beb5ceec0e40e0f09dd",
+        id="classify-delta-file",
+    ),
+    pytest.param(
+        ("verify",), 0,
+        "d6b098ef5a862051f201d491a3d01b9679eafc732b613f6d59553c526ecbb0bf",
+        id="verify",
+    ),
+    pytest.param(
+        ("verify", "--expect-vacuous", "none"), 1,
+        "2e8aa899eefdd7f48bbec9ac612e5fc68bd3cc547c96dd156682c7207b336f63",
+        id="verify-no-vacuity-allowed",
+    ),
+    pytest.param(
+        ("hunt", "--have", "phi2-d1-primary", "--lack", "d1-primary"), 0,
+        "17cbd35b319c58d02d74ba7b8e58462476076084d6c2909976a5a577efad3925",
+        id="hunt-lack-d1-primary",
+    ),
+    pytest.param(
+        ("hunt", "--have", "2-potent-d0-primary", "--lack", "idempotent"), 0,
+        "84735801a93c5a14550746693a2dda7daac13ceabc75e10babd1603a76e082b4",
+        id="hunt-lack-idempotent",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", TEXT_DIGESTS)
+def test_text_output_is_byte_identical(tmp_path, capsys, argv, code, digest):
+    z8 = zn_ideal_lattice(8)
+    path = tmp_path / "all_top.map"
+    path.write_text("".join(f"{label} {z8.label(z8.top)}\n" for label in z8.labels))
+    rc, out, _ = run(capsys, *(f"file:{path}" if a == "ALL_TOP" else a for a in argv))
+    assert rc == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_hunt_at_scale_without_hits_prints_an_empty_list(capsys):
     rc, out, _ = run(
         capsys, "hunt", "--have", "phiomega-primary", "--lack", "phi3-d1-primary",

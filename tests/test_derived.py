@@ -2,9 +2,10 @@
 
 The radical gets two independent oracles: a brute-force "some power lands
 below" join computed with nothing but mul, and the squarefree-kernel formula
-for divisor lattices.  The principal, modularity and structure flags are
-checked against the pair loops in oracle.py, on Zn, chains, boolean frames and
-six non-distributive shapes built here from explicit tables.
+for divisor lattices.  The principal, restricted-cancellation, modularity and
+structure flags are checked against the pair loops in oracle.py, on Zn,
+chains, boolean frames and six non-distributive shapes built here from
+explicit tables.
 """
 
 import pytest
@@ -286,6 +287,9 @@ def test_structure_flags_match_oracle(L):
         assert is_meet_principal(L, e) == oracle.is_meet_principal(L, e), L.label(e)
         assert is_join_principal(L, e) == oracle.is_join_principal(L, e), L.label(e)
         assert is_maximal(L, e) == oracle.is_maximal(L, e), L.label(e)
+        assert has_restricted_cancellation(L, e) == oracle.has_restricted_cancellation(
+            L, e
+        ), L.label(e)
     assert is_modular(L) == oracle.is_modular(L)
     assert is_principally_generated(L) == oracle.is_principally_generated(L)
     assert structure_profile(L) == oracle.structure_profile(L)

@@ -128,6 +128,21 @@ def test_make_phi_builtin_kinds(z24):
         make_phi(z24, "phix")
 
 
+def test_phi_power_spelling_rule(z24):
+    # phi<digits> is phi(a) = a^k, leading zeros allowed, tagged phi<k>
+    for spelling, k, kind in (
+        ("phi00", 0, "phi0"), ("phi01", 1, "phi1"), ("phi02", 2, "phi2"),
+        ("phi03", 3, "phin"), ("phi003", 3, "phin"),
+    ):
+        phi = make_phi(z24, spelling)
+        assert (phi.tag, phi.kind) == (f"phi{k}", kind)
+        assert phi == make_phi(z24, f"phi{k}")
+    assert make_phi(z24, "phin", k=3) == make_phi(z24, "phi3")
+    for k in (None, 0, 1, 2):
+        with pytest.raises(ValueError, match="phin requires"):
+            make_phi(z24, "phin", k=k)
+
+
 def test_phi_maps_sit_below_identity(corpus):
     for L in corpus.lattices():
         for kind in PHI_KINDS:
