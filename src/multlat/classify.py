@@ -6,12 +6,14 @@ coincide) and rejects the top element: primality of an improper element is a
 caller error, not a false answer.  False answers come with the
 lexicographically first violating pair, which makes reports deterministic.
 The pair scans read rows off the residual table, so they assume a lattice
-that passes ``validate``.  Every predicate is one scan, ``_first_pair``, whose
-verdict is kept in the lattice's own memo under its four element arguments,
-and the memo is freed with the lattice.  The paper's notions specialize
-phi-delta-primary (prime is delta = id, primary delta = radical,
-delta-primary phi = none), so their wrappers below share its entries; the
-harness calls only ``phi_delta_primary_violation`` and ``n_potent_violation``.
+that passes ``validate``.  Every predicate is one scan, ``_first_pair``.  The
+paper's notions specialize phi-delta-primary with target p^k (prime is
+delta = id, primary delta = radical, delta-primary phi = none, k-potent
+k >= 2), so one verdict store, ``_kernel_entry``, keeps per lattice one pass
+over the proper elements for each (delta table, phi table or None, k): the
+report's columns, the harness rows and hunt all read it through
+``_entry``, and it is freed with the lattice.  The public wrappers below
+are direct scans of one element.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ def _excuse(phi: PhiMap, p: int) -> int | None:
     return None if phi.none else phi.table[p]
 
 
-@_per_lattice
 def _first_pair(L, target, excuse, row_skip, col_skip):
     """First (a, b) with ab <= target, ab !<= excuse, a !<= row_skip, b !<= col_skip.
 
@@ -84,10 +85,14 @@ def phi_delta_primary_violation(L, delta: Expansion, phi: PhiMap, p):
     return _first_pair(L, p, _excuse(phi, p), p, delta.table[p])
 
 
-def n_potent_violation(L, delta: Expansion, p, k: int):
-    """First (a, b) with ab <= p^k but a !<= p and b !<= delta(p); k >= 2."""
+def _check_potency(k: int) -> None:
     if k < 2:
         raise ValueError(f"potency exponent must be >= 2, got {k}")
+
+
+def n_potent_violation(L, delta: Expansion, p, k: int):
+    """First (a, b) with ab <= p^k but a !<= p and b !<= delta(p); k >= 2."""
+    _check_potency(k)
     return _first_pair(L, L.power(p, k), None, p, delta.table[p])
 
 
@@ -122,6 +127,42 @@ def is_phi_delta_primary(L, delta, phi, p) -> bool:
 
 def is_n_potent_delta_primary(L, delta, p, k) -> bool:
     return n_potent_violation(L, delta, p, k) is None
+
+
+def _pass(L, violation):
+    """One pass of violation over L's proper elements: the elements that pass
+    as a bitmask and as one flag per element (False at the top), and per
+    element its first violating pair (None where there is none)."""
+    pairs: list[tuple[int, int] | None] = [None] * L.n
+    flags = [False] * L.n
+    for q in L.proper_elements:
+        pair = pairs[q] = violation(q)
+        flags[q] = pair is None
+    return _mask(flags), tuple(flags), tuple(pairs)
+
+
+@_per_lattice
+def _kernel_entry(L, deltas, excuses, k):
+    """The entry of phi-delta-primary with target q^k: excuses None is the none
+    kind.  Keyed by the tables themselves, so two maps with one tag never
+    share an entry and equal maps always do."""
+    return _pass(L, lambda q: _first_pair(
+        L, L.power(q, k), None if excuses is None else excuses[q], q, deltas[q]
+    ))
+
+
+def _entry(L, delta: Expansion, phi: PhiMap | None = None, k: int | None = None):
+    """The store's entry of phi-delta-primary (phi None or the none kind:
+    delta-primary), or with k of k-potent delta-primary."""
+    if k is not None:
+        _check_potency(k)
+    return _kernel_entry(L, delta.table, None if phi is None or phi.none else phi.table, k or 1)
+
+
+@_per_lattice
+def _idempotent_entry(L):
+    """The entry of idempotence, whose witness is (q, q^2)."""
+    return _pass(L, lambda q: _idempotent_violation(L, q))
 
 
 @_per_lattice
@@ -246,29 +287,28 @@ def classification_report(
     included because separations against the identity expansion are the ones
     the golden examples need.
     """
-    d0 = make_delta(L, "d0")
-    phi0 = make_phi(L, "phi0")
-    # (flag, header, violation finder over p), in column order
-    checks = [
-        ("prime", "prime", lambda p: prime_violation(L, p)),
-        ("primary", "primary", lambda p: primary_violation(L, p)),
-        ("delta_primary", "d-primary", lambda p: delta_primary_violation(L, delta, p)),
-        ("weakly_delta_primary", "w-d-prim",
-         lambda p: phi_delta_primary_violation(L, delta, phi0, p)),
-        ("phi_prime", "phi-prime", lambda p: phi_prime_violation(L, phi, p)),
-        ("phi_primary", "phi-primary", lambda p: phi_primary_violation(L, phi, p)),
-        ("phi_delta_primary", "phi-d-prim",
-         lambda p: phi_delta_primary_violation(L, delta, phi, p)),
-        *((f"{k}_potent_delta_primary", f"{k}-potent",
-           lambda p, k=k: n_potent_violation(L, delta, p, k)) for k in potency),
-        ("2_potent_d0_primary", "2-pot-d0", lambda p: n_potent_violation(L, d0, p, 2)),
-        ("idempotent", "idem", lambda p: _idempotent_violation(L, p)),
+    for k in potency:
+        _check_potency(k)
+    d0, d1 = make_delta(L, "d0"), make_delta(L, "d1")
+    # (flag, header, verdict entry), in column order
+    columns = [
+        ("prime", "prime", _entry(L, d0)),
+        ("primary", "primary", _entry(L, d1)),
+        ("delta_primary", "d-primary", _entry(L, delta)),
+        ("weakly_delta_primary", "w-d-prim", _entry(L, delta, make_phi(L, "phi0"))),
+        ("phi_prime", "phi-prime", _entry(L, d0, phi)),
+        ("phi_primary", "phi-primary", _entry(L, d1, phi)),
+        ("phi_delta_primary", "phi-d-prim", _entry(L, delta, phi)),
+        *((f"{k}_potent_delta_primary", f"{k}-potent", _entry(L, delta, None, k))
+          for k in potency),
+        ("2_potent_d0_primary", "2-pot-d0", _entry(L, d0, None, 2)),
+        ("idempotent", "idem", _idempotent_entry(L)),
     ]
     records = []
     for p in L.proper_elements:
-        found = {flag: violation(p) for flag, _, violation in checks}
+        found = {flag: entry[2][p] for flag, _, entry in columns}
         flags = {flag: pair is None for flag, pair in found.items()}
         witnesses = {flag: tuple(map(L.label, pair)) for flag, pair in found.items() if pair}
         records.append(ClassificationRecord(L.label(p), flags, witnesses))
-    columns = tuple((flag, header) for flag, header, _ in checks)
-    return ClassificationReport(L.name, delta.tag, phi.tag, tuple(records), columns)
+    headers = tuple((flag, header) for flag, header, _ in columns)
+    return ClassificationReport(L.name, delta.tag, phi.tag, tuple(records), headers)

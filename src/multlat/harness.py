@@ -10,9 +10,10 @@ A property is decided a row of elements at a time.  A row fixes every
 binding but the last, the element, and holds as bitmasks over element
 indices the elements it ranges over and those where the hypothesis and the
 conclusion hold; a condition that does not read the element is decided
-once per row.  The masks come from one per-lattice verdict store,
-``_verdicts``, keyed by a hunt predicate's kernel spelling; ``hunt`` reads
-it once per predicate into one bitmask over the whole corpus.
+once per row.  The masks come from the per-lattice verdict store in
+``classify``, keyed by the kernel's arguments (the delta and phi tables and
+the potency), which rows read with their maps; ``hunt`` reads it once per
+predicate name into one bitmask over the whole corpus.
 ``tests/oracle.py`` keeps the per-instance statements the rows are checked
 against.
 """
@@ -27,14 +28,13 @@ from operator import and_, eq, not_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .classify import (
+    _entry,
+    _idempotent_entry,
     characterization_failures,
     compact_pair_violation,
-    n_potent_violation,
-    phi_delta_primary_violation,
 )
 from .constructions import Corpus, default_corpus
 from .derived import (
-    _idempotent_violation,
     has_restricted_cancellation,
     is_nilpotent,
     power_stabilization,
@@ -208,28 +208,6 @@ def _isomorphisms(L1, L2) -> tuple[Isomorphism, ...]:
 
 
 @_per_lattice
-def _verdicts(
-    L: FiniteMultiplicativeLattice, name: str
-) -> tuple[int, tuple[bool, ...], tuple[tuple[int, int] | None, ...]]:
-    """One pass of the named predicate's finder over L's proper elements: the
-    elements that have it as a bitmask and as one flag per element (False at
-    the top), and per element its first violating pair (None where there is
-    none).  Keyed by the kernel spelling of a predicate name, whose entry an
-    alias shares: the harness rows, ``hunt``, T21's chain counts and T26 all
-    read verdicts from here."""
-    kernel = _kernel_name(name)
-    if kernel != name:
-        return _verdicts(L, kernel)
-    witness = _finder(name)
-    pairs: list[tuple[int, int] | None] = [None] * L.n
-    flags = [False] * L.n
-    for q in L.proper_elements:
-        pair = pairs[q] = witness(L, q)
-        flags[q] = pair is None
-    return _mask(flags), tuple(flags), tuple(pairs)
-
-
-@_per_lattice
 def _below(L, lower: str, upper: str) -> bool:
     """Whether the map tagged lower is pointwise below the one tagged upper
     (both delta kinds or both phi kinds): an element-free fact, kept per
@@ -238,35 +216,17 @@ def _below(L, lower: str, upper: str) -> bool:
     return map_leq(by_tag(L, lower), by_tag(L, upper))
 
 
-def _name(form: str, phi: PhiMap | None = None) -> str:
-    """The predicate name of phi-<form> (form 'prime', 'primary' or
-    'd<D>-primary'); the none kind excuses nothing, so it is form itself."""
-    return form if phi is None or phi.none else f"{phi.tag}-{form}"
-
-
-def _held(L, form: str, phi: PhiMap | None = None) -> int:
-    """The proper elements with phi-<form>, as a bitmask."""
-    return _verdicts(L, _name(form, phi))[0]
-
-
-def _flags(L, form: str, phi: PhiMap | None = None) -> tuple[bool, ...]:
-    return _verdicts(L, _name(form, phi))[1]
-
-
-def _pdp(L, delta: Expansion, phi: PhiMap) -> int:
-    return _held(L, f"{delta.tag}-primary", phi)
-
-
-def _dp(L, delta: Expansion) -> int:
-    return _held(L, f"{delta.tag}-primary")
+def _pdp(L, delta: Expansion, phi: PhiMap | None = None) -> int:
+    """The phi-delta-primary proper elements (phi None: delta-primary)."""
+    return _entry(L, delta, phi)[0]
 
 
 @_per_lattice
-def _chain_counts(L, name: str) -> dict[int, tuple[int, int]]:
+def _chain_counts(L, holds: tuple[bool, ...]) -> dict[int, tuple[int, int]]:
     """Per proper e, how many chains of proper elements have e as largest member,
-    and how many of those have the named predicate throughout: c(e) = 1 + the
-    sum of c(d) over d < e, h(e) the same over holders d, or 0 unless e holds."""
-    holds, down = _verdicts(L, name)[1], L.down_sets
+    and how many of those have holds throughout: c(e) = 1 + the sum of c(d)
+    over d < e, h(e) the same over holders d, or 0 unless e holds."""
+    down = L.down_sets
     counts: dict[int, tuple[int, int]] = {}
     for e in sorted(L.proper_elements, key=lambda e: down[e].bit_count()):
         below = [counts[d] for d in _bits(down[e] & ~(1 << e))]
@@ -345,7 +305,9 @@ def registry() -> tuple[TheoremProperty, ...]:
         "T01",
         "phi-d0-primary if and only if phi-prime",
         ("phi", "p"),
-        lambda L, c, phi: (ALL, _agree(_pdp(L, _delta(L, "d0"), phi), _held(L, "prime", phi))),
+        # phi-prime is the kernel at delta = id, so both sides are one entry,
+        # read once; tests/oracle.py checks the statement with is_phi_prime
+        lambda L, c, phi: (ALL, _agree(_pdp(L, _delta(L, "d0"), phi))),
         "phi-d0-primary <=> phi-prime",
     )
 
@@ -353,9 +315,8 @@ def registry() -> tuple[TheoremProperty, ...]:
         "T02",
         "phi-d1-primary if and only if phi-primary",
         ("phi", "p"),
-        lambda L, c, phi: (
-            ALL, _agree(_pdp(L, _delta(L, "d1"), phi), _held(L, "primary", phi))
-        ),
+        # phi-primary is the kernel at delta = radical: one entry, read once
+        lambda L, c, phi: (ALL, _agree(_pdp(L, _delta(L, "d1"), phi))),
         "phi-d1-primary <=> phi-primary",
     )
 
@@ -373,7 +334,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         "T04",
         "a prime element is phi-delta-primary for every expansion and phi",
         ("delta", "phi", "p"),
-        lambda L, c, delta, phi: (_held(L, "prime"), _pdp(L, delta, phi)),
+        lambda L, c, delta, phi: (_pdp(L, _delta(L, "d0")), _pdp(L, delta, phi)),
         "phi-delta-primary",
     )
 
@@ -408,7 +369,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         m = prof.maximal_elements[0]
         mm = L.power(m, 2)
         squares = _mask(sq == mm for sq in _phi(L, "phi2").table)
-        return L.up_sets[mm] & L.down_sets[m] & squares, _held(L, "phi2-d1-primary")
+        return L.up_sets[mm] & L.down_sets[m] & squares, _pdp(L, _delta(L, "d1"), _phi(L, "phi2"))
 
     add(
         "T07",
@@ -430,7 +391,7 @@ def registry() -> tuple[TheoremProperty, ...]:
     )
 
     def t09(L, c, delta, n):
-        steps = [_dp(L, delta)] + [
+        steps = [_pdp(L, delta)] + [
             _pdp(L, delta, _phi(L, kind))
             for kind in ("phi0", "phiomega", f"phi{n + 1}", f"phi{n}", "phi2")
         ]
@@ -459,7 +420,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         prof = structure_profile(L)
         if not (prof.local_noether and prof.domain and prof.krull):
             return 0, 0
-        return ALL, _agree(_every_phin(L, delta), _dp(L, delta))
+        return ALL, _agree(_every_phin(L, delta), _pdp(L, delta))
 
     add(
         "T11",
@@ -478,7 +439,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         )) if structure_profile(L).noether else 0
         for delta, phi in product(_deltas(L, config), _phis(L, config)):
             if cancelling and _below(L, phi.tag, "phi2"):
-                same = _agree(_pdp(L, delta, phi), _dp(L, delta))
+                same = _agree(_pdp(L, delta, phi), _pdp(L, delta))
                 yield Row((delta, phi), domain, cancelling, same)
             else:
                 yield Row((delta, phi), domain, 0, 0)
@@ -500,8 +461,8 @@ def registry() -> tuple[TheoremProperty, ...]:
         "phi-delta-primary for phi <= phi2 iff delta-primary",
         ("delta", "phi", "q"),
         lambda L, c, delta, phi: (
-            _held(L, f"2-potent-{delta.tag}-primary"),
-            _agree(_pdp(L, delta, phi), _dp(L, delta)),
+            _entry(L, delta, None, 2)[0],
+            _agree(_pdp(L, delta, phi), _pdp(L, delta)),
         ) if _below(L, phi.tag, "phi2") else (0, 0),
         "phi-delta-primary <=> delta-primary",
     )
@@ -512,8 +473,8 @@ def registry() -> tuple[TheoremProperty, ...]:
         "for phi <= phin iff delta-primary",
         ("delta", "phi", "n", "k", "q"),
         lambda L, c, delta, phi, n, k: None if k > n else (
-            _held(L, f"{k}-potent-{delta.tag}-primary"),
-            _agree(_pdp(L, delta, phi), _dp(L, delta)),
+            _entry(L, delta, None, k)[0],
+            _agree(_pdp(L, delta, phi), _pdp(L, delta)),
         ) if _below(L, phi.tag, f"phi{n}") else (0, 0),
         "phi-delta-primary <=> delta-primary",
     )
@@ -523,7 +484,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         "a phi-delta-primary q with q^2 not below phi(q) is delta-primary",
         ("delta", "phi", "q"),
         lambda L, c, delta, phi: (
-            _pdp(L, delta, phi) & ~_leq_mask(L, _phi(L, "phi2").table, phi.table), _dp(L, delta)
+            _pdp(L, delta, phi) & ~_leq_mask(L, _phi(L, "phi2").table, phi.table), _pdp(L, delta)
         ),
         "delta-primary",
     )
@@ -533,7 +494,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         "a phi-delta-primary q that is not delta-primary has q^2 <= phi(q)",
         ("delta", "phi", "q"),
         lambda L, c, delta, phi: (
-            _pdp(L, delta, phi) & ~_dp(L, delta), _leq_mask(L, _phi(L, "phi2").table, phi.table)
+            _pdp(L, delta, phi) & ~_pdp(L, delta), _leq_mask(L, _phi(L, "phi2").table, phi.table)
         ),
         "q^2 <= phi(q)",
     )
@@ -544,7 +505,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         "radical(q) = radical(phi(q))",
         ("delta", "phi", "q"),
         lambda L, c, delta, phi: (
-            _pdp(L, delta, phi) & ~_dp(L, delta),
+            _pdp(L, delta, phi) & ~_pdp(L, delta),
             _mask(map(eq, L._radical_table, _gather(phi.table)(L._radical_table))),
         ),
         "radical(q) = radical(phi(q))",
@@ -567,7 +528,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         "a phi0-delta-primary q that is not delta-primary has q^2 = 0",
         ("delta", "q"),
         lambda L, c, delta: (
-            _pdp(L, delta, _phi(L, "phi0")) & ~_dp(L, delta),
+            _pdp(L, delta, _phi(L, "phi0")) & ~_pdp(L, delta),
             _mask(sq == L.bottom for sq in _phi(L, "phi2").table),
         ),
         "q^2 = 0",
@@ -578,8 +539,8 @@ def registry() -> tuple[TheoremProperty, ...]:
         "a phi-delta-primary q whose phi(q) is delta-primary is delta-primary",
         ("delta", "phi", "q"),
         lambda L, c, delta, phi: (
-            _pdp(L, delta, phi) & _pull(_flags(L, f"{delta.tag}-primary"), phi.table),
-            _dp(L, delta),
+            _pdp(L, delta, phi) & _pull(_entry(L, delta)[1], phi.table),
+            _pdp(L, delta),
         ),
         "delta-primary",
     )
@@ -588,10 +549,9 @@ def registry() -> tuple[TheoremProperty, ...]:
         # one element per join p, standing for the chains whose largest member is p
         domain = _proper(L)
         for delta, phi in product(_deltas(L, config), _phis(L, config)):
-            name = _name(f"{delta.tag}-primary", phi)
-            primary = _verdicts(L, name)[0]
+            primary, holds, _ = _entry(L, delta, phi)
             hyp = primary if is_monotone(phi) else 0
-            yield Row((delta, phi), domain, hyp, primary, _chain_counts(L, name))
+            yield Row((delta, phi), domain, hyp, primary, _chain_counts(L, holds))
 
     add(
         "T21",
@@ -607,7 +567,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         res, down, everything = L._residual_table, L.down_sets, (1 << L.n) - 1
         at_residuals = [_gather(row) for row in res]  # q -> seq[(p:q)], per p
         for delta, phi in product(_deltas(L, config), _phis(L, config)):
-            primary, flags, _ = _verdicts(L, _name(f"{delta.tag}-primary", phi))
+            primary, flags, _ = _entry(L, delta, phi)
             for p in L.proper_elements:
                 if not primary >> p & 1:
                     yield Row((delta, phi, p), everything, 0, 0)
@@ -653,7 +613,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         # (README "Acceptance status"). Under it phi has the global property,
         # delta(delta(q)) = delta(q), and delta(q) = q is proper.
         lambda L, c, delta, phi: (
-            _pdp(L, delta, phi), _pull(_flags(L, "prime", phi), delta.table)
+            _pdp(L, delta, phi), _pull(_entry(L, _delta(L, "d0"), phi)[1], delta.table)
         ) if delta.table == _delta(L, "d0").table else (0, 0),
         "delta(q) is phi-prime",
     )
@@ -661,11 +621,11 @@ def registry() -> tuple[TheoremProperty, ...]:
     def t25(L, c, phi):
         rad = L._radical_table
         hyp = (
-            _held(L, "d1-primary", phi)
+            _pdp(L, _delta(L, "d1"), phi)
             & _mask(map(eq, _gather(phi.table)(rad), _gather(rad)(phi.table)))
             & _mask(r != L.top for r in rad)
         )
-        return hyp, _pull(_flags(L, "prime", phi), rad)
+        return hyp, _pull(_entry(L, _delta(L, "d0"), phi)[1], rad)
 
     add(
         "T25",
@@ -683,8 +643,8 @@ def registry() -> tuple[TheoremProperty, ...]:
                 continue
             domain = _proper(M)
             maps = [(_delta(M, dk), _phi(M, pk)) for dk, pk in kinds]
-            names = [_name(f"{delta.tag}-primary", phi) for delta, phi in maps]
-            verdicts = [(_verdicts(M, nm)[1], _verdicts(L, nm)[1]) for nm in names]
+            verdicts = [(_entry(M, *m)[1], _entry(L, _delta(L, dk), _phi(L, pk))[1])
+                        for m, (dk, pk) in zip(maps, kinds)]
             for f in _isomorphisms(L, M):
                 pull_back = _gather(f.inverse)
                 for (delta, phi), (here, source) in zip(maps, verdicts):
@@ -729,7 +689,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         label, has, lacks = examples.get(L.name, (None, (), ()))
         if label in L.labels:
             q = L.index_of(label)
-            flags = [_verdicts(L, name)[1][q] for name in has + lacks]
+            flags = [_named(L, name)[1][q] for name in has + lacks]
             published = all(flags[: len(has)]) and not any(flags[len(has):])
             yield Row((), 1 << q, ALL, ALL if published else 0)
 
@@ -828,16 +788,18 @@ def run_all(
 
 @dataclass(frozen=True)
 class Predicate:
-    """A hunt predicate: ``witness(L, q)`` is its first violating pair at the
-    proper element q, or None when q has it; ``test`` reads that verdict.
-    Every name but idempotent is one call of the phi-delta-primary kernel or,
-    for k >= 2, the k-potent one.  It compares on its normalized name only,
-    and the hunt memos key on a name, never on the Predicate."""
+    """A hunt predicate by its normalized name: ``witness(L, q)`` is its first
+    violating pair at the proper element q, or None when q has it, read off
+    the name's store entry; ``test`` reads that verdict."""
 
     name: str
-    witness: Callable[[FiniteMultiplicativeLattice, int], tuple[int, int] | None] = field(
-        compare=False
-    )
+
+    def witness(self, L: FiniteMultiplicativeLattice, q: int) -> tuple[int, int] | None:
+        if q == L.top and self.name != "idempotent":  # as the kernel scans do
+            raise ValueError(
+                f"{L.label(q)} is the top of {L.name}; primality needs a proper element"
+            )
+        return _named(L, self.name)[2][q]
 
     def test(self, L: FiniteMultiplicativeLattice, q: int) -> bool:
         return self.witness(L, q) is None
@@ -849,7 +811,7 @@ _GRAMMAR = re.compile(
     r"^(?:phi(?P<phi>0|[1-9]\d*|omega)-|(?P<k>[1-9]\d*)-potent-(?=d))?"
     r"(?:d(?P<d>[01])-primary|(?P<alias>prime|primary))$|^idempotent$"
 )
-_ALIASES = {"prime": "d0-primary", "primary": "d1-primary"}
+_ALIASES = {"prime": "0", "primary": "1"}  # the delta kind d<D> of each alias
 
 
 def predicate_name(name: str) -> str:
@@ -868,32 +830,22 @@ def predicate_name(name: str) -> str:
     return name
 
 
-def _kernel_name(name: str) -> str:
-    """The kernel spelling of a normalized name: prime and primary, alone or
-    after phi<P>-, are spelt d0-primary and d1-primary."""
+@_per_lattice
+def _named(L: FiniteMultiplicativeLattice, name: str):
+    """The store entry of a normalized predicate name, kept under the name so
+    that a witness per element is one lookup; an alias reads its kernel's
+    entry."""
+    if name == "idempotent":
+        return _idempotent_entry(L)
     m = _GRAMMAR.match(name)
-    return name[: m.start("alias")] + _ALIASES[m["alias"]] if m["alias"] else name
-
-
-def _finder(name: str) -> Callable[[FiniteMultiplicativeLattice, int], tuple[int, int] | None]:
-    """The violation finder over (lattice, element) of a normalized predicate
-    name."""
-    m = _GRAMMAR.match(_kernel_name(name))
-    if m["d"] is None:
-        return _idempotent_violation
-    dk = f"d{m['d']}"
-    if m["k"]:
-        k = int(m["k"])
-        return lambda L, q: n_potent_violation(L, _delta(L, dk), q, k)
-    pk = f"phi{m['phi']}" if m["phi"] else "none"
-    return lambda L, q: phi_delta_primary_violation(L, _delta(L, dk), _phi(L, pk), q)
+    delta = _delta(L, f"d{m['d'] or _ALIASES[m['alias']]}")
+    phi = _phi(L, f"phi{m['phi']}") if m["phi"] else None
+    return _entry(L, delta, phi, int(m["k"]) if m["k"] else None)
 
 
 def parse_predicate(name: str) -> Predicate:
-    """Resolve a kebab-case predicate name (grammar in ``predicate_name``) to
-    its violation finder."""
-    name = predicate_name(name)
-    return Predicate(name, _finder(name))
+    """The predicate of a kebab-case name (grammar in ``predicate_name``)."""
+    return Predicate(predicate_name(name))
 
 
 @dataclass(frozen=True, slots=True)
@@ -923,7 +875,7 @@ def _holders(corpus: Corpus, name: str) -> int:
     """The corpus's proper elements that have the named predicate."""
     mask = offset = 0
     for L in corpus.lattices():
-        mask |= _verdicts(L, name)[0] << offset
+        mask |= _named(L, name)[0] << offset
         offset += L.n
     return mask
 
@@ -939,7 +891,7 @@ def _lacking(corpus: Corpus, name: str) -> tuple[int, tuple[HuntHit | None, ...]
     for L in corpus.lattices():
         proper |= _proper(L) << len(found)
         labels = L.labels
-        for q, pair in enumerate(_verdicts(L, name)[2]):
+        for q, pair in enumerate(_named(L, name)[2]):
             if pair is None:
                 found.append(None)
             else:

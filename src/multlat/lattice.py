@@ -419,5 +419,11 @@ def _check_axioms(L: FiniteMultiplicativeLattice) -> ValidationReport:
           if not all(map(leq[row[b]].__getitem__, map(row.__getitem__, above[b])))
           for c in above[b] if not leq[row[b]][row[c]])),
     )
-    failures = tuple((name, w) for name, scan in scans if (w := next(scan, None)) is not None)
-    return ValidationReport(ok=not failures, failures=failures)
+    failures = []
+    for name, scan in scans:
+        # With a partial order, every join and distributivity, b <= c gives
+        # b v c = c, so ac = a(b v c) = ab v ac >= ab: a lattice that passed
+        # every earlier scan is monotone, and only a failed one needs this scan.
+        if (failures or name != "mul-monotone") and (w := next(scan, None)) is not None:
+            failures.append((name, w))
+    return ValidationReport(ok=not failures, failures=tuple(failures))

@@ -5,7 +5,10 @@ import json
 
 import pytest
 
+import oracle
+
 from multlat import (
+    chain_frame,
     classification_report,
     is_delta_primary,
     is_n_potent_delta_primary,
@@ -19,6 +22,7 @@ from multlat import (
     map_leq,
     residual_characterization_A,
     residual_characterization_B,
+    zn_ideal_lattice,
 )
 from multlat.classify import (
     compact_pair_violation,
@@ -224,3 +228,39 @@ def test_text_table_has_a_column_per_potency(z8):
     assert len(header) == 1 + len(rep.columns) == 12
     for rec in rep.records:
         assert set(rec.flags) == {flag for flag, _ in rep.columns}
+
+
+def test_table_maps_with_one_tag_get_their_own_flags(z24):
+    # every file table is tagged "table", so only the tables tell them apart
+    L, phi0 = z24, make_phi(z24, "phi0")
+    deltas = [make_delta(L, "table", make_delta(L, k).table) for k in ("d0", "d1")]
+    deltas.append(make_delta(L, "table", [L.top] * L.n))
+    phis = [make_phi(L, "table", table=make_phi(L, k).table) for k in ("phi0", "phi2")]
+    seen = set()
+    for delta in deltas:
+        for phi in phis:
+            rep = classification_report(L, delta, phi)
+            assert (rep.delta, rep.phi) == ("table", "table")
+            for p in L.proper_elements:
+                flags, witnesses = rep.record(L.label(p)).flags, rep.record(L.label(p)).witnesses
+                want = {
+                    "delta_primary": oracle.delta_primary_violation(L, delta, p),
+                    "weakly_delta_primary": oracle.phi_delta_primary_violation(L, delta, phi0, p),
+                    "phi_prime": oracle.phi_prime_violation(L, phi, p),
+                    "phi_primary": oracle.phi_primary_violation(L, phi, p),
+                    "phi_delta_primary": oracle.phi_delta_primary_violation(L, delta, phi, p),
+                    **{f"{k}_potent_delta_primary": oracle.n_potent_violation(L, delta, p, k)
+                       for k in (2, 3, 4)},
+                }
+                for flag, pair in want.items():
+                    assert flags[flag] == (pair is None), (flag, L.label(p))
+                    assert witnesses.get(flag) == (pair and tuple(map(L.label, pair)))
+            seen.add(json.dumps(rep.to_dict()["elements"]))
+    assert len(seen) == len(deltas) * len(phis)
+
+
+def test_potency_below_two_is_rejected_before_any_pass():
+    # chain0 has no proper element, so no pass would ever reach the exponent
+    for L in (chain_frame(0), zn_ideal_lattice(8)):
+        with pytest.raises(ValueError, match="potency exponent must be >= 2, got 1"):
+            classification_report(L, make_delta(L, "d1"), make_phi(L, "phi2"), potency=(3, 1, 0))

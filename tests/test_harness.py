@@ -25,6 +25,7 @@ from multlat import (
     TheoremProperty,
     boolean_frame,
     chain_frame,
+    classification_report,
     default_corpus,
     enumerate_isomorphisms,
     hunt,
@@ -40,9 +41,9 @@ from multlat import (
     validate,
     zn_ideal_lattice,
 )
-from multlat import harness
+from multlat import classify, harness
 from multlat.constructions import Corpus, CorpusEntry
-from multlat.lattice import _bits
+from multlat.lattice import _bits, _per_lattice
 from test_derived import SHAPES
 
 EXPECTED_COUNTS = {
@@ -547,12 +548,36 @@ def test_rows_equal_the_per_instance_statements_under_other_kinds(corpus):
 def test_verify_and_hunt_share_their_verdicts(monkeypatch):
     corpus = default_corpus()
     run_all(corpus)
-    built = []
-    finder = harness._finder
-    monkeypatch.setattr(harness, "_finder", lambda name: built.append(name) or finder(name))
-    # verify read phi2-d1-primary as the pair (d1, phi2) and d1-primary as (d1, none)
+    calls = []
+    first_pair = classify._first_pair
+    monkeypatch.setattr(classify, "_first_pair", lambda *a: calls.append(a) or first_pair(*a))
+    # verify read phi2-d1-primary as the maps (d1, phi2) and d1-primary as (d1, none)
     assert hunt("phi2-d1-primary", "d1-primary", corpus)
-    assert built == []
+    assert calls == []
+    # a corpus verify never saw is scanned
+    assert hunt("phi2-d1-primary", "d1-primary", default_corpus()) and calls
+
+
+def _store_keys(L):
+    """The keys of L's verdict store entries, kernel and idempotent."""
+    stores = (classify._kernel_entry.__wrapped__, classify._idempotent_entry.__wrapped__)
+    return {key for key in L._memo if key[0] in stores}
+
+
+def test_verify_reads_the_entries_classify_filled(monkeypatch):
+    twin, z24 = zn_ideal_lattice(24), zn_ideal_lattice(24)
+    run_all(Corpus((CorpusEntry(twin, "added"),)))
+    classification_report(z24, make_delta(z24, "d1"), make_phi(z24, "phi2"))
+    filled = _store_keys(z24)
+    kernel = classify._kernel_entry.__wrapped__
+    # every kernel entry classify filled is one verify reads, under the same key
+    assert filled & _store_keys(twin) == {key for key in filled if key[0] is kernel}
+    passes = []
+    make_pass = classify._pass
+    monkeypatch.setattr(classify, "_pass", lambda L, v: passes.append(L) or make_pass(L, v))
+    run_all(Corpus((CorpusEntry(z24, "added"),)))
+    assert passes == [z24] * len(_store_keys(twin) - filled)
+    assert _store_keys(z24) == _store_keys(twin) | filled
 
 
 @pytest.mark.parametrize("name", HUNT_CORPORA)
@@ -583,46 +608,59 @@ def test_hunt_repeats_the_hits_of_a_repeated_lattice():
     assert found
 
 
+def _kernel_keys(L):
+    """The distinct (delta table, phi table or None, k) of the 21 kernels, and
+    idempotence."""
+    deltas = [make_delta(L, f"d{d}").table for d in range(2)]
+    phis = [None, *(make_phi(L, f"phi{e}").table for e in EXPONENTS)]
+    keys = {(d, phi, 1) for d in deltas for phi in phis}
+    return keys | {(d, None, k) for d in deltas for k in range(2, 5)} | {"idempotent"}
+
+
 def test_warm_hunts_read_masks(monkeypatch):
-    corpus = default_corpus().extended(zn_ideal_lattice(5040), "added")
+    def build():
+        return default_corpus().extended(zn_ideal_lattice(5040), "added")
+
     queries = [
         (["phi2-d1-primary"], "d1-primary"),
         (["2-potent-d0-primary", "phi2-d1-primary"], "prime"),
         *_two_predicate_queries(2, 50),
     ]
-    expected = [oracle.hunt(have, lack, corpus) for have, lack in queries]
-    calls, built = Counter(), Counter()
-    finder = harness._finder
+    # the oracle reads the store too, so it runs on an equal corpus
+    twin = build()
+    expected = [oracle.hunt(have, lack, twin) for have, lack in queries]
+    corpus, passes = build(), Counter()
 
-    def counting_finder(name):
-        built[name] += 1
-        witness = finder(name)
+    def counted(store):
+        def counting(L, *args):
+            passes[L.name] += 1
+            return store(L, *args)
 
-        def counted(L, q):
-            calls[name] += 1
-            return witness(L, q)
+        return _per_lattice(counting)
 
-        return counted
-
-    monkeypatch.setattr(harness, "_finder", counting_finder)
+    monkeypatch.setattr(classify, "_kernel_entry", counted(classify._kernel_entry.__wrapped__))
+    idempotent_entry = harness._idempotent_entry.__wrapped__
+    monkeypatch.setattr(harness, "_idempotent_entry", counted(idempotent_entry))
     for name in PREDICATES:
         hunt([], name, corpus)
-    # an alias reads its kernel's entry: 21 passes for the 35 names
-    assert set(built) == KERNELS and len(KERNELS) == 21
+    # an alias reads its kernel's entry, so the 35 names take at most 21
+    # passes per lattice: one per kernel, and kernels whose maps have equal
+    # tables (phi4 and phiomega on Z16, d0 and d1 on a chain) share one
+    assert len(KERNELS) == 21
+    assert passes == Counter(L.name for L in corpus.lattices() for _ in _kernel_keys(L))
 
-    def no_lattice(L, name):
-        raise AssertionError(f"a warm hunt read {L.name}'s verdicts for {name}")
+    def no_store(L, *args):
+        raise AssertionError(f"a warm hunt reached {L.name}'s verdict store")
 
     # the cold hunts kept every mask and hit on the corpus, so a warm query
-    # reads no lattice, builds no finder and calls no witness
-    monkeypatch.setattr(harness, "_verdicts", no_lattice)
-    calls.clear()
-    built.clear()
+    # reads no lattice and reaches no store
+    for module, store in ((classify, "_kernel_entry"), (harness, "_idempotent_entry"),
+                          (harness, "_named")):
+        monkeypatch.setattr(module, store, no_store)
     found = 0
     for (have, lack), want in zip(queries, expected):
         assert hunt(have, lack, corpus) == want, (have, lack)
         found += len(want)
-    assert not built and not calls, (built, calls)
     assert found
 
 
@@ -630,7 +668,7 @@ def test_aliases_share_the_kernel_entry(corpus):
     for L in corpus.lattices():
         for name in PREDICATES:
             kernel = KERNEL.get(name, name)
-            assert harness._verdicts(L, name) is harness._verdicts(L, kernel), (L.name, name)
+            assert harness._named(L, name) is harness._named(L, kernel), (L.name, name)
     found = 0
     for alias, kernel in KERNEL.items():
         for have in PREDICATES:
@@ -649,6 +687,19 @@ def test_predicate_numerals_have_no_leading_zero():
             parse_predicate(bad)
     for good in ("phi0-prime", "phi10-primary", "phi100-d0-primary", "10-potent-d1-primary"):
         assert parse_predicate(good).name == good
+
+
+def test_predicate_witness_rejects_the_top(corpus):
+    # a kernel name asks a primality question, which the top cannot answer;
+    # idempotent only asks whether top * top = top, and the top is the unit
+    for L in (*corpus.lattices(), *SHAPES):
+        for name in PREDICATES:
+            witness = parse_predicate(name).witness
+            if name == "idempotent":
+                assert witness(L, L.top) is None, L.name
+            else:
+                with pytest.raises(ValueError, match="primality needs a proper element"):
+                    witness(L, L.top)
 
 
 # -- _every_phin at the stabilization index ------------------------------------

@@ -79,8 +79,9 @@ def test_lattice_holds_the_only_bitmask_builder():
 
 
 def test_harness_calls_the_kernel_not_a_per_form_wrapper():
-    # Every hunt predicate is spelt as the arguments of one kernel, so the
-    # harness needs no per-form dispatch over the classify wrappers.
+    # Every verdict is an entry of the one kernel's store, keyed by its
+    # arguments, so the harness needs no per-form dispatch over the classify
+    # wrappers.
     imports = {
         alias.name
         for node in ast.walk(_tree("harness"))
@@ -88,8 +89,8 @@ def test_harness_calls_the_kernel_not_a_per_form_wrapper():
         for alias in node.names
     }
     assert imports == {
-        "phi_delta_primary_violation",
-        "n_potent_violation",
+        "_entry",
+        "_idempotent_entry",
         "compact_pair_violation",
         "characterization_failures",
     }

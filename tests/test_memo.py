@@ -1,9 +1,9 @@
 """Memos live on the lattice, or the corpus, they describe.
 
-Tables and verdicts are kept on the lattice object, keyed by element indices
-and map kinds, never by lattice value: a fresh lattice equal to a classified
-one is classified without comparing the two, and every result is freed with
-its lattice.  Hunt's corpus-wide masks are kept on the corpus the same way,
+Tables and verdicts are kept on the lattice object, keyed by map kinds and
+by the kernel's arguments (map tables and a power), never by lattice value:
+a fresh lattice equal to a classified one is classified without comparing
+the two, and every result is freed with its lattice.  Hunt's corpus-wide masks are kept on the corpus the same way,
 outside its value.  No module-level memo may come back.
 """
 
