@@ -15,7 +15,6 @@ from typing import Callable, NamedTuple
 
 from .classify import classification_report
 from .constructions import (
-    LatticeFormatError,
     LatticeValidationError,
     boolean_frame,
     chain_frame,
@@ -279,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, LatticeFormatError, LatticeValidationError) as exc:
+    except (CliError, LatticeValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,7 +13,7 @@ from itertools import repeat
 from math import gcd, isqrt
 from operator import not_
 
-from .lattice import FiniteMultiplicativeLattice, LatticeStructureError, validate
+from .lattice import FiniteMultiplicativeLattice, validate
 
 _ZN_LIMIT = 10**6
 
@@ -203,10 +203,7 @@ def parse_lattice(text: str) -> FiniteMultiplicativeLattice:
             f"{labels[missing[0]]} * {labels[missing[1]]}"
         )
 
-    try:
-        lattice = FiniteMultiplicativeLattice(name, labels, leq, mul, bottom, top)
-    except LatticeStructureError as exc:
-        raise LatticeFormatError(str(exc)) from exc
+    lattice = FiniteMultiplicativeLattice(name, labels, leq, mul, bottom, top)
     report = validate(lattice)
     if not report.ok:
         raise LatticeValidationError(

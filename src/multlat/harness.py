@@ -235,6 +235,17 @@ def _chain_counts(L, holds: tuple[bool, ...]) -> dict[int, tuple[int, int]]:
     return counts
 
 
+@_per_lattice
+def _cancelling(L) -> int:
+    """T12's conditions on q alone: in a Noether lattice, the nonzero
+    non-nilpotent q with the restricted cancellation law."""
+    if not structure_profile(L).noether:
+        return 0
+    return _where(L, lambda q: (
+        q != L.bottom and not is_nilpotent(L, q) and has_restricted_cancellation(L, q)
+    ))
+
+
 # -- masks ---------------------------------------------------------------------
 
 
@@ -291,7 +302,8 @@ def registry() -> tuple[TheoremProperty, ...]:
 
     def add(id, description, binding, decide, clause, rows=None):
         # decide(L, config, *values) gives the (hypothesis, conclusion) masks
-        # of one assignment of binding[:-1], or None where it is out of range.
+        # of one assignment of binding[:-1], and optionally its weights third,
+        # or None where it is out of range.
         def decided(L, corpus, config) -> Iterator[Row]:
             domain = _proper(L)
             for values in product(*(_DOMAINS[name](L, config) for name in binding[:-1])):
@@ -431,18 +443,11 @@ def registry() -> tuple[TheoremProperty, ...]:
         "all phin <=> delta-primary",
     )
 
-    def t12_rows(L, corpus, config):
-        domain = _proper(L)
-        # the conjuncts that read only q, decided once per lattice
-        cancelling = _where(L, lambda q: (
-            q != L.bottom and not is_nilpotent(L, q) and has_restricted_cancellation(L, q)
-        )) if structure_profile(L).noether else 0
-        for delta, phi in product(_deltas(L, config), _phis(L, config)):
-            if cancelling and _below(L, phi.tag, "phi2"):
-                same = _agree(_pdp(L, delta, phi), _pdp(L, delta))
-                yield Row((delta, phi), domain, cancelling, same)
-            else:
-                yield Row((delta, phi), domain, 0, 0)
+    def t12(L, c, delta, phi):
+        cancelling = _cancelling(L)
+        if not (cancelling and _below(L, phi.tag, "phi2")):
+            return 0, 0
+        return cancelling, _agree(_pdp(L, delta, phi), _pdp(L, delta))
 
     add(
         "T12",
@@ -450,9 +455,8 @@ def registry() -> tuple[TheoremProperty, ...]:
         "restricted cancellation law is phi-delta-primary (phi <= phi2, and "
         "likewise phi <= phin for n >= 2) iff delta-primary",
         ("delta", "phi", "q"),
-        None,
+        t12,
         "phi-delta-primary <=> delta-primary",
-        rows=t12_rows,
     )
 
     add(
@@ -545,22 +549,18 @@ def registry() -> tuple[TheoremProperty, ...]:
         "delta-primary",
     )
 
-    def t21_rows(L, corpus, config):
+    def t21(L, c, delta, phi):
         # one element per join p, standing for the chains whose largest member is p
-        domain = _proper(L)
-        for delta, phi in product(_deltas(L, config), _phis(L, config)):
-            primary, holds, _ = _entry(L, delta, phi)
-            hyp = primary if is_monotone(phi) else 0
-            yield Row((delta, phi), domain, hyp, primary, _chain_counts(L, holds))
+        primary, holds, _ = _entry(L, delta, phi)
+        return primary if is_monotone(phi) else 0, primary, _chain_counts(L, holds)
 
     add(
         "T21",
         "the join of a chain of phi-delta-primary elements is "
         "phi-delta-primary when phi is monotone",
         ("delta", "phi", "p"),
-        None,
+        t21,
         "join is phi-delta-primary",
-        rows=t21_rows,
     )
 
     def t22_rows(L, corpus, config):
@@ -672,7 +672,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         "phin-delta-primary for every n >= 2",
         ("delta", "q"),
         lambda L, c, delta: (
-            _mask(map(eq, _phi(L, "phi2").table, range(L.n))),
+            _idempotent_entry(L)[0],
             _pdp(L, delta, _phi(L, "phiomega")) & _every_phin(L, delta),
         ),
         "phiomega and every phin",

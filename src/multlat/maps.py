@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import getitem
 
-from .derived import omega_power, radical
 from .lattice import FiniteMultiplicativeLattice
 
 
@@ -91,7 +90,7 @@ def make_delta(
     if kind == "d0":
         return Expansion(L, tuple(range(L.n)), tag or "d0", "d0")
     if kind == "d1":
-        return Expansion(L, tuple(radical(L, a) for a in range(L.n)), tag or "d1", "d1")
+        return Expansion(L, L._radical_table, tag or "d1", "d1")
     if kind != "table":
         raise ValueError(f"unknown expansion kind {kind!r}")
     t = _check_table(L, table)
@@ -140,9 +139,8 @@ def make_phi(
         )
         return PhiMap(L, tuple(powers), tag or f"phi{k}", f"phi{k}" if k <= 2 else "phin")
     if kind == "phiomega":
-        return PhiMap(
-            L, tuple(omega_power(L, a) for a in range(L.n)), tag or "phiomega", "phiomega"
-        )
+        omega = tuple(chain[-1] for chain in L._power_chains)
+        return PhiMap(L, omega, tag or "phiomega", "phiomega")
     if kind != "table":
         raise ValueError(f"unknown phi kind {kind!r}")
     t = _check_table(L, table)

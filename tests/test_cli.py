@@ -119,6 +119,49 @@ def test_classify_map_table_from_file(tmp_path, capsys):
     assert rc == 0
 
 
+def test_classify_phi_table_from_file(tmp_path, capsys):
+    # every value meets its element, so a table of tops is the identity, phi1
+    z8 = zn_ideal_lattice(8)
+    path = tmp_path / "phi.map"
+    path.write_text("".join(f"{label} (1)\n" for label in z8.labels))
+    rc, out, err = run(capsys, "classify", "--zn", "8", "--phi", f"file:{path}")
+    assert (rc, err) == (0, "")
+    _, identity, _ = run(capsys, "classify", "--zn", "8", "--phi", "1")
+    assert out.splitlines()[0] == "lattice Z8  delta=d1  phi=table"
+    assert out.splitlines()[1:] == identity.splitlines()[1:]
+
+
+def test_classify_rejects_a_bad_delta_spec(tmp_path, capsys):
+    rc, out, err = run(capsys, "classify", "--zn", "8", "--delta", "d2")
+    assert (rc, out) == (2, "")
+    assert err == "error: bad delta spec 'd2' (want d0 | d1 | file:PATH)\n"
+    path = tmp_path / "delta.map"
+    path.write_text("(0) (0)\n(2) (0)\n(4) (4)\n(1) (1)\n")
+    rc, out, err = run(capsys, "classify", "--zn", "8", "--delta", f"file:{path}")
+    assert (rc, out) == (2, "")
+    assert err == f"error: bad delta spec 'file:{path}': not inflationary at (2)\n"
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("lattice again", "bad or repeated lattice line"),
+        ("bottom (0) (2)", "bad bottom line"),
+        ("top", "bad top line"),
+        ("cover (0) (2)", "expected 'cover a < b'"),
+        ("mul (2) * (2) (4)", "expected 'mul a * b = c'"),
+    ],
+    ids=["lattice", "bottom", "top", "cover", "mul"],
+)
+def test_validate_names_the_bad_line(tmp_path, capsys, line, message):
+    text = serialize(zn_ideal_lattice(8))
+    path = tmp_path / "bad.lat"
+    path.write_text(text + line + "\n")
+    rc, out, err = run(capsys, "validate", "--file", str(path))
+    assert (rc, out) == (2, "")
+    assert err == f"error: line {len(text.splitlines()) + 1}: {message}\n"
+
+
 def test_verify_default_passes(capsys):
     rc, out, _ = run(capsys, "verify")
     assert rc == 0

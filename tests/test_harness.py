@@ -569,9 +569,9 @@ def test_verify_reads_the_entries_classify_filled(monkeypatch):
     run_all(Corpus((CorpusEntry(twin, "added"),)))
     classification_report(z24, make_delta(z24, "d1"), make_phi(z24, "phi2"))
     filled = _store_keys(z24)
-    kernel = classify._kernel_entry.__wrapped__
-    # every kernel entry classify filled is one verify reads, under the same key
-    assert filled & _store_keys(twin) == {key for key in filled if key[0] is kernel}
+    # every entry classify filled, idempotence included, is one verify reads,
+    # under the same key
+    assert filled & _store_keys(twin) == filled
     passes = []
     make_pass = classify._pass
     monkeypatch.setattr(classify, "_pass", lambda L, v: passes.append(L) or make_pass(L, v))

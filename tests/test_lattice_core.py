@@ -138,6 +138,14 @@ def test_structural_errors():
         FiniteMultiplicativeLattice("x", ok.labels, ok.leq_table, ok.mul_table, 0, 5)
 
 
+def test_multiplication_table_must_be_square():
+    ok = zn_ideal_lattice(4)
+    for mul in (ok.mul_table[:-1], [row[:-1] for row in ok.mul_table]):
+        with pytest.raises(LatticeStructureError) as err:
+            FiniteMultiplicativeLattice("x", ok.labels, ok.leq_table, mul, 0, 2)
+        assert str(err.value) == "multiplication table is not n-by-n"
+
+
 @pytest.mark.parametrize(
     "entries, named",
     [

@@ -413,6 +413,42 @@ def test_parse_map_table(z8):
         parse_map_table("(0) (7)", z8)  # unknown label
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(0)\n", "line 1: expected '<from> <to>', got '(0)'"),
+        ("(0) (0)\n(0) (2)\n", "line 2: duplicate entry for (0)"),
+        ("# only the bottom\n(0) (0)  # fixed\n", "map table missing entries for: (2), (4), (1)"),
+    ],
+    ids=["arity", "duplicate", "missing"],
+)
+def test_parse_map_table_messages(z8, text, message):
+    with pytest.raises(ValueError) as err:
+        parse_map_table(text, z8)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("table", [(0, 1, 2, 4), (0, 1, 2), (0, -1, 2, 3)])
+def test_tables_must_index_the_carrier(z8, table):
+    for build in (make_delta, make_phi):
+        with pytest.raises(MapValidationError) as err:
+            build(z8, "table", table=table)
+        assert str(err.value) == "map table does not index the carrier"
+        assert err.value.witness == ()
+
+
+def test_global_property_witness_checks_where_the_maps_live(z8, z27):
+    f = enumerate_isomorphisms(z8, z27)[0]
+    with pytest.raises(ValueError, match="source and target"):
+        global_property_witness(f, make_delta(z27, "d1"), make_delta(z27, "d1"))
+    with pytest.raises(ValueError, match="source and target"):
+        global_property_witness(f, make_delta(z8, "d1"), make_delta(z8, "d1"))
+    # the radical of Z27's bottom (0) is (3), but the identity on Z8 fixes (0)
+    assert global_property_witness(f, make_delta(z8, "d0"), make_delta(z27, "d1")) == (
+        z27.index_of("(0)")
+    )
+
+
 def test_is_monotone_is_computed_once_per_map(z24):
     # Both answers occur: identity below the top, bottom at the top, is not monotone.
     table = [z24.bottom if a == z24.top else a for a in z24.elements()]
