@@ -366,15 +366,64 @@ def _gather(idx):
     return get if len(idx) > 1 else lambda seq: (get(seq),)
 
 
+def _lazy(make):
+    """The items of make(), which is called when the first item is asked for."""
+    yield from make()
+
+
+def _associativity_breaks(mul, rows, cols):
+    """(a, b, c) with (ab)c != a(bc), for a in rows and b in cols, row-major."""
+    # row (ab)c against row a(bc); one getter per row b
+    times = [(b, _gather(mul[b])) for b in cols]
+    for a in rows:
+        row = mul[a]
+        for b, by_b in times:
+            if (ab_c := mul[row[b]]) != (a_bc := by_b(row)):
+                yield from ((a, b, c) for c in range(len(row)) if ab_c[c] != a_bc[c])
+
+
+def _distributivity_breaks(mul, lub, rows, cols):
+    """(a, b, c) with a(b v c) != ab v ac, for a in rows and b in cols, row-major.
+
+    A triple where either join is missing (-1 in lub) is skipped.
+    """
+    # row a(b v c) against row ab v ac; one getter per row a and per row b
+    joins = [(b, lub[b], _gather(lub[b])) for b in cols]
+    for a in rows:
+        row = mul[a]
+        by_a = _gather(row)
+        for b, lub_b, join_b in joins:
+            if (lhs := join_b(row)) != (rhs := by_a(lub[row[b]])):
+                yield from (
+                    (a, b, c) for c in range(len(row))
+                    if lhs[c] != rhs[c] and lub_b[c] >= 0 and rhs[c] >= 0
+                )
+
+
+def _monotonicity_breaks(leq, mul, up):
+    """(a, b, c) with b <= c and ab !<= ac, row-major."""
+    # every c >= b must have ac >= ab
+    above = [tuple(_bits(m)) for m in up]
+    for a, row in enumerate(mul):
+        for b, ab in enumerate(map(leq.__getitem__, row)):
+            if not all(map(ab.__getitem__, map(row.__getitem__, above[b]))):
+                yield from ((a, b, c) for c in above[b] if not ab[row[c]])
+
+
 def validate(L: FiniteMultiplicativeLattice) -> ValidationReport:
-    """Exhaustively check every lattice and multiplication axiom.
+    """Check every lattice and multiplication axiom, exhaustively or by proof.
 
     Checks, in order: reflexivity, antisymmetry, transitivity of the order;
     bottom least and top greatest; existence of pairwise joins and meets;
     commutativity, associativity, identity (a*top = a), annihilation
     (a*bottom = bottom), distributivity over binary joins, and monotonicity.
-    One lexicographically-first witness is recorded per violated axiom.  The
-    report is kept on the lattice, so a second call costs nothing.
+    One lexicographically-first witness is recorded per violated axiom.
+    Where the axioms scanned before them hold, meets and monotonicity follow
+    from those axioms, and distributivity and associativity from checks on
+    the join-irreducibles alone (the proofs are in ``docs/formats.md``).  An
+    axiom is scanned in full only where its proof does not apply or its
+    check fails, so the report is that of the exhaustive scans.  The report
+    is kept on the lattice, so a second call costs nothing.
     """
     return L.validation
 
@@ -382,48 +431,80 @@ def validate(L: FiniteMultiplicativeLattice) -> ValidationReport:
 def _check_axioms(L: FiniteMultiplicativeLattice) -> ValidationReport:
     # Each scan yields witnesses in the row-major order of the plain triple
     # loop, reading whole rows of the up-set bitmasks and of the tables.
-    rng, full = range(L.n), (1 << L.n) - 1
-    leq, mul, up, down = L.leq_table, L.mul_table, L.up_sets, L.down_sets
+    rng, full, bottom = range(L.n), (1 << L.n) - 1, L.bottom
+    mul, up, down = L.mul_table, L.up_sets, L.down_sets
     cols = tuple(zip(*mul))
-    above = tuple(tuple(_bits(m)) for m in up)
-    # -1 marks a pair with no join; it is reported as such and skipped below.
-    lub = tuple(tuple(-1 if k is None else k for k in row) for row in L._partial_lub)
-    times, joins = [_gather(row) for row in mul], [_gather(row) for row in lub]
+    lub = L._partial_lub
+    if any(None in row for row in lub):
+        # -1 marks a pair with no join; it is reported as such and skipped below.
+        lub = tuple(tuple(-1 if k is None else k for k in row) for row in lub)
     scans = (
         ("order-reflexive", ((i,) for i in rng if not up[i] >> i & 1)),
         ("order-antisymmetric",
          ((i, j) for i in rng for j in _bits(up[i] & down[i] & ~(1 << i)))),
         ("order-transitive",
          ((i, j, k) for i in rng for j in _bits(up[i]) for k in _bits(up[j] & ~up[i]))),
-        ("bottom-least", ((i,) for i in _bits(full & ~up[L.bottom]))),
+        ("bottom-least", ((i,) for i in _bits(full & ~up[bottom]))),
         ("top-greatest", ((i,) for i in _bits(full & ~down[L.top]))),
         ("pairwise-join-exists", _missing(L._partial_lub)),
-        ("pairwise-meet-exists", _missing(L._partial_glb)),
+        ("pairwise-meet-exists", _lazy(lambda: _missing(L._partial_glb))),
         ("mul-commutative",
          ((a, b) for a in rng if mul[a] != cols[a] for b in rng if mul[a][b] != mul[b][a])),
-        # row (ab)c against row a(bc)
-        ("mul-associative",
-         ((a, b, c) for a, row in enumerate(mul) for b in rng
-          if (ab_c := mul[row[b]]) != (a_bc := times[b](row))
-          for c in rng if ab_c[c] != a_bc[c])),
+        ("mul-associative", _associativity_breaks(mul, rng, rng)),
         ("mul-identity", ((a,) for a in rng if mul[a][L.top] != a)),
-        ("mul-annihilates-bottom", ((a,) for a in rng if mul[a][L.bottom] != L.bottom)),
-        # row a(b v c) against row ab v ac
-        ("mul-join-distributive",
-         ((a, b, c) for a, row in enumerate(mul) for by_a in (_gather(row),) for b in rng
-          if (lhs := joins[b](row)) != (rhs := by_a(lub[row[b]]))
-          for c in rng if lhs[c] != rhs[c] and lub[b][c] >= 0 and rhs[c] >= 0)),
-        # every c >= b must have ac >= ab
-        ("mul-monotone",
-         ((a, b, c) for a, row in enumerate(mul) for b in rng
-          if not all(map(leq[row[b]].__getitem__, map(row.__getitem__, above[b])))
-          for c in above[b] if not leq[row[b]][row[c]])),
+        ("mul-annihilates-bottom", ((a,) for a in rng if mul[a][bottom] != bottom)),
+        ("mul-join-distributive", _distributivity_breaks(mul, lub, rng, rng)),
+        ("mul-monotone", _monotonicity_breaks(L.leq_table, mul, up)),
     )
-    failures = []
-    for name, scan in scans:
+    distributes = None
+
+    def joins_distribute():
+        # Fix a and say a(j v c) = aj v ac for every join-irreducible j and
+        # every c.  Then c = bottom gives a*bottom <= aj, and c >= j gives
+        # ac = aj v ac >= aj, so a*bottom <= ac for every c.  Every b is a
+        # join of join-irreducibles, bottom the empty one: a(bottom v c) =
+        # ac = a*bottom v ac, and b = j v b', with b' the join of the others,
+        # gives a(b v c) = aj v a(b' v c) = aj v ab' v ac = ab v ac by
+        # induction.  Neither commutativity nor annihilation is needed.
+        nonlocal distributes
+        if distributes is None:
+            breaks = _distributivity_breaks(mul, lub, rng, L.join_irreducibles)
+            distributes = next(breaks, None) is None
+        return distributes
+
+    def associates():
+        # Write x and y as joins of join-irreducibles a_i and b_j.  Products
+        # distribute over those joins on either side (commutativity), so
+        # (xy)z and x(yz) are the joins of the (a_i b_j)z and a_i(b_j z), and
+        # both are bottom when x or y is bottom (annihilation).
+        ji = L.join_irreducibles
+        return (
+            joins_distribute()
+            and all(row[bottom] == bottom for row in mul)
+            and next(_associativity_breaks(mul, ji, ji), None) is None
+        )
+
+    # name -> (the axiom before which every scanned axiom must hold, proof).
+    # A scan is skipped only when that holds and its proof passes; otherwise
+    # it runs in full, so a failure is reported with the scan's own witness.
+    proofs = {
+        # Finite, with a least element and every binary join: the meet of a
+        # and b is the join of their lower bounds.
+        "pairwise-meet-exists": ("pairwise-meet-exists", lambda: True),
+        "mul-associative": ("mul-associative", associates),
+        "mul-join-distributive": ("pairwise-meet-exists", joins_distribute),
         # With a partial order, every join and distributivity, b <= c gives
-        # b v c = c, so ac = a(b v c) = ab v ac >= ab: a lattice that passed
-        # every earlier scan is monotone, and only a failed one needs this scan.
-        if (failures or name != "mul-monotone") and (w := next(scan, None)) is not None:
+        # b v c = c, so ac = a(b v c) = ab v ac >= ab.
+        "mul-monotone": ("mul-monotone", lambda: True),
+    }
+    position = {name: k for k, (name, _) in enumerate(scans)}
+    failures, first_failed = [], len(scans)
+    for k, (name, scan) in enumerate(scans):
+        if name in proofs:
+            before, proof = proofs[name]
+            if position[before] <= first_failed and proof():
+                continue
+        if (w := next(scan, None)) is not None:
             failures.append((name, w))
+            first_failed = min(first_failed, k)
     return ValidationReport(ok=not failures, failures=tuple(failures))

@@ -204,6 +204,25 @@ def _comparable_pairs(L: FiniteMultiplicativeLattice) -> int:
     return sum(map(int.bit_count, L.up_sets))
 
 
+def _join_steps(L: FiniteMultiplicativeLattice) -> list[tuple[int, int, list[int]]]:
+    """(x, y, ks) per element x above bottom, each y before the x it serves.
+
+    y is a lower cover of x and ks lists the positions in ``join_irreducibles``
+    of the join-irreducibles below x but not below y.  So the join of a map's
+    images over the join-irreducibles below x is its join below y joined with
+    the images at ks: in a distributive lattice ks has one entry, in M3 the
+    top above one atom needs both other atoms.
+    """
+    ji, down = L.join_irreducibles, L.down_sets
+    cover_below = {x: y for y, x in L.covers}
+    steps = []
+    for x in sorted(cover_below, key=lambda x: down[x].bit_count()):
+        y = cover_below[x]
+        new = down[x] & ~down[y]
+        steps.append((x, y, [k for k, j in enumerate(ji) if new >> j & 1]))
+    return steps
+
+
 def enumerate_isomorphisms(
     L1: FiniteMultiplicativeLattice, L2: FiniteMultiplicativeLattice
 ) -> tuple[Isomorphism, ...]:
@@ -211,9 +230,10 @@ def enumerate_isomorphisms(
 
     An isomorphism sends join-irreducibles onto join-irreducibles and is fixed
     by their images: f(x) is the join of f(j) over the join-irreducibles
-    j <= x.  So the search backtracks over those images only, each with the
-    signature of its preimage (which only prunes) and in the same order
-    relation to the images placed so far.  A complete assignment is kept when
+    j <= x, built in one pass up the covers (``_join_steps``).  So the search
+    backtracks over those images only, each with the signature of its
+    preimage (which only prunes) and in the same order relation to the
+    images placed so far.  A complete assignment is kept when
     f is a bijection and preserves the products of join-irreducible pairs.
     No order row needs a check: f is monotone (x <= y puts every j below x
     below y), so a bijective f maps the comparable pairs of L1 injectively
@@ -229,15 +249,21 @@ def enumerate_isomorphisms(
     sig1 = [_signature(L1, i) for i in ji1]
     sig2 = [_signature(L2, j) for j in ji2]
     candidates = [[j for j, s in zip(ji2, sig2) if s == sig] for sig in sig1]
-    below = [[k for k, j in enumerate(ji1) if leq1[j][x]] for x in range(n)]
+    steps = _join_steps(L1)
     pairs = [(k, m, L1.mul(ji1[k], ji1[m])) for k in range(len(ji1)) for m in range(k + 1)]
+    lub2 = L2._lub
     found: list[tuple[int, ...]] = []
     image: list[int] = []
 
     def keep_if_isomorphism():
-        f = tuple(L2.join(map(image.__getitem__, ks)) for ks in below)
+        f = [L2.bottom] * n
+        for x, y, ks in steps:
+            fx = f[y]
+            for k in ks:
+                fx = lub2[fx][image[k]]
+            f[x] = fx
         if len(set(f)) == n and all(f[xy] == mul2[image[x]][image[y]] for x, y, xy in pairs):
-            found.append(f)
+            found.append(tuple(f))
 
     def fits(j):
         i = ji1[len(image)]

@@ -271,6 +271,24 @@ def test_verify_expects_the_config_vacuous_ids_by_default():
     assert tuple(args.expect_vacuous) == HarnessConfig().expected_vacuous
 
 
+def test_one_parser_serves_every_call_and_no_argument_leaks(capsys, monkeypatch):
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    monkeypatch.setattr(cli, "_parser", None)
+    plain = run(capsys, "verify", "--format", "json")
+    added = run(capsys, "verify", "--format", "json", "--add-zn", "360")
+    assert added != plain and added[0] == plain[0] == 0
+    assert run(capsys, "verify", "--format", "json") == plain
+    second = ("hunt", "--have", "phi2-d1-primary", "--lack", "prime", "--format", "json")
+    alone = run(capsys, *second)
+    first = run(capsys, "hunt", "--have", "2-potent-d0-primary", "--have", "phi2-d1-primary",
+                "--lack", "prime", "--add-zn", "360", "--format", "json")
+    assert first != alone and first[0] == alone[0] == 0
+    assert run(capsys, *second) == alone
+    assert len(builds) == 1 and cli._parser is not None
+
+
 def test_export_dot(tmp_path, capsys):
     out_path = tmp_path / "z8.dot"
     rc, _, _ = run(capsys, "export-dot", "--zn", "8", "--output", str(out_path))

@@ -1,5 +1,6 @@
 """Expansions, phi maps, the pointwise order, and isomorphism machinery."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -303,6 +304,31 @@ def test_self_isomorphisms_contain_identity(z8, z24, z30):
         tables = [f.forward for f in enumerate_isomorphisms(L, L)]
         assert tuple(range(L.n)) in tables
         assert tables == _brute_isomorphisms(L, L)
+
+
+def _isomorphism_digest(pairs):
+    h = hashlib.sha256()
+    for L1, L2 in pairs:
+        tables = [f.forward for f in enumerate_isomorphisms(L1, L2)]
+        h.update(repr((L1.name, L2.name, tables)).encode())
+    return h.hexdigest()
+
+
+# SHA-256 of the sorted forward tables, taken with the search that joined
+# every join-irreducible image below each element afresh.
+SHAPE_ISOMORPHISMS = "7a29351d4debf3a9cf6c114d9d9d16ad472cfdb4f586d1e5fd70b6f2f4dfc971"
+Z510510_AUTOMORPHISMS = "6dcd2dc5a4df1a3a5a7dcf34164c6202d5581250018fc6f11925bf81c55f99bc"
+
+
+def test_isomorphisms_of_shapes_and_z510510_are_pinned():
+    # The shapes include M3 and N5 with a top adjoined, where a join of two
+    # join-irreducible images can already reach the image of a third.
+    assert _isomorphism_digest(itertools.product(SHAPES, SHAPES)) == SHAPE_ISOMORPHISMS
+    z = zn_ideal_lattice(510510)
+    isos = enumerate_isomorphisms(z, z)
+    assert len(isos) == 5040
+    digest = hashlib.sha256(repr([f.forward for f in isos]).encode()).hexdigest()
+    assert digest == Z510510_AUTOMORPHISMS
 
 
 @pytest.mark.parametrize("L", [*SHAPES, chain_frame(0)], ids=lambda L: L.name)

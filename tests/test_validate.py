@@ -3,7 +3,10 @@
 ``validate`` must return exactly the report of ``oracle.naive_validate``: the
 same axiom names, in the same order, each with the same lexicographically
 first witness, on every mutant below.  The mutants break the order, the
-bounds and the multiplication one or several entries at a time.
+bounds and the multiplication one or several entries at a time.  A mutant
+that keeps the order and commutativity reaches the proofs from
+join-irreducibles, so a proof that passed where the full scan finds a
+witness would show here as a missing failure.
 """
 
 import random
@@ -24,6 +27,7 @@ from multlat import (
 )
 from multlat import lattice as lattice_module
 from multlat.cli import main
+from test_derived import SHAPES
 
 AXIOMS = (
     "order-reflexive",
@@ -88,6 +92,99 @@ def test_every_z24_mul_mutant_matches_oracle():
                 _assert_matches_oracle(_copy(z24, f"Z24-mul{a}.{b}={v}", mul=mul))
                 count += 1
     assert count == 448
+
+
+def _mul_mutants(L):
+    """Every one-entry change of the product table, then every symmetric
+    two-entry one, which keeps commutativity."""
+    for a in L.elements():
+        for b in L.elements():
+            for v in L.elements():
+                if v == L.mul_table[a][b]:
+                    continue
+                for both in (False, True) if a < b else (False,):
+                    mul = [list(row) for row in L.mul_table]
+                    mul[a][b] = v
+                    if both:
+                        mul[b][a] = v
+                    yield _copy(L, f"{L.name}-mul{a}.{b}={v}{'-both' if both else ''}", mul=mul)
+
+
+@pytest.mark.parametrize(
+    "base", [SHAPES[0], boolean_frame(3)], ids=lambda L: L.name
+)
+def test_every_mul_mutant_matches_oracle(base):
+    # SHAPES[0] is N5 with a top adjoined: not modular, so not distributive.
+    assert oracle.is_modular(base) == (base is not SHAPES[0])
+    failed = set()
+    for M in _mul_mutants(base):
+        _assert_matches_oracle(M)
+        failed.update(validate(M).axiom_names())
+    assert {"mul-associative", "mul-join-distributive"} <= failed
+
+
+def test_associativity_is_proved_only_where_bottom_annihilates():
+    # Commutative and distributive, and (ab)c = a(bc) for the join-irreducible
+    # a and b (1 and 2), but 0*0 = 1: (0*0)*1 = 1*1 = 2 and 0*(0*1) = 0*1 = 1.
+    M = _copy(chain_frame(2), "chain2-no-annihilation", mul=[[1, 1, 2], [1, 2, 2], [2, 2, 2]])
+    _assert_matches_oracle(M)
+    assert validate(M).failures[0] == ("mul-associative", (0, 0, 1))
+
+
+def test_meets_are_built_only_where_an_earlier_axiom_fails(monkeypatch):
+    built = []
+    bounds = FiniteMultiplicativeLattice._partial_bounds
+    monkeypatch.setattr(
+        FiniteMultiplicativeLattice, "_partial_bounds",
+        lambda L, upper: built.append((L.name, upper)) or bounds(L, upper),
+    )
+    for L in (zn_ideal_lattice(30), SHAPES[1], chain_frame(3)):
+        assert validate(L).ok
+    assert ("Z30", False) not in built and ("Z30", True) in built
+    assert not any(upper is False for _, upper in built)
+    # 0 < a, b < c, d < 1: a and b have two minimal upper bounds, c and d two
+    # maximal lower bounds
+    up = {"0": "0abcd1", "a": "acd1", "b": "bcd1", "c": "c1", "d": "d1", "1": "1"}
+    labels = list(up)
+    leq = [[y in up[x] for y in labels] for x in labels]
+    mul = [[j if i == 5 else i if j == 5 else 0 for j in range(6)] for i in range(6)]
+    bowtie = FiniteMultiplicativeLattice("bowtie", labels, leq, mul, 0, 5)
+    _assert_matches_oracle(bowtie)
+    assert validate(bowtie).axiom_names()[:2] == ("pairwise-join-exists", "pairwise-meet-exists")
+    assert built.count(("bowtie", False)) == 1
+
+
+def test_boolean_512_validates_in_well_under_the_scan_time():
+    # Each scan is cubic: about 10 s of raw CPU here at 512 elements, where
+    # the proofs from the 9 atoms take about 0.4 s.
+    L = boolean_frame(9)
+    L.up_sets, L.down_sets
+    t0 = time.process_time()
+    assert validate(L).ok
+    assert time.process_time() - t0 < 4.0
+
+
+def test_chain_validates_no_slower_than_its_full_scans():
+    # Every element of a chain but the bottom is join-irreducible, so the
+    # proofs compare as many rows as the scans they replace: validate must
+    # cost no more than exhausting the two full scans did.
+    def cpu(fn):
+        t0 = time.process_time()
+        fn()
+        return time.process_time() - t0
+
+    def full_scans(L):
+        rng, lub = L.elements(), L._lub
+        assert next(lattice_module._associativity_breaks(L.mul_table, rng, rng), None) is None
+        assert next(lattice_module._distributivity_breaks(L.mul_table, lub, rng, rng), None) is None
+
+    scans, checks = [], []
+    for _ in range(2):
+        L = chain_frame(255)
+        L._lub, L.down_sets
+        scans.append(cpu(lambda: full_scans(L)))
+        checks.append(cpu(lambda: validate(L)))
+    assert min(checks) < 1.15 * min(scans), (checks, scans)
 
 
 def test_random_multi_entry_flips_match_oracle():
