@@ -12,8 +12,13 @@ delta = id, primary delta = radical, delta-primary phi = none, k-potent
 k >= 2), so one verdict store, ``_kernel_entry``, keeps per lattice one pass
 over the proper elements for each (delta table, phi table or None, k): the
 report's columns, the harness rows and hunt all read it through
-``_entry``, and it is freed with the lattice.  The public wrappers below
-are direct scans of one element.
+``_entry``, and it is freed with the lattice.  Under the entries, ``_scans``
+keeps one ``_first_pair`` result per lattice for each distinct (target,
+excuse, row_skip, col_skip), so entries whose arguments coincide at an
+element share that scan: the k-potent columns once p^k stabilizes, prime
+and primary at a radical p, 2-potent d0 at an idempotent p.  Only scans
+with identical arguments are shared; no verdict is derived from another
+predicate's.  The public wrappers below are direct scans of one element.
 """
 
 from __future__ import annotations
@@ -142,13 +147,30 @@ def _pass(L, violation):
 
 
 @_per_lattice
+def _scans(L):
+    """L's ``_first_pair`` results, one per distinct (target, excuse, q, col_skip)
+    of a kernel entry, keyed by those four as one int."""
+    return {}
+
+
+@_per_lattice
 def _kernel_entry(L, deltas, excuses, k):
     """The entry of phi-delta-primary with target q^k: excuses None is the none
     kind.  Keyed by the tables themselves, so two maps with one tag never
-    share an entry and equal maps always do."""
-    return _pass(L, lambda q: _first_pair(
-        L, L.power(q, k), None if excuses is None else excuses[q], q, deltas[q]
-    ))
+    share an entry and equal maps always do.  An element whose scan arguments
+    another entry already had reads that entry's scan."""
+    scans, n = _scans(L), L.n
+
+    def violation(q):
+        target, excuse = L.power(q, k), None if excuses is None else excuses[q]
+        key = ((target * (n + 1) + (n if excuse is None else excuse)) * n + q) * n + deltas[q]
+        try:
+            return scans[key]
+        except KeyError:
+            pair = scans[key] = _first_pair(L, target, excuse, q, deltas[q])
+            return pair
+
+    return _pass(L, violation)
 
 
 def _entry(L, delta: Expansion, phi: PhiMap | None = None, k: int | None = None):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -100,9 +101,62 @@ def _resolve_phi(L: FiniteMultiplicativeLattice, spec: str):
         ) from exc
 
 
+class _Unrendered(Exception):
+    """A document ``_render`` leaves to json: a non-str key or an unknown type."""
+
+
 def _json(report) -> str:
-    # Reports are trees, so skipping the cycle check changes no byte.
-    return json.dumps(report, indent=2, sort_keys=True, check_circular=False)
+    """The bytes of ``json.dumps(report, indent=2, sort_keys=True)``.
+
+    With an indent, CPython's json encodes in pure Python.  A report is a tree
+    of dicts with str keys, lists, strs, ints, bools and None, which
+    ``_render`` writes out in one recursion; any other document is left to
+    json.dumps whole.
+    """
+    out = []
+    try:
+        _render(report, "\n", out.append)
+    except _Unrendered:
+        return json.dumps(report, indent=2, sort_keys=True)
+    return "".join(out)
+
+
+def _render(o, newline: str, emit) -> None:
+    kind = type(o)
+    if kind is str:
+        emit(_quote(o))
+    elif kind is bool:
+        emit("true" if o else "false")
+    elif kind is int:
+        emit(int.__repr__(o))
+    elif o is None:
+        emit("null")
+    elif kind is float:
+        emit(json.dumps(o))
+    elif kind is dict:
+        if any(type(key) is not str for key in o):
+            raise _Unrendered
+        if not o:
+            emit("{}")
+            return
+        inner, sep = newline + "  ", "{"
+        for key in sorted(o):
+            emit(f"{sep}{inner}{_quote(key)}: ")
+            _render(o[key], inner, emit)
+            sep = ","
+        emit(newline + "}")
+    elif kind is list or kind is tuple:
+        if not o:
+            emit("[]")
+            return
+        inner, sep = newline + "  ", "["
+        for item in o:
+            emit(sep + inner)
+            _render(item, inner, emit)
+            sep = ","
+        emit(newline + "]")
+    else:
+        raise _Unrendered
 
 
 def _emit(text: str, args: argparse.Namespace) -> None:

@@ -267,8 +267,53 @@ class FiniteMultiplicativeLattice:
 
     @cached_property
     def _residual_table(self) -> tuple[tuple[int, ...], ...]:
-        """(t : b) for every t, b: {x : xb <= t} is the down-set of (t : b)."""
-        return tuple(zip(*self._principal_preimages(zip(*self.mul_table))))
+        """(t : b) for every t, b: {x : xb <= t} is the down-set of (t : b).
+
+        Column b is the residual of the map x -> xb, and most columns are
+        composed from two others.  Say c is an upper cover of b, j != b has
+        cj = b, and x*b = (x*j)*c for every x (one comparison of whole
+        columns).  Then xb <= t iff xj <= (t : c), as column c is exact, iff
+        x <= ((t : c) : j), as column j is: column b is column j read through
+        column c, one gather.  The proof needs no axiom, only that columns c
+        and j are exact.  So elements are taken largest down-set first, and a
+        column with no such (c, j) among those met before it goes through the
+        pass along the covers, all such columns in one batched call.  On Zn
+        and boolean frames that leaves the top and the coatoms; on a chain,
+        every column.
+
+        The pass finds each {x : image[x] <= t} only where it reproduces the
+        order, which is checked once by turning the identity map into the
+        down-sets.  Then a composed column holds the values the pass would
+        give it and cannot make the pass raise, so every table, lawful or
+        not, gets the pass's values or its error.  Where the check fails,
+        every column goes through the pass.
+        """
+        mul, down = self.mul_table, self.down_sets
+        cols = tuple(zip(*mul))  # cols[b][x] = x*b
+        factors = {}  # b -> (c, j), in the order met
+        if next(self._preimage_sets([range(self.n)])) == list(down):
+            uppers = [[] for _ in cols]
+            for b, c in self.covers:
+                uppers[b].append(c)
+            met = bytearray(self.n)
+            for b in sorted(range(self.n), key=lambda x: -down[x].bit_count()):
+                for c in uppers[b]:
+                    row = mul[c]
+                    if row.count(b) == (row[b] == b):  # no j != b with cj = b
+                        continue
+                    j = row.index(b)
+                    if j == b:
+                        j = row.index(b, b + 1)
+                    if met[c] and met[j] and cols[b] == _gather(cols[j])(cols[c]):
+                        factors[b] = c, j
+                        break
+                met[b] = 1
+        rest = [b for b in range(self.n) if b not in factors]
+        pre = dict(zip(rest, self._principal_preimages(map(cols.__getitem__, rest))))
+        del cols  # before the table is built, so the two are never held together
+        for b, (c, j) in factors.items():
+            pre[b] = _gather(pre[c])(pre[j])
+        return tuple(zip(*map(pre.__getitem__, range(self.n))))
 
     @cached_property
     def _radical_table(self) -> tuple[int, ...]:
@@ -286,17 +331,9 @@ class FiniteMultiplicativeLattice:
         complete before it is passed up: one pass per map.  A set that is not
         principal raises ``LatticeStructureError`` naming the axioms the table breaks.
         """
-        down = self.down_sets
-        owner = {m: k for k, m in enumerate(down)}
-        steps = sorted(self.covers, key=lambda cover: down[cover[1]].bit_count())
-        singles = [1 << x for x in range(self.n)]
+        owner = {m: k for k, m in enumerate(self.down_sets)}
         out = []
-        for image in images:
-            acc = [0] * self.n
-            for v, bit in zip(image, singles):
-                acc[v] |= bit
-            for c, t in steps:
-                acc[t] |= acc[c]
+        for acc in self._preimage_sets(images):
             try:
                 out.append(list(map(owner.__getitem__, acc)))
             except KeyError:
@@ -305,6 +342,19 @@ class FiniteMultiplicativeLattice:
                     f"{self.name} has no residual or radical table: it breaks {broken}"
                 ) from None
         return out
+
+    def _preimage_sets(self, images):
+        """Per image map, the bitmasks the pass along the covers ORs up, per t."""
+        down = self.down_sets
+        steps = sorted(self.covers, key=lambda cover: down[cover[1]].bit_count())
+        singles = [1 << x for x in range(self.n)]
+        for image in images:
+            acc = [0] * self.n
+            for v, bit in zip(image, singles):
+                acc[v] |= bit
+            for c, t in steps:
+                acc[t] |= acc[c]
+            yield acc
 
     @cached_property
     def validation(self) -> ValidationReport:

@@ -9,6 +9,7 @@ import oracle
 
 from multlat import (
     chain_frame,
+    classify,
     classification_report,
     is_delta_primary,
     is_n_potent_delta_primary,
@@ -30,6 +31,7 @@ from multlat.classify import (
     phi_delta_primary_violation,
     phi_prime_violation,
 )
+from multlat.cli import _json
 
 DELTA_KINDS = ("d0", "d1")
 PHI_KINDS = ("phi0", "phi1", "phi2", "phi3", "phiomega")
@@ -264,3 +266,20 @@ def test_potency_below_two_is_rejected_before_any_pass():
     for L in (chain_frame(0), zn_ideal_lattice(8)):
         with pytest.raises(ValueError, match="potency exponent must be >= 2, got 1"):
             classification_report(L, make_delta(L, "d1"), make_phi(L, "phi2"), potency=(3, 1, 0))
+
+
+def test_report_scans_each_distinct_kernel_argument_once(monkeypatch):
+    # Columns whose scan arguments coincide at an element share one scan:
+    # the k-potent columns once p^k stabilizes, prime and primary at a
+    # radical p, 2-pot-d0 at an idempotent p.
+    L = zn_ideal_lattice(55440)
+    calls, first_pair = [], classify._first_pair
+    monkeypatch.setattr(classify, "_first_pair", lambda *a: calls.append(a) or first_pair(*a))
+    report = classification_report(L, make_delta(L, "d1"), make_phi(L, "phi2"))
+    monkeypatch.undo()
+    assert len(calls) == len(set(calls)) == 727
+    # a twin whose scans were stored in another order renders the same bytes
+    twin = zn_ideal_lattice(55440)
+    classification_report(twin, make_delta(twin, "d1"), make_phi(twin, "phi0"), potency=(4, 3, 2))
+    again = classification_report(twin, make_delta(twin, "d1"), make_phi(twin, "phi2"))
+    assert _json(again.to_dict()) == _json(report.to_dict())

@@ -5,8 +5,22 @@ import json
 
 import pytest
 
-from multlat import HarnessConfig, cli, serialize, zn_ideal_lattice
+from multlat import (
+    FiniteMultiplicativeLattice,
+    HarnessConfig,
+    chain_frame,
+    classification_report,
+    cli,
+    hunt,
+    make_delta,
+    make_phi,
+    run_all,
+    serialize,
+    zn_ideal_lattice,
+)
 from multlat.cli import main
+from multlat.constructions import Corpus, CorpusEntry
+from test_harness import HUNT_CORPORA, PREDICATES
 
 Z8_BAD = """\
 lattice Z8bad
@@ -540,3 +554,57 @@ def test_hunt_at_scale_without_hits_prints_an_empty_list(capsys):
     )
     assert rc == 1
     assert out == "[]\n"
+
+
+# -- the JSON renderer against json.dumps ----------------------------------------
+
+
+def _dumped(doc):
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def _classified(L):
+    return classification_report(L, make_delta(L, "d1"), make_phi(L, "phi2")).to_dict()
+
+
+@pytest.mark.parametrize("name", HUNT_CORPORA)
+def test_json_renders_the_bytes_of_json_dumps(name):
+    corpus = Corpus(tuple(CorpusEntry(L, "added") for L in HUNT_CORPORA[name]()))
+    docs = [_classified(L) for L in corpus.lattices()]
+    docs.append(run_all(corpus).to_dict())
+    docs += ([h.to_dict() for h in hunt([], lack, corpus)] for lack in PREDICATES)
+    docs.append([h.to_dict() for h in hunt("prime", "primary", corpus)])  # no hit
+    for doc in docs:
+        assert cli._json(doc) == _dumped(doc)
+
+
+def test_json_renders_empties_and_escapes_as_json_dumps_does():
+    chain = chain_frame(3)
+    labels = ['"0"', "back\\slash", "caf\u00e9 \u2713 \U0001d53b", "tab\tnew\nline\x7f\x00"]
+    L = FiniteMultiplicativeLattice(
+        'odd "name" \\ \u00e9', labels, chain.leq_table, chain.mul_table, chain.bottom, chain.top
+    )
+    docs = [
+        _classified(L),
+        [], {}, [[]], [{}], {"": {"": []}}, {"a": [], "b": {}, "c": [[], {}, [[{}]]]},
+        ("tuple", ["list"]), [True, False, None, 0, -7, 2**70, 0.5, float("inf")], "\"",
+    ]
+    for doc in docs:
+        assert cli._json(doc) == _dumped(doc), doc
+
+
+def _text_or_error(render, doc):
+    try:
+        return render(doc)
+    except TypeError as exc:
+        return f"TypeError: {exc}"
+
+
+def test_json_leaves_other_documents_to_json_dumps():
+    # A non-str key anywhere, or a type json does not know, takes json.dumps,
+    # down to the error it raises: mixed keys do not sort, a set is refused.
+    docs = ({1: "a", 2: []}, {"a": [{"b": {None: 1, True: 2}}]}, {"z": 1, 3.5: 2},
+            {"a": [{1, 2}]})
+    for doc in docs:
+        assert _text_or_error(cli._json, doc) == _text_or_error(_dumped, doc), doc
+    assert _text_or_error(cli._json, docs[-1]).startswith("TypeError: Object of type set")

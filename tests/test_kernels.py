@@ -34,6 +34,7 @@ from multlat import (
 )
 from multlat.classify import characterization_failures
 from test_derived import SHAPES
+from test_harness import HUNT_CORPORA
 
 DELTA_KINDS = ("d0", "d1")
 PHI_KINDS = ("none", "phi0", "phi1", "phi2", "phi3", "phiomega")
@@ -164,3 +165,101 @@ def test_bound_table_errors_match_oracle_on_broken_orders(base):
                 assert str(got.value) == str(exc)
             else:
                 assert L._bound_table(upper) == want
+
+
+def _product_mutants(L):
+    """Copies of L with one entry of the product table moved to each other value."""
+    for a in L.elements():
+        for b in L.elements():
+            for v in L.elements():
+                if v != L.mul_table[a][b]:
+                    mul = [list(row) for row in L.mul_table]
+                    mul[a][b] = v
+                    yield FiniteMultiplicativeLattice(
+                        f"{L.name}-mul{a}.{b}={v}", L.labels, L.leq_table, mul, L.bottom, L.top
+                    )
+
+
+def _cyclic():
+    """The unlawful table of test_unlawful_table_names_its_broken_axioms."""
+    mul = [[0, 0, 0, 0], [0, 2, 1, 1], [0, 1, 2, 2], [0, 1, 2, 3]]
+    leq = [[True] * 4, [False, True, False, True], [False, False, True, True],
+           [False, False, False, True]]
+    return FiniteMultiplicativeLattice("cyclic", ["0", "a", "b", "1"], leq, mul, 0, 3)
+
+
+def _residuals_or_error(compute):
+    try:
+        return compute()
+    except LatticeStructureError as exc:
+        return f"LatticeStructureError: {exc}"
+
+
+def _residual_differential(lattices):
+    # The composed table against every column through the pass along the
+    # covers: equal values, or the same error.
+    for L in lattices:
+        want = _residuals_or_error(lambda: tuple(zip(*L._principal_preimages(zip(*L.mul_table)))))
+        assert _residuals_or_error(lambda: L._residual_table) == want, L.name
+
+
+LADDER = (360, 5040, 55440, 720720, 942480)
+
+
+def test_composed_residuals_equal_the_cover_pass_on_lawful_lattices():
+    _residual_differential([
+        *SHAPES,
+        *(L for make in HUNT_CORPORA.values() for L in make()),
+        *(chain_frame(k) for k in range(41)),
+        *(boolean_frame(k) for k in range(9)),
+        *(zn_ideal_lattice(n) for n in LADDER),
+    ])
+
+
+@pytest.mark.parametrize(
+    "base", [chain_frame(3), boolean_frame(3), zn_ideal_lattice(12)], ids=lambda L: L.name
+)
+def test_composed_residuals_equal_the_cover_pass_on_unlawful_tables(base):
+    _residual_differential([*_product_mutants(base), *_order_flips(base), _cyclic()])
+
+
+def test_composed_residuals_equal_the_cover_pass_where_the_order_guard_fails():
+    # One order flip and one product change together: on one of these the
+    # pass along the covers does not reproduce the order, and composing its
+    # columns would change a value of the table.
+    _residual_differential(
+        [M for flipped in _order_flips(chain_frame(3)) for M in _product_mutants(flipped)]
+    )
+
+
+def _pass_columns(L, monkeypatch):
+    """How many columns of L's residual table go through the pass along the covers."""
+    passed, cover_pass = [], FiniteMultiplicativeLattice._principal_preimages
+
+    def counted(self, images):
+        images = list(images)
+        passed.append(len(images))
+        return cover_pass(self, images)
+
+    monkeypatch.setattr(FiniteMultiplicativeLattice, "_principal_preimages", counted)
+    L._residual_table
+    monkeypatch.undo()
+    return sum(passed)
+
+
+@pytest.mark.parametrize(
+    "L",
+    [*(zn_ideal_lattice(n) for n in LADDER), *(boolean_frame(k) for k in range(9))],
+    ids=lambda L: L.name,
+)
+def test_only_the_top_and_the_coatoms_take_the_cover_pass(L, monkeypatch):
+    # Every other column of a Zn or boolean frame is composed; a silent
+    # fallback to the pass for every column fails here.
+    coatoms = {a for a, b in L.covers if b == L.top}
+    assert _pass_columns(L, monkeypatch) == 1 + len(coatoms)
+
+
+def test_every_column_of_a_chain_takes_the_cover_pass(monkeypatch):
+    # xb = x ^ b, and cj = b for an upper cover c of b only at j = b
+    for k in (1, 5, 40):
+        assert _pass_columns(chain_frame(k), monkeypatch) == k + 1
