@@ -469,9 +469,8 @@ def validate(L: FiniteMultiplicativeLattice) -> ValidationReport:
     (a*bottom = bottom), distributivity over binary joins, and monotonicity.
     One lexicographically-first witness is recorded per violated axiom.
     Where the axioms scanned before them hold, meets and monotonicity follow
-    from those axioms, distributivity from the join-irreducibles or from one
-    pass along the covers per row, and associativity from the pairs a <= b
-    of join-irreducibles (the proofs are in ``docs/formats.md``).  An
+    from those axioms, and distributivity and associativity from checks on
+    the join-irreducibles alone (the proofs are in ``docs/formats.md``).  An
     axiom is scanned in full only where its proof does not apply or its
     check fails, so the report is that of the exhaustive scans.  The report
     is kept on the lattice, so a second call costs nothing.
@@ -517,46 +516,23 @@ def _check_axioms(L: FiniteMultiplicativeLattice) -> ValidationReport:
         # ac = a*bottom v ac, and b = j v b', with b' the join of the others,
         # gives a(b v c) = aj v a(b' v c) = aj v ab' v ac = ab v ac by
         # induction.  Neither commutativity nor annihilation is needed.
-        #
-        # Or say every nonempty {x : ax <= t} is a principal down-set, {x <= r}.
-        # Then a(b v c) <= t iff b v c <= r iff b, c <= r iff ab v ac <= t, for
-        # every t, so a(b v c) = ab v ac; conversely, x -> ax preserving joins
-        # makes each such set a down-set closed under joins.  The pass along
-        # the covers finds every set of a row at once: about three row
-        # comparisons' worth per element and cover, so it is taken where
-        # there are more join-irreducibles than that, as on chains.
         nonlocal distributes
         if distributes is None:
-            ji = L.join_irreducibles
-            if len(ji) * L.n > 3 * (L.n + len(L.covers)):
-                principal = {0, *down}
-                distributes = all(
-                    principal.issuperset(acc) for acc in L._preimage_sets(mul)
-                )
-            else:
-                breaks = _distributivity_breaks(mul, lub, rng, ji)
-                distributes = next(breaks, None) is None
+            breaks = _distributivity_breaks(mul, lub, rng, L.join_irreducibles)
+            distributes = next(breaks, None) is None
         return distributes
 
     def associates():
-        # Write x, y and z as joins of join-irreducibles a_i, b_j and c_k.
-        # Products distribute over those joins on either side (commutativity),
-        # so (xy)z and x(yz) are the joins of the (a_i b_j)c_k and
-        # a_i(b_j c_k), and both are bottom when x, y or z is bottom
-        # (annihilation).  Pairs a <= b of join-irreducibles, in index
-        # order, suffice: for b < a, (ab)c = b(ac) is the pair (b, a), and
-        # a(bc) = (bc)a = b(ac) by (b, c) where b <= c, while for c < b both
-        # sides equal c(ab), by (c, a) and (c, b).
+        # Write x and y as joins of join-irreducibles a_i and b_j.  Products
+        # distribute over those joins on either side (commutativity), so
+        # (xy)z and x(yz) are the joins of the (a_i b_j)z and a_i(b_j z), and
+        # both are bottom when x or y is bottom (annihilation).
         ji = L.join_irreducibles
-        if not (joins_distribute() and all(row[bottom] == bottom for row in mul)):
-            return False
-        times = [(b, _gather(mul[b])) for b in ji]
-        for k, a in enumerate(ji):
-            row = mul[a]
-            for b, by_b in times[k:]:
-                if mul[row[b]] != by_b(row):
-                    return False
-        return True
+        return (
+            joins_distribute()
+            and all(row[bottom] == bottom for row in mul)
+            and next(_associativity_breaks(mul, ji, ji), None) is None
+        )
 
     # name -> (the axiom before which every scanned axiom must hold, proof).
     # A scan is skipped only when that holds and its proof passes; otherwise
