@@ -9,11 +9,12 @@ as multiplication.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import repeat
 from math import gcd, isqrt
-from operator import not_
+from operator import and_
 
-from .lattice import FiniteMultiplicativeLattice, validate
+from .lattice import FiniteMultiplicativeLattice, _bits, _mask, _transpose, validate
 
 _ZN_LIMIT = 10**6
 
@@ -54,9 +55,17 @@ def zn_ideal_lattice(n: int) -> FiniteMultiplicativeLattice:
             rows[v] = tuple(map(index.__getitem__, ideals))
         else:
             rows[v] = tuple(map(rows[p].__getitem__, rows[v // p]))
-    leq = [tuple(map(not_, map(v.__mod__, values))) for v in values]
-    return FiniteMultiplicativeLattice(
-        f"Z{n}", labels, leq, [rows[v] for v in values], bottom=0, top=len(values) - 1
+    mul = tuple(map(rows.__getitem__, values))
+    # The down-set of (v) is the image of its row: v | gcd(vx, n) for every
+    # x, and v | w | n gives (v)(w/v) = (gcd(w, n)) = (w).
+    down = []
+    for row in mul:
+        flags = bytearray(len(row))
+        for w in set(row):
+            flags[w] = 1
+        down.append(_mask(flags))
+    return FiniteMultiplicativeLattice._from_masks(
+        f"Z{n}", tuple(labels), _transpose(down), tuple(down), mul, 0, len(values) - 1
     )
 
 
@@ -67,11 +76,13 @@ def chain_frame(k: int) -> FiniteMultiplicativeLattice:
     """
     if not isinstance(k, int) or not 0 <= k <= 1023:
         raise ValueError(f"chain_frame needs an integer in [0, 1023], got {k!r}")
-    size = k + 1
-    labels = [str(i) for i in range(size)]
-    leq = [[i <= j for j in range(size)] for i in range(size)]
-    mul = [[min(i, j) for j in range(size)] for i in range(size)]
-    return FiniteMultiplicativeLattice(f"chain{k}", labels, leq, mul, 0, size - 1)
+    size, full = k + 1, (2 << k) - 1
+    up = tuple(full ^ ((1 << i) - 1) for i in range(size))  # i..k
+    down = tuple((2 << i) - 1 for i in range(size))  # 0..i
+    mul = tuple(tuple(range(i)) + (i,) * (size - i) for i in range(size))  # min(i, j)
+    return FiniteMultiplicativeLattice._from_masks(
+        f"chain{k}", tuple(map(str, range(size))), up, down, mul, 0, size - 1
+    )
 
 
 def boolean_frame(k: int) -> FiniteMultiplicativeLattice:
@@ -84,15 +95,25 @@ def boolean_frame(k: int) -> FiniteMultiplicativeLattice:
         "{" + "".join(atoms[i] for i in range(k) if mask >> i & 1) + "}"
         for mask in range(size)
     ]
-    leq = [[(i & ~j) == 0 for j in range(size)] for i in range(size)]
-    mul = [[i & j for j in range(size)] for i in range(size)]
-    return FiniteMultiplicativeLattice(f"bool{size}", labels, leq, mul, 0, size - 1)
+    # i <= j iff i is a submask of j: down[j] drops the i with an atom j
+    # lacks, up[i] keeps the j with every atom i has.
+    full = (1 << size) - 1
+    has = [_mask(x >> t & 1 for x in range(size)) for t in range(k)]
+    up = tuple(reduce(and_, (has[t] for t in range(k) if i >> t & 1), full)
+               for i in range(size))
+    down = tuple(reduce(and_, (full ^ has[t] for t in range(k) if not j >> t & 1), full)
+                 for j in range(size))
+    mul = tuple(tuple(map(i.__and__, range(size))) for i in range(size))
+    return FiniteMultiplicativeLattice._from_masks(
+        f"bool{size}", tuple(labels), up, down, mul, 0, size - 1
+    )
 
 
 # -- textual format ---------------------------------------------------------
 
 
-def _closure_from_covers(n: int, covers: list[tuple[int, int]]) -> list[list[bool]]:
+def _closure_from_covers(n: int, covers: list[tuple[int, int]]) -> tuple[int, ...]:
+    """The up-set masks of the reflexive-transitive closure of the covers."""
     up = [1 << i for i in range(n)]  # row i of the order as a bitmask
     for a, b in covers:
         up[a] |= 1 << b
@@ -100,7 +121,7 @@ def _closure_from_covers(n: int, covers: list[tuple[int, int]]) -> list[list[boo
         for i in range(n):
             if up[i] >> k & 1:
                 up[i] |= up[k]
-    return [[bool(m >> j & 1) for j in range(n)] for m in up]
+    return tuple(up)
 
 
 def parse_lattice(text: str) -> FiniteMultiplicativeLattice:
@@ -172,14 +193,13 @@ def parse_lattice(text: str) -> FiniteMultiplicativeLattice:
     bottom, top = look(bottom_label), look(top_label)
     n = len(labels)
     cover_ids = [(look(a), look(b)) for a, b in covers]
-    leq = _closure_from_covers(n, cover_ids)
-    bad = next(
-        ((i, j) for i in range(n) for j in range(n) if i != j and leq[i][j] and leq[j][i]),
-        None,
-    )
-    if bad:
+    up = _closure_from_covers(n, cover_ids)
+    down = _transpose(up)
+    bad = next((i for i in range(n) if up[i] & down[i] != 1 << i), None)
+    if bad is not None:
+        j = next(_bits(up[bad] & down[bad] & ~(1 << bad)))
         raise LatticeFormatError(
-            f"cover closure violates antisymmetry: {labels[bad[0]]} and {labels[bad[1]]}"
+            f"cover closure violates antisymmetry: {labels[bad]} and {labels[j]}"
         )
 
     mul: list[list[int | None]] = [[None] * n for _ in range(n)]
@@ -203,7 +223,9 @@ def parse_lattice(text: str) -> FiniteMultiplicativeLattice:
             f"{labels[missing[0]]} * {labels[missing[1]]}"
         )
 
-    lattice = FiniteMultiplicativeLattice(name, labels, leq, mul, bottom, top)
+    lattice = FiniteMultiplicativeLattice._from_masks(
+        name, tuple(labels), up, down, tuple(map(tuple, mul)), bottom, top
+    )
     report = validate(lattice)
     if not report.ok:
         raise LatticeValidationError(

@@ -4,7 +4,8 @@ A multiplicative lattice is a complete lattice carrying a commutative,
 associative multiplication that distributes over joins and has the top
 element as multiplicative identity.  At finite scale completeness is
 automatic once every pair has a least upper and greatest lower bound,
-so the carrier is stored as explicit order and multiplication tables.
+so the carrier is stored as its order, one up-set and one down-set bitmask
+per element, and an explicit multiplication table.
 """
 
 from __future__ import annotations
@@ -45,12 +46,14 @@ class FiniteMultiplicativeLattice:
     """Immutable finite multiplicative lattice over an indexed carrier.
 
     Elements are integers ``0..n-1``; ``labels[i]`` is the display name of
-    element ``i``.  ``leq_table[a][b]`` states ``a <= b`` and
-    ``mul_table[a][b]`` is the index of the product ``ab``.  All operations
-    are pure and instances compare by value.  Each instance keeps the tables
-    and results derived from it (bound, residual and radical tables, power
-    chains, validation report, and the memo filled by ``_per_lattice``
-    functions), so they are computed once per object and freed with it.
+    element ``i``.  The order is stored as bitmasks: bit b of ``up_sets[a]``
+    and bit a of ``down_sets[b]`` state ``a <= b``; ``leq_table`` holds it as
+    rows of flags, derived on first read.  ``mul_table[a][b]`` is the index
+    of the product ``ab``.  All operations are pure and instances compare by
+    value.  Each instance keeps the tables and results derived from it
+    (bound, residual and radical tables, power chains, validation report, and
+    the memo filled by ``_per_lattice`` functions), so they are computed once
+    per object and freed with it.
     """
 
     def __init__(self, name, labels, leq, mul, bottom, top):
@@ -72,13 +75,23 @@ class FiniteMultiplicativeLattice:
         bottom, top = int(bottom), int(top)
         if not (0 <= bottom < n and 0 <= top < n):
             raise LatticeStructureError("bottom/top index out of range")
-        self.name = str(name)
-        self.labels = labels
-        self.n = n
-        self.leq_table = leq
-        self.mul_table = mul
-        self.bottom = bottom
-        self.top = top
+        up, down = tuple(map(_mask, leq)), tuple(map(_mask, zip(*leq)))
+        self._store(str(name), labels, up, down, mul, bottom, top)
+        self.leq_table = leq  # already built, so the derived view is not rebuilt
+
+    @classmethod
+    def _from_masks(cls, *parts):
+        """For builders: the parts in stored form, as ``_store`` takes them, unchecked."""
+        L = cls.__new__(cls)
+        L._store(*parts)
+        return L
+
+    def _store(self, name, labels, up, down, mul, bottom, top):
+        # labels a tuple of str; bit k of up[a] (of down[a]) is set iff a <= k
+        # (k <= a); mul a tuple of tuple-of-int rows indexing the carrier
+        self.name, self.labels, self.n = name, labels, len(labels)
+        self.up_sets, self.down_sets = up, down
+        self.mul_table, self.bottom, self.top = mul, bottom, top
         self._index = {lab: i for i, lab in enumerate(labels)}
         self._memo = {}  # filled by _per_lattice functions
 
@@ -87,7 +100,7 @@ class FiniteMultiplicativeLattice:
     @cached_property
     def _hash(self) -> int:  # on first use: building a lattice hashes no table
         return hash(
-            (self.name, self.labels, self.leq_table, self.mul_table, self.bottom, self.top)
+            (self.name, self.labels, self.up_sets, self.mul_table, self.bottom, self.top)
         )
 
     def __eq__(self, other):
@@ -96,7 +109,7 @@ class FiniteMultiplicativeLattice:
         return (
             self.name == other.name
             and self.labels == other.labels
-            and self.leq_table == other.leq_table
+            and self.up_sets == other.up_sets
             and self.mul_table == other.mul_table
             and self.bottom == other.bottom
             and self.top == other.top
@@ -130,20 +143,16 @@ class FiniteMultiplicativeLattice:
     # -- order ------------------------------------------------------------
 
     def leq(self, a: int, b: int) -> bool:
-        return self.leq_table[a][b]
+        return self.up_sets[a] >> b & 1 == 1
 
     def lt(self, a: int, b: int) -> bool:
-        return a != b and self.leq_table[a][b]
+        return a != b and self.up_sets[a] >> b & 1 == 1
 
     @cached_property
-    def up_sets(self) -> tuple[int, ...]:
-        """Bitmask per element: bit k of ``up_sets[a]`` is set iff a <= k."""
-        return tuple(map(_mask, self.leq_table))
-
-    @cached_property
-    def down_sets(self) -> tuple[int, ...]:
-        """Bitmask per element: bit k of ``down_sets[a]`` is set iff k <= a."""
-        return tuple(map(_mask, zip(*self.leq_table)))
+    def leq_table(self) -> tuple[tuple[bool, ...], ...]:
+        """The order as rows of flags, ``leq_table[a][b]`` iff a <= b, read off ``up_sets``."""
+        width = f"0{self.n}b"
+        return tuple(tuple(map("1".__eq__, format(m, width)[::-1])) for m in self.up_sets)
 
     @cached_property
     def _lub(self) -> tuple[tuple[int, ...], ...]:
@@ -392,6 +401,13 @@ def _mask(flags: Iterable[bool]) -> int:
     return int(bytes(flags)[::-1].translate(_BINARY), 2)
 
 
+def _transpose(masks: Sequence[int]) -> tuple[int, ...]:
+    """Bit i of entry j is set iff bit j of masks[i] is: up-sets to down-sets and back."""
+    # The masks as rows of binary digits, last first, read column by column.
+    rows = [format(m, f"0{len(masks)}b") for m in reversed(masks)]
+    return tuple(int("".join(col), 2) for col in zip(*rows))[::-1]
+
+
 def _leq_mask(L, xs: Sequence[int], ys: Iterable[int]) -> int:
     """The elements x with xs[x] <= ys[x]."""
     return _mask(map(getitem, map(L.leq_table.__getitem__, xs), ys))
@@ -450,14 +466,13 @@ def _distributivity_breaks(mul, lub, rows, cols):
                 )
 
 
-def _monotonicity_breaks(leq, mul, up):
+def _monotonicity_breaks(mul, up):
     """(a, b, c) with b <= c and ab !<= ac, row-major."""
-    # every c >= b must have ac >= ab
+    # every c >= b must have ac >= ab: bit ac of up[ab]
     above = [tuple(_bits(m)) for m in up]
     for a, row in enumerate(mul):
-        for b, ab in enumerate(map(leq.__getitem__, row)):
-            if not all(map(ab.__getitem__, map(row.__getitem__, above[b]))):
-                yield from ((a, b, c) for c in above[b] if not ab[row[c]])
+        for b, ab in enumerate(map(up.__getitem__, row)):
+            yield from ((a, b, c) for c in above[b] if not ab >> row[c] & 1)
 
 
 def validate(L: FiniteMultiplicativeLattice) -> ValidationReport:
@@ -504,7 +519,7 @@ def _check_axioms(L: FiniteMultiplicativeLattice) -> ValidationReport:
         ("mul-identity", ((a,) for a in rng if mul[a][L.top] != a)),
         ("mul-annihilates-bottom", ((a,) for a in rng if mul[a][bottom] != bottom)),
         ("mul-join-distributive", _distributivity_breaks(mul, lub, rng, rng)),
-        ("mul-monotone", _monotonicity_breaks(L.leq_table, mul, up)),
+        ("mul-monotone", _monotonicity_breaks(mul, up)),
     )
     distributes = None
 

@@ -22,9 +22,10 @@ hypotheses and T21 weighted by ``listed_chain_counts``;
 T05 and T06 read the literal residual characterizations,
 ``characterization_A_witness`` and ``characterization_B_witness``, which walk
 every a.  ``zn_tables`` builds Z mod n's tables from gcd and divisibility
-entry by entry, and ``up_sets``/``down_sets`` sum one shifted flag at a time;
+entry by entry, ``up_sets``/``down_sets`` sum one shifted flag at a time, and
+``covers`` tests every c between every comparable pair;
 ``tests/test_constructions.py`` and ``tests/test_kernels.py`` check the
-row-built tables against them.
+row-built tables and the builders' order masks against them.
 """
 
 from dataclasses import dataclass, field
@@ -273,6 +274,17 @@ def up_sets(L):
 def down_sets(L):
     """Bit k of entry a is set iff k <= a, summed one shifted flag at a time."""
     return tuple(sum(v << k for k, v in enumerate(col)) for col in zip(*L.leq_table))
+
+
+def covers(leq):
+    """Hasse cover pairs (a, b) of an order table, row-major: a < b with no c
+    strictly between."""
+    n = len(leq)
+    return tuple(
+        (a, b) for a in range(n) for b in range(n)
+        if a != b and leq[a][b]
+        and not any(leq[a][c] and leq[c][b] for c in range(n) if c != a and c != b)
+    )
 
 
 def proper_chains(L):

@@ -1,6 +1,7 @@
 """Corpus builders, the lattice file format, and DOT export."""
 
 import re
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracle
 from multlat import (
+    FiniteMultiplicativeLattice,
     LatticeFormatError,
     LatticeValidationError,
     boolean_frame,
@@ -20,6 +22,9 @@ from multlat import (
     validate,
     zn_ideal_lattice,
 )
+from multlat.lattice import _mask
+from test_derived import SHAPES
+from test_harness import HUNT_CORPORA
 
 Z8_TEXT = """\
 lattice Z8x
@@ -66,6 +71,50 @@ def test_zn_tables_equal_the_literal_tables_up_to_2000():
 def test_zn_tables_equal_the_literal_tables_at_scale(n):
     L = zn_ideal_lattice(n)
     assert (L.leq_table, L.mul_table) == oracle.zn_tables(n)
+
+
+def _assert_carrier(L, literal):
+    """L's stored masks and derived flag table are the literal order's, and
+    L equals (with its hash) the public constructor's build of its tables."""
+    literal = tuple(map(tuple, literal))
+    assert L.leq_table == literal, L.name
+    assert L.up_sets == tuple(map(_mask, literal))
+    assert L.down_sets == tuple(map(_mask, zip(*literal)))
+    rebuilt = FiniteMultiplicativeLattice(
+        L.name, L.labels, literal, L.mul_table, L.bottom, L.top
+    )
+    assert rebuilt == L and hash(rebuilt) == hash(L)
+    assert L.covers == oracle.covers(literal)
+    lower = Counter(b for _, b in L.covers)
+    assert L.join_irreducibles == tuple(b for b in range(L.n) if lower[b] == 1)
+
+
+def test_chain_masks_are_the_literal_order():
+    for k in range(41):
+        _assert_carrier(chain_frame(k), [[i <= j for j in range(k + 1)] for i in range(k + 1)])
+
+
+def test_boolean_masks_are_the_literal_order():
+    for k in range(9):
+        size = 1 << k
+        _assert_carrier(boolean_frame(k), [[i & ~j == 0 for j in range(size)] for i in range(size)])
+
+
+@pytest.mark.parametrize("n", [4, 8, 12, 16, 24, 27, 30, 36, 360, 5040, 55440, 720720, 942480])
+def test_zn_masks_are_the_literal_order(n):
+    _assert_carrier(zn_ideal_lattice(n), oracle.zn_tables(n)[0])
+
+
+@pytest.mark.parametrize("corpus", [*HUNT_CORPORA, "shapes"])
+def test_parsed_masks_are_the_source_order(corpus):
+    # A parsed file's order comes from the Warshall closure's masks; it must
+    # be the order of the lattice that was serialized.
+    for L in SHAPES if corpus == "shapes" else HUNT_CORPORA[corpus]():
+        parsed = parse_lattice(serialize(L))
+        _assert_carrier(parsed, L.leq_table)
+        assert parsed == L and (parsed.covers, parsed.join_irreducibles) == (
+            L.covers, L.join_irreducibles
+        )
 
 
 def test_zn_multiplication_is_ideal_product():
@@ -164,8 +213,34 @@ def test_parse_accepts_comments_and_blank_lines():
     ],
 )
 def test_parse_rejects_malformed_input(mangle, hint):
-    with pytest.raises(LatticeFormatError):
+    with pytest.raises(LatticeFormatError) as err:
         parse_lattice(mangle(Z8_TEXT))
+    assert str(err.value) == PARSE_ERRORS[hint]
+
+
+PARSE_ERRORS = {
+    "missing": "multiplication not total: missing (2) * (2)",
+    "conflict": "conflicting products for (2) * (2)",
+    "antisym": "cover closure violates antisymmetry: (0) and (4)",
+    "unknown": "unknown element label '(9)'",
+    "duplicate": "duplicate element labels",
+    "header": "missing lattice/elements/bottom/top header",
+    "no-bottom": "missing lattice/elements/bottom/top header",
+    "directive": "line 14: unknown directive 'garbage'",
+    "repeated": "line 14: bad or repeated elements line",
+}
+
+
+def test_parse_names_the_row_major_first_antisymmetry_pair():
+    # Two cycles: {e, f} is written first, but {b, c, d} holds the row-major
+    # first pair (b, c), which no single cover line names.
+    text = (
+        "lattice cycles\nelements a b c d e f\nbottom a\ntop f\n"
+        "cover e < f\ncover f < e\ncover b < d\ncover d < c\ncover c < b\n"
+    )
+    with pytest.raises(LatticeFormatError) as err:
+        parse_lattice(text)
+    assert str(err.value) == "cover closure violates antisymmetry: b and c"
 
 
 def test_parse_rejects_lawless_tables():

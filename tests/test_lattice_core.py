@@ -6,14 +6,21 @@ from conftest import time_limit
 from multlat import (
     FiniteMultiplicativeLattice,
     LatticeStructureError,
+    boolean_frame,
     chain_frame,
+    classification_report,
+    make_delta,
+    make_phi,
     omega_power,
+    parse_lattice,
     power_stabilization,
     radical,
     residual,
+    serialize,
     validate,
     zn_ideal_lattice,
 )
+from test_derived import SHAPES
 
 AXIOMS = (
     "order-reflexive",
@@ -167,16 +174,35 @@ def test_out_of_range_products_name_the_row_major_first(entries, named):
 
 
 def test_lattice_is_a_dict_key_before_any_table_is_read():
+    # The order is stored as masks; the flag table and every other table is
+    # derived, and building or hashing a lattice derives none of them.
     fresh = zn_ideal_lattice(24)
-    assert not {"_hash", "up_sets", "down_sets", "_lub"} & vars(fresh).keys()
+    assert not {"_hash", "leq_table", "_lub"} & vars(fresh).keys()
     seen = {fresh: "z24"}
     assert seen[zn_ideal_lattice(24)] == "z24"
     assert hash(fresh) == hash(zn_ideal_lattice(24))
-    assert not {"up_sets", "down_sets", "_lub", "_residual_table"} & vars(fresh).keys()
+    assert not {"leq_table", "_lub", "_residual_table"} & vars(fresh).keys()
     rebuilt = FiniteMultiplicativeLattice(
         "Z24", fresh.labels, fresh.leq_table, fresh.mul_table, fresh.bottom, fresh.top
     )
     assert rebuilt == fresh and hash(rebuilt) == hash(fresh)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: zn_ideal_lattice(720720), lambda: chain_frame(30), lambda: boolean_frame(5),
+], ids=["Z720720", "chain30", "bool32"])
+def test_classify_builds_no_flag_table(build):
+    # Builders hand masks and the kernels read masks: the n-by-n flag table
+    # stays off the classify path.
+    L = build()
+    classification_report(L, make_delta(L, "d1"), make_phi(L, "phi2"))
+    assert "leq_table" not in vars(L)
+
+
+def test_parse_and_validate_build_no_flag_table():
+    for source in (zn_ideal_lattice(360), chain_frame(5), boolean_frame(3), *SHAPES):
+        L = parse_lattice(serialize(source))
+        assert validate(L).ok and "leq_table" not in vars(L), source.name
 
 
 def test_single_element_lattice_is_lawful():
