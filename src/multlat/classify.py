@@ -19,6 +19,20 @@ element share that scan: the k-potent columns once p^k stabilizes, prime
 and primary at a radical p, 2-potent d0 at an idempotent p.  Only scans
 with identical arguments are shared; no verdict is derived from another
 predicate's.  The public wrappers below are direct scans of one element.
+
+A scan reads its rows in two phases.  G is the join-irreducibles J and the
+join of each incomparable pair of them.  Phase 1 reads the rows g of G in
+ascending order, skipping those below row_skip; if none violates there is
+no violation.  Otherwise phase 2 reads, in index order, the rows below the
+first violating g in index that are neither in G nor below row_skip, and
+the first violating one is the witness row, or g itself if none is.  Every
+row before the witness row is read or is a passing row of G, so the pair is
+still the lexicographically first.  Phase 1 decides the verdict: if (a, b)
+violates, a !<= row_skip gives some j1 in J with j1 <= a and j1 !<= row_skip.
+As ab is the join of the jb over the j in J below a and ab !<= excuse, some
+j2 <= a in J has j2 b !<= excuse.  So (j1 v j2, b) violates too, and
+j1 v j2 is in G.  The proof needs products that commute, are monotone and
+distribute over joins: a lattice that passes ``validate``.
 """
 
 from __future__ import annotations
@@ -44,25 +58,56 @@ def _excuse(phi: PhiMap, p: int) -> int | None:
     return None if phi.none else phi.table[p]
 
 
+@_per_lattice
+def _row_set(L):
+    """G, the rows a first-pair scan reads first, ascending, and G as a bitmask:
+    the join-irreducibles and the join of each incomparable pair of them."""
+    up, down, ji = L.up_sets, L.down_sets, L.join_irreducibles
+    owner = {m: k for k, m in enumerate(up)}
+    joins = later = 0  # later: the join-irreducibles above j in index
+    for j in reversed(ji):
+        # each later one incomparable with j: none on a chain
+        for k in _bits(later & ~up[j] & ~down[j]):
+            g = owner.get(up[j] & up[k])  # the join's up-set is the common up-set
+            joins |= 1 << (L.lub(j, k) if g is None else g)
+        later |= 1 << j
+    rows = joins | later
+    return tuple(_bits(rows)), rows
+
+
 def _first_pair(L, target, excuse, row_skip, col_skip):
     """First (a, b) with ab <= target, ab !<= excuse, a !<= row_skip, b !<= col_skip.
 
     By residuation ab <= t iff b <= (t : a), so row a's violating columns are
     the down-set of (target : a) minus those of (excuse : a) and col_skip;
     b is its lowest set bit.  excuse None excuses nothing.  A top target is
-    rejected; p^k is the top exactly when p is.
+    rejected; p^k is the top exactly when p is.  The rows are read in the two
+    phases of the module docstring.
     """
     _require_proper(L, target)
     down, res = L.down_sets, L._residual_table
+    rows, row_mask = _row_set(L)
     excused = res[excuse] if excuse is not None else None
-    skipped, keep = down[row_skip], ~down[col_skip]
-    for a, t in enumerate(res[target]):
-        if skipped >> a & 1:
+    residuals, skipped, keep = res[target], down[row_skip], ~down[col_skip]
+    for g in rows:  # phase 1
+        if skipped >> g & 1:
             continue
-        m = down[t] & keep & (~down[excused[a]] if excused is not None else -1)
+        m = down[residuals[g]] & keep & (~down[excused[g]] if excused is not None else -1)
         if m:
-            return a, (m & -m).bit_length() - 1
-    return None
+            break
+    else:
+        return None
+    # phase 2, lowest index first; _bits inlined, as a generator per scan
+    # costs small lattices more than their scans save
+    rest = ~(row_mask | skipped) & ((1 << g) - 1)
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        a = low.bit_length() - 1
+        ma = down[residuals[a]] & keep & (~down[excused[a]] if excused is not None else -1)
+        if ma:
+            return a, (ma & -ma).bit_length() - 1
+    return g, (m & -m).bit_length() - 1
 
 
 def prime_violation(L, p):

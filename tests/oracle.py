@@ -21,7 +21,9 @@ hypotheses and T21 weighted by ``listed_chain_counts``;
 ``tests/test_harness.py`` checks ``multlat``'s rows of elements against them;
 T05 and T06 read the literal residual characterizations,
 ``characterization_A_witness`` and ``characterization_B_witness``, which walk
-every a.  ``zn_tables`` builds Z mod n's tables from gcd and divisibility
+every a.  ``first_pair`` is the pair kernel's scan of every row in index
+order; ``tests/test_kernels.py`` checks the kernel, which reads its
+generating rows first, against it on every argument tuple of small lattices.  ``zn_tables`` builds Z mod n's tables from gcd and divisibility
 entry by entry, ``up_sets``/``down_sets`` sum one shifted flag at a time, and
 ``covers`` tests every c between every comparable pair;
 ``tests/test_constructions.py`` and ``tests/test_kernels.py`` check the
@@ -227,6 +229,22 @@ def compact_pair_violation(L, delta, phi, q):
                 continue
             if not (L.leq(s, q) or L.leq(r, dq)):
                 return (r, s)
+    return None
+
+
+def first_pair(L, target, excuse, row_skip, col_skip):
+    """``multlat.classify._first_pair`` as the full ordered row scan: every row a
+    in index order, the violating columns of row a read off the residual
+    table, b the lowest of them.  Targets are proper elements."""
+    down, res = L.down_sets, L._residual_table
+    excused = res[excuse] if excuse is not None else None
+    skipped, keep = down[row_skip], ~down[col_skip]
+    for a, t in enumerate(res[target]):
+        if skipped >> a & 1:
+            continue
+        m = down[t] & keep & (~down[excused[a]] if excused is not None else -1)
+        if m:
+            return a, (m & -m).bit_length() - 1
     return None
 
 

@@ -5,6 +5,8 @@ phi kind and potency exponent; the lub, glb, residual and radical tables must
 equal the oracle's entry for entry.
 """
 
+import random
+
 import pytest
 
 import oracle
@@ -32,7 +34,7 @@ from multlat import (
     residual_characterization_B,
     zn_ideal_lattice,
 )
-from multlat.classify import characterization_failures
+from multlat.classify import _first_pair, _row_set, characterization_failures
 from test_derived import SHAPES
 from test_harness import HUNT_CORPORA
 
@@ -67,8 +69,8 @@ def test_residual_and_radical_tables_match_oracle(lattice):
     assert lattice._radical_table == oracle.radical_table(lattice)
 
 
-def test_witnesses_match_oracle(lattice):
-    L = lattice
+@pytest.mark.parametrize("L", [*LATTICES, *SHAPES, boolean_frame(5)], ids=lambda L: L.name)
+def test_witnesses_match_oracle(L):
     deltas = [make_delta(L, k) for k in DELTA_KINDS]
     phis = [make_phi(L, k) for k in PHI_KINDS]
     for p in L.proper_elements:
@@ -95,6 +97,98 @@ def test_witnesses_match_oracle(lattice):
                 assert compact_pair_violation(L, delta, phi, p) == (
                     oracle.compact_pair_violation(L, delta, phi, p)
                 ), where
+
+
+# -- the pair kernel against the full row scan ---------------------------------
+
+# HUNT_CORPORA, SHAPES and chains up to 13 elements, once per name
+ROW_SET_LATTICES = list({
+    L.name: L
+    for L in (
+        *(L for make in HUNT_CORPORA.values() for L in make()),
+        *SHAPES,
+        *(chain_frame(k) for k in range(13)),
+    )
+}.values())
+
+
+@pytest.mark.parametrize("L", ROW_SET_LATTICES, ids=lambda L: L.name)
+def test_row_set_is_every_join_of_two_join_irreducibles(L):
+    ji = L.join_irreducibles
+    rows, mask = _row_set(L)
+    assert rows == tuple(sorted({L.lub(j, k) for j in ji for k in ji}))
+    assert mask == sum(1 << g for g in rows)
+
+
+@pytest.mark.parametrize(
+    "L, size",
+    [
+        (zn_ideal_lattice(360), 17),
+        (zn_ideal_lattice(5040), 29),
+        (zn_ideal_lattice(55440), 38),
+        (zn_ideal_lattice(720720), 48),
+        (boolean_frame(6), 21),
+    ],
+    ids=lambda x: getattr(x, "name", x),
+)
+def test_row_set_sizes(L, size):
+    assert len(_row_set(L)[0]) == size
+
+
+def test_row_set_of_a_chain_is_its_join_irreducibles():
+    for k in (*range(13), 255):
+        L = chain_frame(k)
+        assert _row_set(L)[0] == L.join_irreducibles
+
+
+def test_row_set_names_a_missing_join():
+    # 0 < a, b < c, d < e < 1: the residual table exists, since every
+    # {x : xy <= t} is all of L or the down-set of e, but the join-irreducibles
+    # a and b have no join, and the kernel says so instead of scanning.
+    up = {"0": "0abcde1", "a": "acde1", "b": "bcde1", "c": "ce1", "d": "de1",
+          "e": "e1", "1": "1"}
+    labels = list(up)
+    leq = [[y in up[x] for y in labels] for x in labels]
+    mul = [[j if i == 6 else i if j == 6 else 0 for j in range(7)] for i in range(7)]
+    L = FiniteMultiplicativeLattice("bowtie-under-e", labels, leq, mul, 0, 6)
+    assert len(L._residual_table) == 7
+    with pytest.raises(LatticeStructureError, match=r"no least upper bound for \(a, b\)"):
+        prime_violation(L, 0)
+
+
+@pytest.mark.parametrize(
+    "L", [L for L in ROW_SET_LATTICES if L.n <= 24], ids=lambda L: L.name
+)
+def test_first_pair_equals_the_full_scan_on_every_argument(L):
+    for target in L.proper_elements:
+        for excuse in (None, *L.elements()):
+            for row_skip in L.elements():
+                for col_skip in L.elements():
+                    args = target, excuse, row_skip, col_skip
+                    assert _first_pair(L, *args) == oracle.first_pair(L, *args), args
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: zn_ideal_lattice(5040),
+        lambda: zn_ideal_lattice(942480),
+        lambda: boolean_frame(8),
+        lambda: chain_frame(255),
+    ],
+    ids=["Z5040", "Z942480", "bool256", "chain255"],
+)
+def test_first_pair_equals_the_full_scan_on_random_arguments(make):
+    L = make()
+    rng = random.Random(L.n)
+    for _ in range(2000):
+        args = (
+            rng.choice(L.proper_elements),
+            rng.choice([None, *L.elements()]),
+            rng.randrange(L.n),
+            rng.randrange(L.n),
+        )
+        assert _first_pair(L, *args) == oracle.first_pair(L, *args), args
 
 
 @pytest.mark.parametrize("L", [*LATTICES, *SHAPES], ids=lambda L: L.name)
