@@ -24,7 +24,7 @@ from .constructions import (
     to_dot,
     zn_ideal_lattice,
 )
-from .harness import HarnessConfig, hunt, predicate_name, registry, run_all
+from .harness import EXPECTED_VACUOUS, HarnessConfig, hunt, predicate_name, registry, run_all
 from .lattice import FiniteMultiplicativeLattice, validate
 from .maps import MapValidationError, make_delta, make_phi, parse_map_table
 
@@ -101,23 +101,15 @@ def _resolve_phi(L: FiniteMultiplicativeLattice, spec: str):
         ) from exc
 
 
-class _Unrendered(Exception):
-    """A document ``_render`` leaves to json: a non-str key or an unknown type."""
-
-
 def _json(report) -> str:
     """The bytes of ``json.dumps(report, indent=2, sort_keys=True)``.
 
     With an indent, CPython's json encodes in pure Python.  A report is a tree
     of dicts with str keys, lists, strs, ints, bools and None, which
-    ``_render`` writes out in one recursion; any other document is left to
-    json.dumps whole.
+    ``_render`` writes out in one recursion.
     """
     out = []
-    try:
-        _render(report, "\n", out.append)
-    except _Unrendered:
-        return json.dumps(report, indent=2, sort_keys=True)
+    _render(report, "\n", out.append)
     return "".join(out)
 
 
@@ -134,8 +126,6 @@ def _render(o, newline: str, emit) -> None:
     elif kind is float:
         emit(json.dumps(o))
     elif kind is dict:
-        if any(type(key) is not str for key in o):
-            raise _Unrendered
         if not o:
             emit("{}")
             return
@@ -156,7 +146,7 @@ def _render(o, newline: str, emit) -> None:
             sep = ","
         emit(newline + "]")
     else:
-        raise _Unrendered
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _emit(text: str, args: argparse.Namespace) -> None:
@@ -221,8 +211,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if pid not in known:
             raise CliError(f"unknown property id {pid!r}")
     corpus = _build_corpus(args)
-    config = HarnessConfig(witness_cap=args.witness_cap, expected_vacuous=expected)
-    report = run_all(corpus, config)
+    report = run_all(corpus, HarnessConfig(witness_cap=args.witness_cap))
     if args.format == "json":
         _emit(_json(report.to_dict()), args)
     else:
@@ -301,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--expect-vacuous",
                 nargs="*",
-                default=list(HarnessConfig().expected_vacuous),
+                default=list(EXPECTED_VACUOUS),
                 metavar="ID",
                 help="property ids allowed to be vacuous ('none' to allow none)",
             )

@@ -1,7 +1,8 @@
 """Machine-checkable property suite for the phi-delta-primary theory.
 
 Every registry entry quantifies a statement exhaustively over a corpus of
-finite lattices and a configured set of expansion (delta) and phi maps.
+finite lattices and a configured set of expansion (delta) and phi maps, which
+reach a row only through ``_DOMAINS``; a property's decide sees only its row.
 Outcomes are three-valued: FAIL when a violation exists, VACUOUS when the
 hypothesis never fired (reported loudly; silent vacuity is this harness's
 main failure mode), PASS otherwise.
@@ -59,8 +60,9 @@ class HarnessConfig:
     phi_kinds: tuple[str, ...] = ("phi0", "phi1", "phi2", "phi3", "phi4", "phiomega")
     potency: tuple[int, ...] = (2, 3, 4)
     witness_cap: int = 10
-    expected_vacuous: tuple[str, ...] = ("T12",)
 
+
+EXPECTED_VACUOUS = ("T12",)  # no finite lattice meets T12's hypothesis (README)
 
 ALL = -1  # the mask of every element: a condition that always holds
 
@@ -284,7 +286,8 @@ def _every_phin(L, delta: Expansion) -> int:
 
 
 # What each binding name but the element ranges over, given the lattice and
-# the config.
+# the config: the one source of every quantified map, for the rows ``add``
+# builds and for T22's and T26's own.
 _DOMAINS = {
     "delta": _deltas,
     "gamma": _deltas,
@@ -296,18 +299,24 @@ _DOMAINS = {
 }
 
 
+def _map_pairs(L, config) -> list[tuple[Expansion, PhiMap]]:
+    """Every (delta, phi) of the "delta" and "phi" domains, delta-major."""
+    return list(product(_DOMAINS["delta"](L, config), _DOMAINS["phi"](L, config)))
+
+
 def registry() -> tuple[TheoremProperty, ...]:
     """One machine-checkable property per theorem, corollary, and example."""
     props: list[TheoremProperty] = []
 
     def add(id, description, binding, decide, clause, rows=None):
-        # decide(L, config, *values) gives the (hypothesis, conclusion) masks
-        # of one assignment of binding[:-1], and optionally its weights third,
-        # or None where it is out of range.
+        # decide(L, *values) gives the (hypothesis, conclusion) masks of one
+        # assignment of binding[:-1], and optionally its weights third, or None
+        # where it is out of range.  It sees no config: the maps it quantifies
+        # over reach it only as values, drawn from _DOMAINS.
         def decided(L, corpus, config) -> Iterator[Row]:
             domain = _proper(L)
             for values in product(*(_DOMAINS[name](L, config) for name in binding[:-1])):
-                masks = decide(L, config, *values)
+                masks = decide(L, *values)
                 if masks is not None:
                     yield Row(values, domain, *masks)
 
@@ -319,7 +328,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         ("phi", "p"),
         # phi-prime is the kernel at delta = id, so both sides are one entry,
         # read once; tests/oracle.py checks the statement with is_phi_prime
-        lambda L, c, phi: (ALL, _agree(_pdp(L, _delta(L, "d0"), phi))),
+        lambda L, phi: (ALL, _agree(_pdp(L, _delta(L, "d0"), phi))),
         "phi-d0-primary <=> phi-prime",
     )
 
@@ -328,7 +337,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         "phi-d1-primary if and only if phi-primary",
         ("phi", "p"),
         # phi-primary is the kernel at delta = radical: one entry, read once
-        lambda L, c, phi: (ALL, _agree(_pdp(L, _delta(L, "d1"), phi))),
+        lambda L, phi: (ALL, _agree(_pdp(L, _delta(L, "d1"), phi))),
         "phi-d1-primary <=> phi-primary",
     )
 
@@ -336,7 +345,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         "T03",
         "phi-delta-primary implies phi-gamma-primary when delta <= gamma",
         ("delta", "gamma", "phi", "p"),
-        lambda L, c, delta, gamma, phi: (
+        lambda L, delta, gamma, phi: (
             _pdp(L, delta, phi), _pdp(L, gamma, phi)
         ) if _below(L, delta.tag, gamma.tag) else (0, 0),
         "phi-gamma-primary",
@@ -346,7 +355,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         "T04",
         "a prime element is phi-delta-primary for every expansion and phi",
         ("delta", "phi", "p"),
-        lambda L, c, delta, phi: (_pdp(L, _delta(L, "d0")), _pdp(L, delta, phi)),
+        lambda L, delta, phi: (_pdp(L, _delta(L, "d0")), _pdp(L, delta, phi)),
         "phi-delta-primary",
     )
 
@@ -355,7 +364,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         "definition, first residual characterization, and the compact-pair "
         "form agree",
         ("delta", "phi", "q"),
-        lambda L, c, delta, phi: (ALL, _agree(
+        lambda L, delta, phi: (ALL, _agree(
             _pdp(L, delta, phi),
             _mask(map(not_, characterization_failures(L, delta, phi)[0])),
             _where(L, lambda q: compact_pair_violation(L, delta, phi, q) is None),
@@ -367,14 +376,14 @@ def registry() -> tuple[TheoremProperty, ...]:
         "T06",
         "definition and second residual characterization agree",
         ("delta", "phi", "q"),
-        lambda L, c, delta, phi: (ALL, _agree(
+        lambda L, delta, phi: (ALL, _agree(
             _pdp(L, delta, phi),
             _mask(map(not_, characterization_failures(L, delta, phi)[1])),
         )),
         "definition <=> characterization-B",
     )
 
-    def t07(L, c):
+    def t07(L):
         prof = structure_profile(L)
         if not (prof.noether and prof.quasi_local):
             return 0, 0
@@ -396,13 +405,13 @@ def registry() -> tuple[TheoremProperty, ...]:
         "T08",
         "g1-delta-primary implies g2-delta-primary when g1 <= g2 pointwise",
         ("delta", "g1", "g2", "p"),
-        lambda L, c, delta, g1, g2: (
+        lambda L, delta, g1, g2: (
             _pdp(L, delta, g1), _pdp(L, delta, g2)
         ) if _below(L, g1.tag, g2.tag) else (0, 0),
         "g2-delta-primary",
     )
 
-    def t09(L, c, delta, n):
+    def t09(L, delta, n):
         steps = [_pdp(L, delta)] + [
             _pdp(L, delta, _phi(L, kind))
             for kind in ("phi0", "phiomega", f"phi{n + 1}", f"phi{n}", "phi2")
@@ -422,13 +431,13 @@ def registry() -> tuple[TheoremProperty, ...]:
         "T10",
         "phiomega-delta-primary iff phin-delta-primary for every n >= 2",
         ("delta", "p"),
-        lambda L, c, delta: (
+        lambda L, delta: (
             ALL, _agree(_pdp(L, delta, _phi(L, "phiomega")), _every_phin(L, delta))
         ),
         "phiomega <=> all phin",
     )
 
-    def t11(L, c, delta):
+    def t11(L, delta):
         prof = structure_profile(L)
         if not (prof.local_noether and prof.domain and prof.krull):
             return 0, 0
@@ -443,7 +452,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         "all phin <=> delta-primary",
     )
 
-    def t12(L, c, delta, phi):
+    def t12(L, delta, phi):
         cancelling = _cancelling(L)
         if not (cancelling and _below(L, phi.tag, "phi2")):
             return 0, 0
@@ -464,7 +473,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         "a 2-potent delta-primary element (the d0 form included) is "
         "phi-delta-primary for phi <= phi2 iff delta-primary",
         ("delta", "phi", "q"),
-        lambda L, c, delta, phi: (
+        lambda L, delta, phi: (
             _entry(L, delta, None, 2)[0],
             _agree(_pdp(L, delta, phi), _pdp(L, delta)),
         ) if _below(L, phi.tag, "phi2") else (0, 0),
@@ -476,7 +485,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         "for k <= n, a k-potent delta-primary element is phi-delta-primary "
         "for phi <= phin iff delta-primary",
         ("delta", "phi", "n", "k", "q"),
-        lambda L, c, delta, phi, n, k: None if k > n else (
+        lambda L, delta, phi, n, k: None if k > n else (
             _entry(L, delta, None, k)[0],
             _agree(_pdp(L, delta, phi), _pdp(L, delta)),
         ) if _below(L, phi.tag, f"phi{n}") else (0, 0),
@@ -487,7 +496,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         "T15",
         "a phi-delta-primary q with q^2 not below phi(q) is delta-primary",
         ("delta", "phi", "q"),
-        lambda L, c, delta, phi: (
+        lambda L, delta, phi: (
             _pdp(L, delta, phi) & ~_leq_mask(L, _phi(L, "phi2").table, phi.table), _pdp(L, delta)
         ),
         "delta-primary",
@@ -497,7 +506,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         "T16",
         "a phi-delta-primary q that is not delta-primary has q^2 <= phi(q)",
         ("delta", "phi", "q"),
-        lambda L, c, delta, phi: (
+        lambda L, delta, phi: (
             _pdp(L, delta, phi) & ~_pdp(L, delta), _leq_mask(L, _phi(L, "phi2").table, phi.table)
         ),
         "q^2 <= phi(q)",
@@ -508,7 +517,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         "a phi-delta-primary q that is not delta-primary has "
         "radical(q) = radical(phi(q))",
         ("delta", "phi", "q"),
-        lambda L, c, delta, phi: (
+        lambda L, delta, phi: (
             _pdp(L, delta, phi) & ~_pdp(L, delta),
             _mask(map(eq, L._radical_table, _gather(phi.table)(L._radical_table))),
         ),
@@ -520,7 +529,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         "a phi-delta-primary q with phi <= phi3 is phin-delta-primary for "
         "every n >= 2 and phiomega-delta-primary",
         ("delta", "phi", "q"),
-        lambda L, c, delta, phi: (
+        lambda L, delta, phi: (
             _pdp(L, delta, phi),
             _pdp(L, delta, _phi(L, "phiomega")) & _every_phin(L, delta),
         ) if _below(L, phi.tag, "phi3") else (0, 0),
@@ -531,7 +540,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         "T19",
         "a phi0-delta-primary q that is not delta-primary has q^2 = 0",
         ("delta", "q"),
-        lambda L, c, delta: (
+        lambda L, delta: (
             _pdp(L, delta, _phi(L, "phi0")) & ~_pdp(L, delta),
             _mask(sq == L.bottom for sq in _phi(L, "phi2").table),
         ),
@@ -542,14 +551,14 @@ def registry() -> tuple[TheoremProperty, ...]:
         "T20",
         "a phi-delta-primary q whose phi(q) is delta-primary is delta-primary",
         ("delta", "phi", "q"),
-        lambda L, c, delta, phi: (
+        lambda L, delta, phi: (
             _pdp(L, delta, phi) & _pull(_entry(L, delta)[1], phi.table),
             _pdp(L, delta),
         ),
         "delta-primary",
     )
 
-    def t21(L, c, delta, phi):
+    def t21(L, delta, phi):
         # one element per join p, standing for the chains whose largest member is p
         primary, holds, _ = _entry(L, delta, phi)
         return primary if is_monotone(phi) else 0, primary, _chain_counts(L, holds)
@@ -566,7 +575,7 @@ def registry() -> tuple[TheoremProperty, ...]:
     def t22_rows(L, corpus, config):
         res, down, everything = L._residual_table, L.down_sets, (1 << L.n) - 1
         at_residuals = [_gather(row) for row in res]  # q -> seq[(p:q)], per p
-        for delta, phi in product(_deltas(L, config), _phis(L, config)):
+        for delta, phi in _map_pairs(L, config):
             primary, flags, _ = _entry(L, delta, phi)
             for p in L.proper_elements:
                 if not primary >> p & 1:
@@ -587,7 +596,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         rows=t22_rows,
     )
 
-    def t23(L, c, delta, phi):
+    def t23(L, delta, phi):
         rad, dp = L._radical_table, delta.table
         hyp = _pdp(L, delta, phi) & _leq_mask(L, _gather(phi.table)(rad), dp)
         # equality corollary: delta(p) <= radical(p) then forces equality
@@ -612,13 +621,13 @@ def registry() -> tuple[TheoremProperty, ...]:
         # An inflationary automorphism of a finite lattice is the identity
         # (README "Acceptance status"). Under it phi has the global property,
         # delta(delta(q)) = delta(q), and delta(q) = q is proper.
-        lambda L, c, delta, phi: (
+        lambda L, delta, phi: (
             _pdp(L, delta, phi), _pull(_entry(L, _delta(L, "d0"), phi)[1], delta.table)
         ) if delta.table == _delta(L, "d0").table else (0, 0),
         "delta(q) is phi-prime",
     )
 
-    def t25(L, c, phi):
+    def t25(L, phi):
         rad = L._radical_table
         hyp = (
             _pdp(L, _delta(L, "d1"), phi)
@@ -637,14 +646,14 @@ def registry() -> tuple[TheoremProperty, ...]:
     )
 
     def t26_rows(L, corpus, config):
-        kinds = tuple(product(config.delta_kinds, config.phi_kinds))
         for M in corpus.lattices():
             if M.n <= 1 or not _isomorphisms(L, M):
                 continue
             domain = _proper(M)
-            maps = [(_delta(M, dk), _phi(M, pk)) for dk, pk in kinds]
-            verdicts = [(_entry(M, *m)[1], _entry(L, _delta(L, dk), _phi(L, pk))[1])
-                        for m, (dk, pk) in zip(maps, kinds)]
+            # one config gives both lists, so M's maps pair with L's by position
+            maps = _map_pairs(M, config)
+            verdicts = [(_entry(M, *m)[1], _entry(L, *source)[1])
+                        for m, source in zip(maps, _map_pairs(L, config))]
             for f in _isomorphisms(L, M):
                 pull_back = _gather(f.inverse)
                 for (delta, phi), (here, source) in zip(maps, verdicts):
@@ -671,7 +680,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         "every proper idempotent is phiomega-delta-primary, hence "
         "phin-delta-primary for every n >= 2",
         ("delta", "q"),
-        lambda L, c, delta: (
+        lambda L, delta: (
             _idempotent_entry(L)[0],
             _pdp(L, delta, _phi(L, "phiomega")) & _every_phin(L, delta),
         ),

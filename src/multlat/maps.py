@@ -134,9 +134,7 @@ def make_phi(
             k = int(m.group(1))
         elif k is None or k <= 2:
             raise ValueError("phin requires an exponent k > 2")
-        powers = (L.bottom,) * L.n if k == 0 else (
-            chain[min(k, len(chain)) - 1] for chain in L._power_chains
-        )
+        powers = (L.bottom,) * L.n if k == 0 else (L.power(a, k) for a in range(L.n))
         return PhiMap(L, tuple(powers), tag or f"phi{k}", f"phi{k}" if k <= 2 else "phin")
     if kind == "phiomega":
         omega = tuple(chain[-1] for chain in L._power_chains)

@@ -18,9 +18,11 @@ import pytest
 import oracle
 from conftest import time_limit
 from multlat import (
+    Expansion,
     FiniteMultiplicativeLattice,
     HarnessConfig,
     Isomorphism,
+    PhiMap,
     Row,
     TheoremProperty,
     boolean_frame,
@@ -95,6 +97,29 @@ def test_registry_is_well_formed():
         assert p.binding[-1] in ("p", "q") and callable(p.rows)
 
 
+def test_every_quantified_map_comes_from_domains(corpus, monkeypatch):
+    # With the map domains narrowed to d1 and phi2, no row of any property
+    # may hold another map: a row that builds its maps itself keeps all of
+    # the configured ones.
+    d1 = lambda L, config: (harness._delta(L, "d1"),)
+    phi2 = lambda L, config: (harness._phi(L, "phi2"),)
+    for name, narrowed in (("delta", d1), ("gamma", d1), ("phi", phi2), ("g1", phi2),
+                           ("g2", phi2)):
+        monkeypatch.setitem(harness._DOMAINS, name, narrowed)
+    config, stray = HarnessConfig(), Counter()
+    for prop in registry():
+        for L in corpus.lattices():
+            if L.n <= 1:
+                continue
+            for row in prop.rows(L, corpus, config):
+                for value in row.values:
+                    if isinstance(value, Expansion):
+                        stray[prop.id] += value is not harness._delta(value.lattice, "d1")
+                    elif isinstance(value, PhiMap):
+                        stray[prop.id] += value is not harness._phi(value.lattice, "phi2")
+    assert +stray == Counter()
+
+
 def test_full_run_outcomes_frozen(full_report):
     assert {r.id for r in full_report.results} == set(EXPECTED_COUNTS)
     for r in full_report.results:
@@ -114,7 +139,7 @@ def test_report_accessors(full_report):
     assert full_report.unexpected_vacuous(("T12",)) == ()
     assert full_report.ok(("T12",))
     assert not full_report.ok(())
-    assert full_report.ok(HarnessConfig().expected_vacuous)
+    assert full_report.ok(harness.EXPECTED_VACUOUS)
 
 
 def test_report_serialization(full_report):
