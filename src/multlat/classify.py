@@ -10,15 +10,22 @@ that passes ``validate``.  Every predicate is one scan, ``_first_pair``.  The
 paper's notions specialize phi-delta-primary with target p^k (prime is
 delta = id, primary delta = radical, delta-primary phi = none, k-potent
 k >= 2), so one verdict store, ``_kernel_entry``, keeps per lattice one pass
-over the proper elements for each (delta table, phi table or None, k): the
-report's columns, the harness rows and hunt all read it through
-``_entry``, and it is freed with the lattice.  Under the entries, ``_scans``
-keeps one ``_first_pair`` result per lattice for each distinct (target,
-excuse, row_skip, col_skip), so entries whose arguments coincide at an
-element share that scan: the k-potent columns once p^k stabilizes, prime
-and primary at a radical p, 2-potent d0 at an idempotent p.  Only scans
-with identical arguments are shared; no verdict is derived from another
-predicate's.  The public wrappers below are direct scans of one element.
+over the proper elements for each tuple of the scan's arguments as tables:
+row skip, column skip, excuse (the phi table, or None) and the potency k of
+the target q^k.  The definition is the entry (identity, delta, phi, k),
+which the report's columns, the harness rows and hunt read through
+``_entry``; the compact-pair form, with the skips swapped, is the entry
+(delta, identity, phi, 1), which the harness reads through
+``_compact_pair_entry``.  The store is freed with the lattice.  Under the
+entries, ``_scans`` keeps one ``_first_pair`` result per lattice for each
+distinct (target, excuse, row_skip, col_skip), so entries whose arguments
+coincide at an element share that scan: the k-potent columns once p^k
+stabilizes, prime and primary at a radical p, 2-potent d0 at an idempotent
+p, and the compact-pair form and the definition wherever delta(q) = q.  Only
+scans with identical arguments are shared; no verdict is derived from
+another predicate's.  Beside the store, the masks of the elements at which
+the residual characterizations hold are kept per lattice under the (delta,
+phi) tables.  The public wrappers below are direct scans of one element.
 
 A scan reads its rows in two phases.  G is the join-irreducibles J and the
 join of each incomparable pair of them.  Phase 1 reads the rows g of G in
@@ -39,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import and_, ne
+from operator import and_, ne, not_
 
 from .derived import _idempotent_violation, radical
 from .lattice import FiniteMultiplicativeLattice, _bits, _leq_mask, _mask, _per_lattice
@@ -193,37 +200,53 @@ def _pass(L, violation):
 
 @_per_lattice
 def _scans(L):
-    """L's ``_first_pair`` results, one per distinct (target, excuse, q, col_skip)
-    of a kernel entry, keyed by those four as one int."""
+    """L's ``_first_pair`` results, one per distinct (target, excuse, row_skip,
+    col_skip) of a kernel entry, keyed by those four as one int."""
     return {}
 
 
 @_per_lattice
-def _kernel_entry(L, deltas, excuses, k):
-    """The entry of phi-delta-primary with target q^k: excuses None is the none
-    kind.  Keyed by the tables themselves, so two maps with one tag never
-    share an entry and equal maps always do.  An element whose scan arguments
-    another entry already had reads that entry's scan."""
+def _kernel_entry(L, rows, cols, excuses, k):
+    """The entry of the scan whose arguments at q are target q^k, excuse
+    excuses[q], row skip rows[q] and column skip cols[q]: excuses None is the
+    none kind, and rows or cols None is q itself.  Keyed by the tables
+    themselves, so two maps with one tag never share an entry and equal maps
+    always do.  An element whose scan arguments another entry already had
+    reads that entry's scan."""
     scans, n = _scans(L), L.n
 
     def violation(q):
         target, excuse = L.power(q, k), None if excuses is None else excuses[q]
-        key = ((target * (n + 1) + (n if excuse is None else excuse)) * n + q) * n + deltas[q]
+        row_skip = q if rows is None else rows[q]
+        col_skip = q if cols is None else cols[q]
+        key = ((target * (n + 1) + (n if excuse is None else excuse)) * n + row_skip) * n + col_skip
         try:
             return scans[key]
         except KeyError:
-            pair = scans[key] = _first_pair(L, target, excuse, q, deltas[q])
+            pair = scans[key] = _first_pair(L, target, excuse, row_skip, col_skip)
             return pair
 
     return _pass(L, violation)
 
 
+def _excuses(phi: PhiMap | None):
+    """phi's table, the excuse per element; None for no phi or the none kind."""
+    return None if phi is None or phi.none else phi.table
+
+
 def _entry(L, delta: Expansion, phi: PhiMap | None = None, k: int | None = None):
     """The store's entry of phi-delta-primary (phi None or the none kind:
-    delta-primary), or with k of k-potent delta-primary."""
+    delta-primary), or with k of k-potent delta-primary: rows skip q, columns
+    delta(q)."""
     if k is not None:
         _check_potency(k)
-    return _kernel_entry(L, delta.table, None if phi is None or phi.none else phi.table, k or 1)
+    return _kernel_entry(L, None, delta.table, _excuses(phi), k or 1)
+
+
+def _compact_pair_entry(L, delta: Expansion, phi: PhiMap):
+    """The store's entry of the compact-pair form: rows skip delta(q), columns
+    q.  Where delta(q) = q its scan is the definition's."""
+    return _kernel_entry(L, delta.table, None, _excuses(phi), 1)
 
 
 @_per_lattice
@@ -255,8 +278,20 @@ def _phi_masks(L, excuses):
 
 def characterization_failures(L, delta: Expansion, phi: PhiMap):
     """Per element q, as bitmasks over a, where characterizations A and B fail."""
-    split = _phi_masks(L, None if phi.none else phi.table)
+    split = _phi_masks(L, _excuses(phi))
     return tuple(tuple(map(and_, part, split)) for part in _delta_masks(L, delta.table))
+
+
+@_per_lattice
+def _holder_masks(L, deltas, excuses):
+    """The elements at which characterizations A and B hold, as two bitmasks."""
+    split = _phi_masks(L, excuses)
+    return tuple(_mask(map(not_, map(and_, part, split))) for part in _delta_masks(L, deltas))
+
+
+def _characterization_holders(L, delta: Expansion, phi: PhiMap):
+    """The store's characterization masks: the q where A holds, and where B does."""
+    return _holder_masks(L, delta.table, _excuses(phi))
 
 
 def characterization_A_witness(L, delta: Expansion, phi: PhiMap, q):

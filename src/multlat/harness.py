@@ -12,9 +12,11 @@ binding but the last, the element, and holds as bitmasks over element
 indices the elements it ranges over and those where the hypothesis and the
 conclusion hold; a condition that does not read the element is decided
 once per row.  The masks come from the per-lattice verdict store in
-``classify``, keyed by the kernel's arguments (the delta and phi tables and
-the potency), which rows read with their maps; ``hunt`` reads it once per
-predicate name into one bitmask over the whole corpus.
+``classify``, keyed by the scan's arguments (the row- and column-skip
+tables, the phi table and the potency), and from the characterization
+masks kept beside it under the (delta, phi) tables; rows read both with
+their maps and scan no element themselves.  ``hunt`` reads the store once
+per predicate name into one bitmask over the whole corpus.
 ``tests/oracle.py`` keeps the per-instance statements the rows are checked
 against.
 """
@@ -25,14 +27,14 @@ import re
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
-from operator import and_, eq, not_
+from operator import and_, eq
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .classify import (
+    _characterization_holders,
+    _compact_pair_entry,
     _entry,
     _idempotent_entry,
-    characterization_failures,
-    compact_pair_violation,
 )
 from .constructions import Corpus, default_corpus
 from .derived import (
@@ -265,9 +267,12 @@ def _pull(flags: Sequence[bool], table: Sequence[int]) -> int:
     return _mask(_gather(table)(flags))
 
 
-def _agree(*masks: int) -> int:
+def _agree(first: int, *rest: int) -> int:
     """The elements on which every mask says the same."""
-    return reduce(and_, (~(a ^ b) for a, b in zip(masks, masks[1:])), ALL)
+    agree = ALL
+    for mask in rest:
+        agree &= ~(first ^ mask)
+    return agree
 
 
 def _every_phin(L, delta: Expansion) -> int:
@@ -366,8 +371,8 @@ def registry() -> tuple[TheoremProperty, ...]:
         ("delta", "phi", "q"),
         lambda L, delta, phi: (ALL, _agree(
             _pdp(L, delta, phi),
-            _mask(map(not_, characterization_failures(L, delta, phi)[0])),
-            _where(L, lambda q: compact_pair_violation(L, delta, phi, q) is None),
+            _characterization_holders(L, delta, phi)[0],
+            _compact_pair_entry(L, delta, phi)[0],
         )),
         "definition <=> characterization-A <=> compact-pair form",
     )
@@ -377,8 +382,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         "definition and second residual characterization agree",
         ("delta", "phi", "q"),
         lambda L, delta, phi: (ALL, _agree(
-            _pdp(L, delta, phi),
-            _mask(map(not_, characterization_failures(L, delta, phi)[1])),
+            _pdp(L, delta, phi), _characterization_holders(L, delta, phi)[1]
         )),
         "definition <=> characterization-B",
     )
@@ -575,15 +579,19 @@ def registry() -> tuple[TheoremProperty, ...]:
     def t22_rows(L, corpus, config):
         res, down, everything = L._residual_table, L.down_sets, (1 << L.n) - 1
         at_residuals = [_gather(row) for row in res]  # q -> seq[(p:q)], per p
+        by_phi = {}  # phi's table -> per p, the hypothesis mask, which reads no delta
         for delta, phi in _map_pairs(L, config):
             primary, flags, _ = _entry(L, delta, phi)
+            hypotheses = by_phi.setdefault(phi.table, {})
             for p in L.proper_elements:
                 if not primary >> p & 1:
                     yield Row((delta, phi, p), everything, 0, 0)
                     continue
                 at = at_residuals[p]
-                # (p:q) is the top exactly when q <= p
-                hyp = ~down[p] & _leq_mask(L, res[phi.table[p]], at(phi.table))
+                hyp = hypotheses.get(p)
+                if hyp is None:
+                    # (p:q) is the top exactly when q <= p
+                    hyp = hypotheses[p] = ~down[p] & _leq_mask(L, res[phi.table[p]], at(phi.table))
                 yield Row((delta, phi, p), everything, hyp, _mask(at(flags)))
 
     add(
@@ -765,6 +773,8 @@ def run_property(
             broken = held & ~conclusion
             if weights is None:
                 scanned += domain.bit_count()
+                if not held:  # no hit, so nothing more to count or show
+                    continue
                 hits += held.bit_count()
                 violations += broken.bit_count()
             else:

@@ -11,6 +11,7 @@ from multlat import (
     chain_frame,
     classify,
     classification_report,
+    default_corpus,
     is_delta_primary,
     is_n_potent_delta_primary,
     is_phi_delta_primary,
@@ -23,6 +24,7 @@ from multlat import (
     map_leq,
     residual_characterization_A,
     residual_characterization_B,
+    run_all,
     zn_ideal_lattice,
 )
 from multlat.classify import (
@@ -283,3 +285,16 @@ def test_report_scans_each_distinct_kernel_argument_once(monkeypatch):
     classification_report(twin, make_delta(twin, "d1"), make_phi(twin, "phi0"), potency=(4, 3, 2))
     again = classification_report(twin, make_delta(twin, "d1"), make_phi(twin, "phi2"))
     assert _json(again.to_dict()) == _json(report.to_dict())
+
+
+def test_verify_scans_each_distinct_kernel_argument_once(monkeypatch):
+    # The definition and the compact-pair form are entries of one store, so
+    # where their arguments coincide (at d0, and at a radical q under d1) the
+    # two read one scan; every other pair of forms scans independently.
+    corpus = default_corpus()
+    calls, first_pair = [], classify._first_pair
+    monkeypatch.setattr(classify, "_first_pair", lambda *a: calls.append(a) or first_pair(*a))
+    run_all(corpus)
+    monkeypatch.undo()
+    distinct = {(id(L), *args) for L, *args in calls}
+    assert len(calls) == len(distinct) == 259

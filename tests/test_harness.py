@@ -8,7 +8,9 @@ b = q^(s-1) (b = top when s = 1) and c = q^s gives q*b = q*c = q^s != 0 with
 b != c.
 """
 
+import functools
 import itertools
+import operator
 import random
 from collections import Counter
 from dataclasses import replace
@@ -367,6 +369,16 @@ def test_weighted_instances_count_their_weight():
     # one witness per violating instance, not per unit of weight, up to the cap
     first_five = [z24.label(p) for p in z24.proper_elements[:5]]
     assert [w.bindings["p"] for w in r.witnesses] == first_five
+
+
+def test_agree_equals_the_pairwise_reduce():
+    # the masks rows compare hold negative ints too, as ~down[p] does
+    rng = random.Random(25)
+    for count in (1, 2, 3):
+        for _ in range(500):
+            masks = [rng.randrange(-1 << 40, 1 << 40) for _ in range(count)]
+            pairwise = (~(a ^ b) for a, b in zip(masks, masks[1:]))
+            assert harness._agree(*masks) == functools.reduce(operator.and_, pairwise, -1), masks
 
 
 # -- element-free conditions are decided once ----------------------------------

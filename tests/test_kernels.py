@@ -34,7 +34,14 @@ from multlat import (
     residual_characterization_B,
     zn_ideal_lattice,
 )
-from multlat.classify import _first_pair, _row_set, characterization_failures
+from multlat.classify import (
+    _characterization_holders,
+    _compact_pair_entry,
+    _first_pair,
+    _row_set,
+    characterization_failures,
+)
+from multlat.harness import HarnessConfig
 from test_derived import SHAPES
 from test_harness import HUNT_CORPORA
 
@@ -222,6 +229,29 @@ def test_characterization_masks_match_the_literal_scans(L):
                 assert characterization_B_witness(L, delta, phi, q) == b, where
                 assert residual_characterization_A(L, delta, phi, q) == (a is None), where
                 assert residual_characterization_B(L, delta, phi, q) == (b is None), where
+
+
+# ROW_SET_LATTICES and boolean frames up to 32 elements, once per name
+STORED = list({
+    L.name: L for L in (*ROW_SET_LATTICES, *(boolean_frame(k) for k in range(6)))
+}.values())
+
+
+@pytest.mark.parametrize("L", STORED, ids=lambda L: L.name)
+def test_stored_forms_match_their_direct_reads(L):
+    # T05 reads the compact-pair form off its store entry, and T05 and T06
+    # read the kept characterization masks; each must equal the public
+    # per-element read it stands for.
+    for delta in (make_delta(L, k) for k in DELTA_KINDS):
+        for phi in (make_phi(L, k) for k in ("none", *HarnessConfig().phi_kinds)):
+            holders, flags, pairs = _compact_pair_entry(L, delta, phi)
+            for q in L.proper_elements:
+                where = (L.name, delta.tag, phi.tag, L.label(q))
+                assert pairs[q] == compact_pair_violation(L, delta, phi, q), where
+                assert (holders >> q & 1 == 1) == flags[q] == (pairs[q] is None), where
+            fails = characterization_failures(L, delta, phi)
+            for part, held in zip(fails, _characterization_holders(L, delta, phi)):
+                assert held == sum(1 << q for q in L.elements() if not part[q])
 
 
 def test_large_power_is_the_stabilized_power(corpus):

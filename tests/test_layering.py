@@ -91,6 +91,6 @@ def test_harness_calls_the_kernel_not_a_per_form_wrapper():
     assert imports == {
         "_entry",
         "_idempotent_entry",
-        "compact_pair_violation",
-        "characterization_failures",
+        "_compact_pair_entry",
+        "_characterization_holders",
     }
