@@ -10,13 +10,13 @@ that passes ``validate``.  Every predicate is one scan, ``_first_pair``.  The
 paper's notions specialize phi-delta-primary with target p^k (prime is
 delta = id, primary delta = radical, delta-primary phi = none, k-potent
 k >= 2), so one verdict store, ``_kernel_entry``, keeps per lattice one pass
-over the proper elements for each tuple of the scan's arguments as tables:
-row skip, column skip, excuse (the phi table, or None) and the potency k of
-the target q^k.  The definition is the entry (identity, delta, phi, k),
-which the report's columns, the harness rows and hunt read through
-``_entry``; the compact-pair form, with the skips swapped, is the entry
-(delta, identity, phi, 1), which the harness reads through
-``_compact_pair_entry``.  The store is freed with the lattice.  Under the
+over the proper elements for each tuple of the scan's arguments: the keys
+(``maps.key_on``) of the row skip, the column skip and the excuse phi, None
+for the none kind, and the potency k of the target q^k.  The definition is
+the entry (identity, delta, phi, k), which the report's columns, the harness
+rows and hunt read through ``_entry``; the compact-pair form, with the skips
+swapped, is the entry (delta, identity, phi, 1), which the harness reads
+through ``_compact_pair_entry``.  The store is freed with the lattice.  Under the
 entries, ``_scans`` keeps one ``_first_pair`` result per lattice for each
 distinct (target, excuse, row_skip, col_skip), so entries whose arguments
 coincide at an element share that scan: the k-potent columns once p^k
@@ -25,7 +25,7 @@ p, and the compact-pair form and the definition wherever delta(q) = q.  Only
 scans with identical arguments are shared; no verdict is derived from
 another predicate's.  Beside the store, the masks of the elements at which
 the residual characterizations hold are kept per lattice under the (delta,
-phi) tables.  The public wrappers below are direct scans of one element.
+phi) keys.  The public wrappers below are direct scans of one element.
 
 A scan reads its rows in two phases.  G is the join-irreducibles J and the
 join of each incomparable pair of them.  Phase 1 reads the rows g of G in
@@ -50,7 +50,7 @@ from operator import and_, ne, not_
 
 from .derived import _idempotent_violation, radical
 from .lattice import FiniteMultiplicativeLattice, _bits, _leq_mask, _mask, _per_lattice
-from .maps import Expansion, PhiMap, make_delta, make_phi
+from .maps import IDENTITY, Expansion, PhiMap, key_on, key_table, make_delta, make_phi
 
 
 def _require_proper(L: FiniteMultiplicativeLattice, p: int) -> None:
@@ -206,19 +206,17 @@ def _scans(L):
 
 
 @_per_lattice
-def _kernel_entry(L, rows, cols, excuses, k):
+def _kernel_entry(L, rows, cols, phi, k):
     """The entry of the scan whose arguments at q are target q^k, excuse
-    excuses[q], row skip rows[q] and column skip cols[q]: excuses None is the
-    none kind, and rows or cols None is q itself.  Keyed by the tables
-    themselves, so two maps with one tag never share an entry and equal maps
-    always do.  An element whose scan arguments another entry already had
-    reads that entry's scan."""
+    phi(q), row skip rows(q) and column skip cols(q), for the maps so keyed:
+    two maps with one tag never share an entry and equal maps always do.  An
+    element whose scan arguments another entry already had reads its scan."""
     scans, n = _scans(L), L.n
+    rows, cols, excuses = key_table(L, rows), key_table(L, cols), key_table(L, phi)
 
     def violation(q):
         target, excuse = L.power(q, k), None if excuses is None else excuses[q]
-        row_skip = q if rows is None else rows[q]
-        col_skip = q if cols is None else cols[q]
+        row_skip, col_skip = rows[q], cols[q]
         key = ((target * (n + 1) + (n if excuse is None else excuse)) * n + row_skip) * n + col_skip
         try:
             return scans[key]
@@ -229,24 +227,20 @@ def _kernel_entry(L, rows, cols, excuses, k):
     return _pass(L, violation)
 
 
-def _excuses(phi: PhiMap | None):
-    """phi's table, the excuse per element; None for no phi or the none kind."""
-    return None if phi is None or phi.none else phi.table
-
-
 def _entry(L, delta: Expansion, phi: PhiMap | None = None, k: int | None = None):
     """The store's entry of phi-delta-primary (phi None or the none kind:
     delta-primary), or with k of k-potent delta-primary: rows skip q, columns
     delta(q)."""
     if k is not None:
         _check_potency(k)
-    return _kernel_entry(L, None, delta.table, _excuses(phi), k or 1)
+    excuse = None if phi is None else key_on(L, phi)
+    return _kernel_entry(L, IDENTITY, key_on(L, delta), excuse, k or 1)
 
 
 def _compact_pair_entry(L, delta: Expansion, phi: PhiMap):
     """The store's entry of the compact-pair form: rows skip delta(q), columns
     q.  Where delta(q) = q its scan is the definition's."""
-    return _kernel_entry(L, delta.table, None, _excuses(phi), 1)
+    return _kernel_entry(L, key_on(L, delta), IDENTITY, key_on(L, phi), 1)
 
 
 @_per_lattice
@@ -256,42 +250,42 @@ def _idempotent_entry(L):
 
 
 @_per_lattice
-def _delta_masks(L, deltas):
+def _delta_masks(L, delta):
     """Per q, the a at which characterizations A and B fail when (q:a) differs
-    from (phi(q):a): for A the a !<= deltas[q] with (q:a) != q, for B the
-    a !<= q with (q:a) !<= deltas[q]."""
+    from (phi(q):a), for the expansion keyed delta: for A the a !<= delta(q)
+    with (q:a) != q, for B the a !<= q with (q:a) !<= delta(q)."""
     down, fails_a, fails_b = L.down_sets, [], []
-    for q, (row, d) in enumerate(zip(L._residual_table, deltas)):
+    for q, (row, d) in enumerate(zip(L._residual_table, key_table(L, delta))):
         fails_a.append(_mask(map(q.__ne__, row)) & ~down[d])
         fails_b.append(~down[q] & ~_leq_mask(L, row, repeat(d)))
     return tuple(fails_a), tuple(fails_b)
 
 
 @_per_lattice
-def _phi_masks(L, excuses):
-    """Per q, the a with (q:a) != (excuses[q]:a); excuses None is the none kind,
-    whose (phi(q):a) reads bottom."""
-    res = L._residual_table
+def _phi_masks(L, phi):
+    """Per q, the a with (q:a) != (phi(q):a), for the phi keyed phi; under the
+    none kind, keyed None, (phi(q):a) reads bottom."""
+    res, excuses = L._residual_table, key_table(L, phi)
     others = map(res.__getitem__, excuses) if excuses else (repeat(L.bottom) for _ in res)
     return tuple(_mask(map(ne, row, other)) for row, other in zip(res, others))
 
 
 def characterization_failures(L, delta: Expansion, phi: PhiMap):
     """Per element q, as bitmasks over a, where characterizations A and B fail."""
-    split = _phi_masks(L, _excuses(phi))
-    return tuple(tuple(map(and_, part, split)) for part in _delta_masks(L, delta.table))
+    split = _phi_masks(L, key_on(L, phi))
+    return tuple(tuple(map(and_, part, split)) for part in _delta_masks(L, key_on(L, delta)))
 
 
 @_per_lattice
-def _holder_masks(L, deltas, excuses):
+def _holder_masks(L, delta, phi):
     """The elements at which characterizations A and B hold, as two bitmasks."""
-    split = _phi_masks(L, excuses)
-    return tuple(_mask(map(not_, map(and_, part, split))) for part in _delta_masks(L, deltas))
+    split = _phi_masks(L, phi)
+    return tuple(_mask(map(not_, map(and_, part, split))) for part in _delta_masks(L, delta))
 
 
 def _characterization_holders(L, delta: Expansion, phi: PhiMap):
     """The store's characterization masks: the q where A holds, and where B does."""
-    return _holder_masks(L, delta.table, _excuses(phi))
+    return _holder_masks(L, key_on(L, delta), key_on(L, phi))
 
 
 def characterization_A_witness(L, delta: Expansion, phi: PhiMap, q):

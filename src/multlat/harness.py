@@ -12,11 +12,11 @@ binding but the last, the element, and holds as bitmasks over element
 indices the elements it ranges over and those where the hypothesis and the
 conclusion hold; a condition that does not read the element is decided
 once per row.  The masks come from the per-lattice verdict store in
-``classify``, keyed by the scan's arguments (the row- and column-skip
-tables, the phi table and the potency), and from the characterization
-masks kept beside it under the (delta, phi) tables; rows read both with
-their maps and scan no element themselves.  ``hunt`` reads the store once
-per predicate name into one bitmask over the whole corpus.
+``classify``, keyed by the scan's arguments (the keys of the row- and
+column-skip maps and of phi, and the potency), and from the characterization
+masks kept beside it under the (delta, phi) keys; rows read both with their
+maps and scan no element themselves.  ``hunt`` reads the store once per
+predicate name into one bitmask over the whole corpus.
 ``tests/oracle.py`` keeps the per-instance statements the rows are checked
 against.
 """
@@ -45,6 +45,7 @@ from .derived import (
 )
 from .lattice import FiniteMultiplicativeLattice, _bits, _gather, _leq_mask, _mask, _per_lattice
 from .maps import (
+    IDENTITY,
     Expansion,
     Isomorphism,
     PhiMap,
@@ -188,14 +189,9 @@ class HarnessReport:
 # -- per-lattice machinery, kept on the lattice --------------------------------
 
 
-@_per_lattice
-def _delta(L: FiniteMultiplicativeLattice, kind: str) -> Expansion:
-    return make_delta(L, kind)
-
-
-@_per_lattice
-def _phi(L: FiniteMultiplicativeLattice, kind: str) -> PhiMap:
-    return make_phi(L, kind)
+# The stock map of a kind, and the isomorphisms from one lattice to another.
+_delta, _phi = _per_lattice(make_delta), _per_lattice(make_phi)
+_isomorphisms = _per_lattice(enumerate_isomorphisms)
 
 
 def _deltas(L, config) -> tuple[Expansion, ...]:
@@ -204,20 +200,6 @@ def _deltas(L, config) -> tuple[Expansion, ...]:
 
 def _phis(L, config) -> tuple[PhiMap, ...]:
     return tuple(_phi(L, k) for k in config.phi_kinds)
-
-
-@_per_lattice
-def _isomorphisms(L1, L2) -> tuple[Isomorphism, ...]:
-    return enumerate_isomorphisms(L1, L2)
-
-
-@_per_lattice
-def _below(L, lower: str, upper: str) -> bool:
-    """Whether the map tagged lower is pointwise below the one tagged upper
-    (both delta kinds or both phi kinds): an element-free fact, kept per
-    lattice since many rows read it."""
-    by_tag = _delta if lower in ("d0", "d1") else _phi
-    return map_leq(by_tag(L, lower), by_tag(L, upper))
 
 
 def _pdp(L, delta: Expansion, phi: PhiMap | None = None) -> int:
@@ -352,7 +334,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         ("delta", "gamma", "phi", "p"),
         lambda L, delta, gamma, phi: (
             _pdp(L, delta, phi), _pdp(L, gamma, phi)
-        ) if _below(L, delta.tag, gamma.tag) else (0, 0),
+        ) if map_leq(delta, gamma) else (0, 0),
         "phi-gamma-primary",
     )
 
@@ -411,7 +393,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         ("delta", "g1", "g2", "p"),
         lambda L, delta, g1, g2: (
             _pdp(L, delta, g1), _pdp(L, delta, g2)
-        ) if _below(L, g1.tag, g2.tag) else (0, 0),
+        ) if map_leq(g1, g2) else (0, 0),
         "g2-delta-primary",
     )
 
@@ -458,7 +440,7 @@ def registry() -> tuple[TheoremProperty, ...]:
 
     def t12(L, delta, phi):
         cancelling = _cancelling(L)
-        if not (cancelling and _below(L, phi.tag, "phi2")):
+        if not (cancelling and map_leq(phi, _phi(L, "phi2"))):
             return 0, 0
         return cancelling, _agree(_pdp(L, delta, phi), _pdp(L, delta))
 
@@ -480,7 +462,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         lambda L, delta, phi: (
             _entry(L, delta, None, 2)[0],
             _agree(_pdp(L, delta, phi), _pdp(L, delta)),
-        ) if _below(L, phi.tag, "phi2") else (0, 0),
+        ) if map_leq(phi, _phi(L, "phi2")) else (0, 0),
         "phi-delta-primary <=> delta-primary",
     )
 
@@ -492,7 +474,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         lambda L, delta, phi, n, k: None if k > n else (
             _entry(L, delta, None, k)[0],
             _agree(_pdp(L, delta, phi), _pdp(L, delta)),
-        ) if _below(L, phi.tag, f"phi{n}") else (0, 0),
+        ) if map_leq(phi, _phi(L, f"phi{n}")) else (0, 0),
         "phi-delta-primary <=> delta-primary",
     )
 
@@ -536,7 +518,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         lambda L, delta, phi: (
             _pdp(L, delta, phi),
             _pdp(L, delta, _phi(L, "phiomega")) & _every_phin(L, delta),
-        ) if _below(L, phi.tag, "phi3") else (0, 0),
+        ) if map_leq(phi, _phi(L, "phi3")) else (0, 0),
         "phiomega and every phin",
     )
 
@@ -579,10 +561,10 @@ def registry() -> tuple[TheoremProperty, ...]:
     def t22_rows(L, corpus, config):
         res, down, everything = L._residual_table, L.down_sets, (1 << L.n) - 1
         at_residuals = [_gather(row) for row in res]  # q -> seq[(p:q)], per p
-        by_phi = {}  # phi's table -> per p, the hypothesis mask, which reads no delta
+        by_phi = {}  # phi's key -> per p, the hypothesis mask, which reads no delta
         for delta, phi in _map_pairs(L, config):
             primary, flags, _ = _entry(L, delta, phi)
-            hypotheses = by_phi.setdefault(phi.table, {})
+            hypotheses = by_phi.setdefault(phi.key, {})
             for p in L.proper_elements:
                 if not primary >> p & 1:
                     yield Row((delta, phi, p), everything, 0, 0)
@@ -631,7 +613,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         # delta(delta(q)) = delta(q), and delta(q) = q is proper.
         lambda L, delta, phi: (
             _pdp(L, delta, phi), _pull(_entry(L, _delta(L, "d0"), phi)[1], delta.table)
-        ) if delta.table == _delta(L, "d0").table else (0, 0),
+        ) if delta.key == IDENTITY else (0, 0),
         "delta(q) is phi-prime",
     )
 

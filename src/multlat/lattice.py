@@ -503,73 +503,51 @@ def _check_axioms(L: FiniteMultiplicativeLattice) -> ValidationReport:
     if any(None in row for row in lub):
         # -1 marks a pair with no join; it is reported as such and skipped below.
         lub = tuple(tuple(-1 if k is None else k for k in row) for row in lub)
-    scans = (
-        ("order-reflexive", ((i,) for i in rng if not up[i] >> i & 1)),
-        ("order-antisymmetric",
-         ((i, j) for i in rng for j in _bits(up[i] & down[i] & ~(1 << i)))),
-        ("order-transitive",
-         ((i, j, k) for i in rng for j in _bits(up[i]) for k in _bits(up[j] & ~up[i]))),
-        ("bottom-least", ((i,) for i in _bits(full & ~up[bottom]))),
-        ("top-greatest", ((i,) for i in _bits(full & ~down[L.top]))),
-        ("pairwise-join-exists", _missing(L._partial_lub)),
-        ("pairwise-meet-exists", _lazy(lambda: _missing(L._partial_glb))),
-        ("mul-commutative",
-         ((a, b) for a in rng if mul[a] != cols[a] for b in rng if mul[a][b] != mul[b][a])),
-        ("mul-associative", _associativity_breaks(mul, rng, rng)),
-        ("mul-identity", ((a,) for a in rng if mul[a][L.top] != a)),
-        ("mul-annihilates-bottom", ((a,) for a in rng if mul[a][bottom] != bottom)),
-        ("mul-join-distributive", _distributivity_breaks(mul, lub, rng, rng)),
-        ("mul-monotone", _monotonicity_breaks(mul, up)),
-    )
-    distributes = None
+    failures = []
 
-    def joins_distribute():
-        # Fix a and say a(j v c) = aj v ac for every join-irreducible j and
-        # every c.  Then c = bottom gives a*bottom <= aj, and c >= j gives
-        # ac = aj v ac >= aj, so a*bottom <= ac for every c.  Every b is a
-        # join of join-irreducibles, bottom the empty one: a(bottom v c) =
-        # ac = a*bottom v ac, and b = j v b', with b' the join of the others,
-        # gives a(b v c) = aj v a(b' v c) = aj v ab' v ac = ab v ac by
-        # induction.  Neither commutativity nor annihilation is needed.
-        nonlocal distributes
-        if distributes is None:
-            breaks = _distributivity_breaks(mul, lub, rng, L.join_irreducibles)
-            distributes = next(breaks, None) is None
-        return distributes
-
-    def associates():
-        # Write x and y as joins of join-irreducibles a_i and b_j.  Products
-        # distribute over those joins on either side (commutativity), so
-        # (xy)z and x(yz) are the joins of the (a_i b_j)z and a_i(b_j z), and
-        # both are bottom when x or y is bottom (annihilation).
-        ji = L.join_irreducibles
-        return (
-            joins_distribute()
-            and all(row[bottom] == bottom for row in mul)
-            and next(_associativity_breaks(mul, ji, ji), None) is None
-        )
-
-    # name -> (the axiom before which every scanned axiom must hold, proof).
-    # A scan is skipped only when that holds and its proof passes; otherwise
-    # it runs in full, so a failure is reported with the scan's own witness.
-    proofs = {
-        # Finite, with a least element and every binary join: the meet of a
-        # and b is the join of their lower bounds.
-        "pairwise-meet-exists": ("pairwise-meet-exists", lambda: True),
-        "mul-associative": ("mul-associative", associates),
-        "mul-join-distributive": ("pairwise-meet-exists", joins_distribute),
-        # With a partial order, every join and distributivity, b <= c gives
-        # b v c = c, so ac = a(b v c) = ab v ac >= ab.
-        "mul-monotone": ("mul-monotone", lambda: True),
-    }
-    position = {name: k for k, (name, _) in enumerate(scans)}
-    failures, first_failed = [], len(scans)
-    for k, (name, scan) in enumerate(scans):
-        if name in proofs:
-            before, proof = proofs[name]
-            if position[before] <= first_failed and proof():
-                continue
-        if (w := next(scan, None)) is not None:
+    def check(name, scan, proved=False):
+        # skipped only where a proof applies and passes, so a failure has its scan's witness
+        if not proved and (w := next(scan, None)) is not None:
             failures.append((name, w))
-            first_failed = min(first_failed, k)
+
+    check("order-reflexive", ((i,) for i in rng if not up[i] >> i & 1))
+    check("order-antisymmetric",
+          ((i, j) for i in rng for j in _bits(up[i] & down[i] & ~(1 << i))))
+    check("order-transitive",
+          ((i, j, k) for i in rng for j in _bits(up[i]) for k in _bits(up[j] & ~up[i])))
+    check("bottom-least", ((i,) for i in _bits(full & ~up[bottom])))
+    check("top-greatest", ((i,) for i in _bits(full & ~down[L.top])))
+    check("pairwise-join-exists", _missing(L._partial_lub))
+    ordered = not failures
+    # Finite, with a least element and every binary join: the meet of a and b
+    # is the join of their lower bounds.
+    check("pairwise-meet-exists", _lazy(lambda: _missing(L._partial_glb)), proved=ordered)
+    check("mul-commutative",
+          ((a, b) for a in rng if mul[a] != cols[a] for b in rng if mul[a][b] != mul[b][a]))
+    # Fix a and say a(j v c) = aj v ac for every join-irreducible j and every
+    # c.  Then c = bottom gives a*bottom <= aj, and c >= j gives ac = aj v ac
+    # >= aj, so a*bottom <= ac for every c.  Every b is a join of
+    # join-irreducibles, bottom the empty one: a(bottom v c) = ac = a*bottom v
+    # ac, and b = j v b', with b' the join of the others, gives a(b v c) =
+    # aj v a(b' v c) = aj v ab' v ac = ab v ac by induction.  Neither
+    # commutativity nor annihilation is needed.
+    ji = L.join_irreducibles
+    distributes = ordered and next(_distributivity_breaks(mul, lub, rng, ji), None) is None
+    # Write x and y as joins of join-irreducibles a_i and b_j.  Products
+    # distribute over those joins on either side (commutativity), so (xy)z
+    # and x(yz) are the joins of the (a_i b_j)z and a_i(b_j z), and both are
+    # bottom when x or y is bottom (annihilation).
+    check("mul-associative", _associativity_breaks(mul, rng, rng), proved=(
+        not failures
+        and distributes
+        and all(row[bottom] == bottom for row in mul)
+        and next(_associativity_breaks(mul, ji, ji), None) is None
+    ))
+    check("mul-identity", ((a,) for a in rng if mul[a][L.top] != a))
+    check("mul-annihilates-bottom", ((a,) for a in rng if mul[a][bottom] != bottom))
+    check("mul-join-distributive", _distributivity_breaks(mul, lub, rng, rng),
+          proved=distributes)
+    # With a partial order, every join and distributivity, b <= c gives
+    # b v c = c, so ac = a(b v c) = ab v ac >= ab.
+    check("mul-monotone", _monotonicity_breaks(mul, up), proved=not failures)
     return ValidationReport(ok=not failures, failures=tuple(failures))

@@ -5,6 +5,10 @@ An expansion (delta) is inflationary and monotone; the stock kinds are d0
 below itself; the stock chain is phi0 (constant bottom) <= phiomega <= ...
 <= phi3 <= phi2 <= phi1 (identity), plus a flagged "none" kind that excuses
 nothing, making phi-delta-primary degenerate to delta-primary.
+
+A map's identity on a lattice is its key (``key_on``), a small int per
+distinct table, and every per-lattice store of facts about maps is keyed by
+keys, never by tables or tags.
 """
 
 from __future__ import annotations
@@ -12,9 +16,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from operator import getitem
 
-from .lattice import FiniteMultiplicativeLattice
+from .lattice import FiniteMultiplicativeLattice, _leq_mask, _per_lattice
+
+IDENTITY = 0  # the key of the identity table on every lattice
 
 
 class MapValidationError(ValueError):
@@ -37,6 +42,11 @@ class UnaryMap:
         return self.table[a]
 
     @cached_property
+    def key(self) -> int | None:
+        """The map's key on its lattice (``_interner``); None for the none kind."""
+        return None if getattr(self, "none", False) else _intern(self.lattice, self.table)
+
+    @cached_property
     def monotone(self) -> bool:
         """a <= b implies g(a) <= g(b); computed once per map object."""
         return _order_break(self.lattice, self.table) is None
@@ -55,6 +65,37 @@ class PhiMap(UnaryMap):
     def none(self) -> bool:
         """True for the kind that excuses no product at all."""
         return self.kind == "none"
+
+
+@_per_lattice
+def _interner(L: FiniteMultiplicativeLattice):
+    """L's map tables in first-seen order, and each table's key, its position
+    there; the identity table is seeded as key 0."""
+    identity = tuple(range(L.n))
+    return [identity], {identity: IDENTITY}
+
+
+def _intern(L: FiniteMultiplicativeLattice, table: tuple[int, ...]) -> int:
+    tables, keys = _interner(L)
+    key = keys.setdefault(table, len(tables))
+    if key == len(tables):
+        tables.append(table)
+    return key
+
+
+def key_on(L: FiniteMultiplicativeLattice, g: UnaryMap) -> int | None:
+    """g's key on L; a map made on an equal lattice object is interned on L by
+    its table, and one made on a lattice that is not equal raises ValueError."""
+    if g.lattice is L:  # identity first: no lattice compare
+        return g.key
+    if g.lattice != L:
+        raise ValueError(f"map {g.tag!r} was made on {g.lattice.name}, not on {L.name}")
+    return None if getattr(g, "none", False) else _intern(L, g.table)
+
+
+def key_table(L: FiniteMultiplicativeLattice, key: int | None) -> tuple[int, ...] | None:
+    """The table interned on L under key; None for the none kind's key."""
+    return None if key is None else _interner(L)[0][key]
 
 
 def _order_break(L: FiniteMultiplicativeLattice, t) -> tuple[int, int] | None:
@@ -147,20 +188,19 @@ def make_phi(
 
 
 def map_leq(g1: UnaryMap, g2: UnaryMap) -> bool:
-    """Pointwise comparison g1(a) <= g2(a) on a shared lattice.
-
-    The flagged "none" phi kind sits strictly below every real map: it
-    compares below anything, and nothing but none compares below it.
-    """
+    """Pointwise comparison g1(a) <= g2(a) on a shared lattice (``_below``)."""
     L = g1.lattice
-    if g2.lattice is not L and g2.lattice != L:  # identity first: no table compare
-        raise ValueError("map_leq requires maps on the same lattice")
-    if getattr(g1, "none", False):
-        return True
-    if getattr(g2, "none", False):
-        return False
-    # row g1(a) of the order table, read at g2(a), for every a in one C-level pass
-    return all(map(getitem, map(L.leq_table.__getitem__, g1.table), g2.table))
+    return _below(L, g1.key, key_on(L, g2))
+
+
+@_per_lattice
+def _below(L: FiniteMultiplicativeLattice, lower: int | None, upper: int | None) -> bool:
+    """Whether the map keyed lower is pointwise below the one keyed upper.
+    The flagged "none" phi kind, keyed None, sits strictly below every real
+    map: it compares below anything, and nothing but none compares below it."""
+    if lower is None or upper is None:
+        return lower is None
+    return _leq_mask(L, key_table(L, lower), key_table(L, upper)) == (1 << L.n) - 1
 
 
 def is_monotone(g: UnaryMap) -> bool:

@@ -263,6 +263,23 @@ def test_table_maps_with_one_tag_get_their_own_flags(z24):
     assert len(seen) == len(deltas) * len(phis)
 
 
+def test_maps_from_another_lattice_are_rejected():
+    # chain7 and Z30 both have 8 elements, so the tables would index Z30
+    chain, z30 = chain_frame(7), zn_ideal_lattice(30)
+    assert chain.n == z30.n
+    with pytest.raises(ValueError, match="not on Z30"):
+        classification_report(z30, make_delta(chain, "d1"), make_phi(chain, "phi2"))
+
+
+def test_maps_made_on_an_equal_twin_classify_as_the_lattices_own():
+    # the twin has interned other maps first, so its keys are not L's
+    twin, L = zn_ideal_lattice(360), zn_ideal_lattice(360)
+    classification_report(twin, make_delta(twin, "d0"), make_phi(twin, "phiomega"))
+    got = classification_report(L, make_delta(twin, "d1"), make_phi(twin, "phi2"))
+    want = classification_report(L, make_delta(L, "d1"), make_phi(L, "phi2"))
+    assert got.to_dict() == want.to_dict()
+
+
 def test_potency_below_two_is_rejected_before_any_pass():
     # chain0 has no proper element, so no pass would ever reach the exponent
     for L in (chain_frame(0), zn_ideal_lattice(8)):

@@ -48,6 +48,7 @@ from multlat import (
 from multlat import classify, harness
 from multlat.constructions import Corpus, CorpusEntry
 from multlat.lattice import _bits, _per_lattice
+from multlat.maps import key_table
 from test_derived import SHAPES
 
 EXPECTED_COUNTS = {
@@ -582,6 +583,23 @@ def test_rows_equal_the_per_instance_statements_under_other_kinds(corpus):
             ), pid
 
 
+def test_rows_compare_maps_that_are_no_stock_kind(corpus, monkeypatch):
+    # A delta under a tag of its own, whose table is the radical's: the order
+    # rows compare maps by their keys, so it reads d1's entries, and its tag
+    # names no kind to rebuild it from.
+    def deltas(L, config):
+        return harness._delta(L, "d0"), make_delta(L, "table", L._radical_table, tag="rad")
+
+    monkeypatch.setitem(harness._DOMAINS, "delta", deltas)
+    monkeypatch.setitem(oracle._DOMAINS, "delta", deltas)
+    for pid in ("T03", "T08"):
+        for got, want in ((REGISTRY[pid], ORACLE[pid]),
+                          (_negated(REGISTRY[pid]), _negated(ORACLE[pid]))):
+            result = run_property(got, corpus).to_dict()
+            assert result == oracle.run_property(want, corpus).to_dict(), pid
+            assert result["hypothesis_hits"] > 0, pid
+
+
 def test_verify_and_hunt_share_their_verdicts(monkeypatch):
     corpus = default_corpus()
     run_all(corpus)
@@ -596,9 +614,18 @@ def test_verify_and_hunt_share_their_verdicts(monkeypatch):
 
 
 def _store_keys(L):
-    """The keys of L's verdict store entries, kernel and idempotent."""
-    stores = (classify._kernel_entry.__wrapped__, classify._idempotent_entry.__wrapped__)
-    return {key for key in L._memo if key[0] in stores}
+    """The keys of L's verdict store entries, kernel and idempotent, with each
+    map key read back as its table through L's interner: twins intern their
+    maps in the order they meet them, so only the tables compare across them."""
+    kernel, idempotent = classify._kernel_entry.__wrapped__, classify._idempotent_entry.__wrapped__
+    found = set()
+    for key in L._memo:
+        if key[0] is kernel:
+            fn, rows, cols, phi, k = key
+            found.add((fn, key_table(L, rows), key_table(L, cols), key_table(L, phi), k))
+        elif key[0] is idempotent:
+            found.add(key)
+    return found
 
 
 def test_verify_reads_the_entries_classify_filled(monkeypatch):
@@ -607,7 +634,7 @@ def test_verify_reads_the_entries_classify_filled(monkeypatch):
     classification_report(z24, make_delta(z24, "d1"), make_phi(z24, "phi2"))
     filled = _store_keys(z24)
     # every entry classify filled, idempotence included, is one verify reads,
-    # under the same key
+    # for the same maps
     assert filled & _store_keys(twin) == filled
     passes = []
     make_pass = classify._pass

@@ -1,10 +1,12 @@
 """Memos live on the lattice, or the corpus, they describe.
 
 Tables and verdicts are kept on the lattice object, keyed by map kinds and
-by the kernel's arguments (map tables and a power), never by lattice value:
-a fresh lattice equal to a classified one is classified without comparing
-the two, and every result is freed with its lattice.  Hunt's corpus-wide masks are kept on the corpus the same way,
-outside its value.  No module-level memo may come back.
+by the kernel's arguments (map keys, small ints a per-lattice interner gives
+each distinct table, and a power), never by lattice value or by a table: a
+fresh lattice equal to a classified one is classified without comparing the
+two, and every result is freed with its lattice.  Hunt's corpus-wide masks
+are kept on the corpus the same way, outside its value.  No module-level
+memo may come back.
 """
 
 import ast
@@ -22,6 +24,8 @@ from multlat import (
     run_all,
     zn_ideal_lattice,
 )
+from multlat import classify, maps
+from multlat.constructions import Corpus, CorpusEntry
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "multlat"
 MEMO_DECORATORS = {"lru_cache", "cache"}
@@ -86,6 +90,23 @@ def test_run_all_compares_no_lattices(monkeypatch):
     monkeypatch.undo()
     assert len(calls) == 0
     assert report.ok(("T12",))
+
+
+def test_store_keys_hold_no_tables():
+    # A map's key is an int, or None for the none kind: a table in a key
+    # would be rehashed on every lookup, and a tag names no map.
+    L = zn_ideal_lattice(360)
+    corpus = Corpus((CorpusEntry(L, "added"),))
+    run_all(corpus)
+    _report(L)
+    hunt(["2-potent-d0-primary", "phiomega-prime"], "d1-primary", corpus)
+    stores = {fn.__wrapped__ for fn in (
+        classify._kernel_entry, classify._holder_masks, classify._delta_masks,
+        classify._phi_masks, maps._below,
+    )}
+    keys = [key for key in L._memo if key[0] in stores]
+    assert {key[0] for key in keys} == stores
+    assert all(arg is None or type(arg) is int for key in keys for arg in key[1:])
 
 
 def _memo_decorators_used(tree):
