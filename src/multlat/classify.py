@@ -13,19 +13,20 @@ k >= 2), so one verdict store, ``_kernel_entry``, keeps per lattice one pass
 over the proper elements for each tuple of the scan's arguments: the keys
 (``maps.key_on``) of the row skip, the column skip and the excuse phi, None
 for the none kind, and the potency k of the target q^k.  The definition is
-the entry (identity, delta, phi, k), which the report's columns, the harness
-rows and hunt read through ``_entry``; the compact-pair form, with the skips
-swapped, is the entry (delta, identity, phi, 1), which the harness reads
-through ``_compact_pair_entry``.  The store is freed with the lattice.  Under the
-entries, ``_scans`` keeps one ``_first_pair`` result per lattice for each
-distinct (target, excuse, row_skip, col_skip), so entries whose arguments
-coincide at an element share that scan: the k-potent columns once p^k
-stabilizes, prime and primary at a radical p, 2-potent d0 at an idempotent
-p, and the compact-pair form and the definition wherever delta(q) = q.  Only
-scans with identical arguments are shared; no verdict is derived from
-another predicate's.  Beside the store, the masks of the elements at which
-the residual characterizations hold are kept per lattice under the (delta,
-phi) keys.  The public wrappers below are direct scans of one element.
+the entry (identity, delta, phi, k) and the compact-pair form, with the skips
+swapped, the entry (delta, identity, phi, 1); the report's columns, the
+harness rows, hunt and the public per-element functions read them through
+``_entry`` and ``_compact_pair_entry``, and a first read fills the whole
+entry.  The store is freed with the lattice.  Under the entries, ``_scans``
+keeps one ``_first_pair`` result per lattice for each distinct (target,
+excuse, row_skip, col_skip), so entries whose arguments coincide at an
+element share that scan: the k-potent columns once p^k stabilizes, prime
+and primary at a radical p, 2-potent d0 at an idempotent p, and the
+compact-pair form and the definition wherever delta(q) = q.  Only scans
+with identical arguments are shared; no verdict is derived from another
+predicate's.  Beside the store, the masks of the elements at which the
+residual characterizations hold are kept per lattice under the (delta,
+phi) keys.
 
 A scan reads its rows in two phases.  G is the join-irreducibles J and the
 join of each incomparable pair of them.  Phase 1 reads the rows g of G in
@@ -48,21 +49,18 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from operator import and_, ne, not_
 
-from .derived import _idempotent_violation, radical
+from .derived import _idempotent_violation
 from .lattice import FiniteMultiplicativeLattice, _bits, _leq_mask, _mask, _per_lattice
 from .maps import IDENTITY, Expansion, PhiMap, key_on, key_table, make_delta, make_phi
 
 
 def _require_proper(L: FiniteMultiplicativeLattice, p: int) -> None:
     if p == L.top:
-        raise ValueError(
-            f"{L.label(p)} is the top of {L.name}; primality needs a proper element"
-        )
+        raise ValueError(f"{L.label(p)} is the top of {L.name}; primality needs a proper element")
 
 
-def _excuse(phi: PhiMap, p: int) -> int | None:
-    """phi(p), below which products are excused; None for the none kind."""
-    return None if phi.none else phi.table[p]
+# The stock map of a kind on L, for the report, the wrappers, the harness and hunt.
+_delta, _phi = _per_lattice(make_delta), _per_lattice(make_phi)
 
 
 @_per_lattice
@@ -87,11 +85,9 @@ def _first_pair(L, target, excuse, row_skip, col_skip):
 
     By residuation ab <= t iff b <= (t : a), so row a's violating columns are
     the down-set of (target : a) minus those of (excuse : a) and col_skip;
-    b is its lowest set bit.  excuse None excuses nothing.  A top target is
-    rejected; p^k is the top exactly when p is.  The rows are read in the two
-    phases of the module docstring.
+    b is its lowest set bit.  excuse None excuses nothing.  The target is
+    proper.  The rows are read in the two phases of the module docstring.
     """
-    _require_proper(L, target)
     down, res = L.down_sets, L._residual_table
     rows, row_mask = _row_set(L)
     excused = res[excuse] if excuse is not None else None
@@ -117,29 +113,35 @@ def _first_pair(L, target, excuse, row_skip, col_skip):
     return g, (m & -m).bit_length() - 1
 
 
+def _pair(L, p, entry, *args):
+    """p's first violating pair in the store entry of args; the top is rejected first."""
+    _require_proper(L, p)
+    return entry(L, *args)[2][p]
+
+
 def prime_violation(L, p):
-    return _first_pair(L, p, None, p, p)
+    return _pair(L, p, _entry, _delta(L, "d0"))
 
 
 def primary_violation(L, p):
-    return _first_pair(L, p, None, p, radical(L, p))
+    return _pair(L, p, _entry, _delta(L, "d1"))
 
 
 def delta_primary_violation(L, delta: Expansion, p):
-    return _first_pair(L, p, None, p, delta.table[p])
+    return _pair(L, p, _entry, delta)
 
 
 def phi_prime_violation(L, phi: PhiMap, p):
-    return _first_pair(L, p, _excuse(phi, p), p, p)
+    return _pair(L, p, _entry, _delta(L, "d0"), phi)
 
 
 def phi_primary_violation(L, phi: PhiMap, p):
-    return _first_pair(L, p, _excuse(phi, p), p, radical(L, p))
+    return _pair(L, p, _entry, _delta(L, "d1"), phi)
 
 
 def phi_delta_primary_violation(L, delta: Expansion, phi: PhiMap, p):
     """First (a, b) with ab <= p, ab not excused, a !<= p, b !<= delta(p)."""
-    return _first_pair(L, p, _excuse(phi, p), p, delta.table[p])
+    return _pair(L, p, _entry, delta, phi)
 
 
 def _check_potency(k: int) -> None:
@@ -150,12 +152,12 @@ def _check_potency(k: int) -> None:
 def n_potent_violation(L, delta: Expansion, p, k: int):
     """First (a, b) with ab <= p^k but a !<= p and b !<= delta(p); k >= 2."""
     _check_potency(k)
-    return _first_pair(L, L.power(p, k), None, p, delta.table[p])
+    return _pair(L, p, _entry, delta, None, k)
 
 
 def compact_pair_violation(L, delta: Expansion, phi: PhiMap, q):
     """Pair-swapped form: rs <= q unexcused implies s <= q or r <= delta(q)."""
-    return _first_pair(L, q, _excuse(phi, q), delta.table[q], q)
+    return _pair(L, q, _compact_pair_entry, delta, phi)
 
 
 def is_prime(L, p) -> bool:
@@ -385,13 +387,13 @@ def classification_report(
     """
     for k in potency:
         _check_potency(k)
-    d0, d1 = make_delta(L, "d0"), make_delta(L, "d1")
+    d0, d1 = _delta(L, "d0"), _delta(L, "d1")
     # (flag, header, verdict entry), in column order
     columns = [
         ("prime", "prime", _entry(L, d0)),
         ("primary", "primary", _entry(L, d1)),
         ("delta_primary", "d-primary", _entry(L, delta)),
-        ("weakly_delta_primary", "w-d-prim", _entry(L, delta, make_phi(L, "phi0"))),
+        ("weakly_delta_primary", "w-d-prim", _entry(L, delta, _phi(L, "phi0"))),
         ("phi_prime", "phi-prime", _entry(L, d0, phi)),
         ("phi_primary", "phi-primary", _entry(L, d1, phi)),
         ("phi_delta_primary", "phi-d-prim", _entry(L, delta, phi)),

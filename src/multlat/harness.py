@@ -33,8 +33,11 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from .classify import (
     _characterization_holders,
     _compact_pair_entry,
+    _delta,
     _entry,
     _idempotent_entry,
+    _phi,
+    _require_proper,
 )
 from .constructions import Corpus, default_corpus
 from .derived import (
@@ -51,8 +54,6 @@ from .maps import (
     PhiMap,
     enumerate_isomorphisms,
     is_monotone,
-    make_delta,
-    make_phi,
     map_leq,
 )
 
@@ -189,8 +190,7 @@ class HarnessReport:
 # -- per-lattice machinery, kept on the lattice --------------------------------
 
 
-# The stock map of a kind, and the isomorphisms from one lattice to another.
-_delta, _phi = _per_lattice(make_delta), _per_lattice(make_phi)
+# The isomorphisms from one lattice to another.
 _isomorphisms = _per_lattice(enumerate_isomorphisms)
 
 
@@ -208,16 +208,16 @@ def _pdp(L, delta: Expansion, phi: PhiMap | None = None) -> int:
 
 
 @_per_lattice
-def _chain_counts(L, holds: tuple[bool, ...]) -> dict[int, tuple[int, int]]:
+def _chain_counts(L, holders: int) -> dict[int, tuple[int, int]]:
     """Per proper e, how many chains of proper elements have e as largest member,
-    and how many of those have holds throughout: c(e) = 1 + the sum of c(d)
-    over d < e, h(e) the same over holders d, or 0 unless e holds."""
+    and how many of those lie in the bitmask holders: c(e) = 1 + the sum of
+    c(d) over d < e, h(e) the same over holders d, or 0 unless e holds."""
     down = L.down_sets
     counts: dict[int, tuple[int, int]] = {}
     for e in sorted(L.proper_elements, key=lambda e: down[e].bit_count()):
         below = [counts[d] for d in _bits(down[e] & ~(1 << e))]
         chains = 1 + sum(n for n, _ in below)
-        counts[e] = (chains, 1 + sum(n for _, n in below) if holds[e] else 0)
+        counts[e] = (chains, 1 + sum(n for _, n in below) if holders >> e & 1 else 0)
     return counts
 
 
@@ -314,7 +314,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         "phi-d0-primary if and only if phi-prime",
         ("phi", "p"),
         # phi-prime is the kernel at delta = id, so both sides are one entry,
-        # read once; tests/oracle.py checks the statement with is_phi_prime
+        # read once; tests/oracle.py checks the statement with its phi-prime scan
         lambda L, phi: (ALL, _agree(_pdp(L, _delta(L, "d0"), phi))),
         "phi-d0-primary <=> phi-prime",
     )
@@ -546,8 +546,8 @@ def registry() -> tuple[TheoremProperty, ...]:
 
     def t21(L, delta, phi):
         # one element per join p, standing for the chains whose largest member is p
-        primary, holds, _ = _entry(L, delta, phi)
-        return primary if is_monotone(phi) else 0, primary, _chain_counts(L, holds)
+        primary = _pdp(L, delta, phi)
+        return primary if is_monotone(phi) else 0, primary, _chain_counts(L, primary)
 
     add(
         "T21",
@@ -796,10 +796,8 @@ class Predicate:
     name: str
 
     def witness(self, L: FiniteMultiplicativeLattice, q: int) -> tuple[int, int] | None:
-        if q == L.top and self.name != "idempotent":  # as the kernel scans do
-            raise ValueError(
-                f"{L.label(q)} is the top of {L.name}; primality needs a proper element"
-            )
+        if self.name != "idempotent":  # the top is the unit, so idempotent
+            _require_proper(L, q)
         return _named(L, self.name)[2][q]
 
     def test(self, L: FiniteMultiplicativeLattice, q: int) -> bool:

@@ -18,7 +18,10 @@ tests every element predicate by predicate; ``tests/test_harness.py`` checks
 the bitmask ``multlat.hunt`` against it.  ``registry`` and ``run_property``
 state every theorem one instance at a time, T24 and T26 with their literal
 hypotheses and T21 weighted by ``listed_chain_counts``;
-``tests/test_harness.py`` checks ``multlat``'s rows of elements against them;
+``tests/test_harness.py`` checks ``multlat``'s rows of elements against them.
+The statements and ``hunt`` decide every primality verdict with the
+violation scans here, each kept per lattice and map tables (``_kept``); none
+comes from multlat's pair kernel or its verdict store, which the rows read;
 T05 and T06 read the literal residual characterizations,
 ``characterization_A_witness`` and ``characterization_B_witness``, which walk
 every a.  ``first_pair`` is the pair kernel's scan of every row in index
@@ -30,6 +33,7 @@ entry by entry, ``up_sets``/``down_sets`` sum one shifted flag at a time, and
 row-built tables and the builders' order masks against them.
 """
 
+import re
 from dataclasses import dataclass, field
 from itertools import product
 from math import gcd
@@ -49,27 +53,20 @@ from multlat import (
     check_global_property,
     default_corpus,
     enumerate_isomorphisms,
-    is_delta_primary,
     is_idempotent,
     is_monotone,
-    is_n_potent_delta_primary,
     is_nilpotent,
-    is_phi_delta_primary,
-    is_phi_primary,
-    is_phi_prime,
-    is_prime,
     is_zero_divisor,
     make_delta,
     make_phi,
     map_leq,
     omega_power,
-    parse_predicate,
     power_stabilization,
     radical,
     residual,
 )
-from multlat import compact_pair_violation as fast_compact_pair_violation
 from multlat import structure_profile as fast_structure_profile
+from multlat.harness import predicate_name
 from multlat.lattice import _per_lattice
 
 
@@ -372,23 +369,106 @@ def t26_hypothesis(L, config, inst):
     )
 
 
+# -- kept verdicts of the naive scans -----------------------------------------
+#
+# The statements below decide every primality verdict with the scans above,
+# never with multlat's kernel.  A scan walks n^2 pairs and the statements ask
+# for one verdict many times, so each scan's first violating pair is kept on
+# the lattice per (delta table, phi table or None, k, element), the arguments
+# it takes; scans are never shared, so T01 and T02 compare two scans.
+
+
+@_per_lattice
+def _kept_pairs(L, scan):
+    return {}
+
+
+def _argument(a):
+    """A scan argument as its key: a map's table, None for the none kind."""
+    if isinstance(a, PhiMap) and a.none:
+        return None
+    return a.table if isinstance(a, (Expansion, PhiMap)) else a
+
+
+def _kept(scan, L, *args):
+    """scan(L, *args), kept on L per the tables of its map arguments."""
+    key = tuple(map(_argument, args))
+    pairs = _kept_pairs(L, scan)
+    if key not in pairs:
+        pairs[key] = scan(L, *args)
+    return pairs[key]
+
+
+def is_prime(L, p):
+    return _kept(prime_violation, L, p) is None
+
+
+def is_delta_primary(L, delta, p):
+    return _kept(delta_primary_violation, L, delta, p) is None
+
+
+def is_phi_prime(L, phi, p):
+    return _kept(phi_prime_violation, L, phi, p) is None
+
+
+def is_phi_primary(L, phi, p):
+    return _kept(phi_primary_violation, L, phi, p) is None
+
+
+def is_phi_delta_primary(L, delta, phi, p):
+    return _kept(phi_delta_primary_violation, L, delta, phi, p) is None
+
+
+def is_n_potent_delta_primary(L, delta, p, k):
+    return _kept(n_potent_violation, L, delta, p, k) is None
+
+
+def is_compact_pair(L, delta, phi, q):
+    return _kept(compact_pair_violation, L, delta, phi, q) is None
+
+
+def idempotent_violation(L, q):
+    square = L.mul(q, q)
+    return None if square == q else (q, square)
+
+
+_NAME = re.compile(r"(?:phi(\w+)-|(\d+)-potent-)?(?:d([01])-primary|(prime|primary))")
+
+
+def named_violation(L, name, q):
+    """The first violating pair at q of a normalized predicate name, by the
+    naive scan its parts name."""
+    if name == "idempotent":
+        return idempotent_violation(L, q)
+    phi, k, d, alias = _NAME.fullmatch(name).groups()
+    phi = phi and _phi(L, f"phi{phi}")
+    if alias == "prime":
+        return _kept(phi_prime_violation, L, phi, q) if phi else _kept(prime_violation, L, q)
+    if alias == "primary":
+        return _kept(phi_primary_violation, L, phi, q) if phi else _kept(primary_violation, L, q)
+    delta = _delta(L, f"d{d}")
+    if k:
+        return _kept(n_potent_violation, L, delta, q, int(k))
+    if phi:
+        return _kept(phi_delta_primary_violation, L, delta, phi, q)
+    return _kept(delta_primary_violation, L, delta, q)
+
+
 def hunt(have, lack, corpus=None):
     """Every proper element with each `have` predicate but not `lack`: the
     have predicates tested in order with short-circuiting, the lacked one
     only on elements that pass them all."""
     corpus = corpus if corpus is not None else default_corpus()
     names = [have] if isinstance(have, str) else list(have)
-    preds = [parse_predicate(n) for n in names]
-    lack_pred = parse_predicate(lack)
+    haves = [predicate_name(n) for n in names]
+    lacking = predicate_name(lack)
     hits = []
     for L in corpus.lattices():
         for q in L.proper_elements:
-            if all(p.witness(L, q) is None for p in preds) and (
-                pair := lack_pred.witness(L, q)
+            if all(named_violation(L, n, q) is None for n in haves) and (
+                pair := named_violation(L, lacking, q)
             ) is not None:
-                hits.append(
-                    HuntHit(L.name, L.label(q), lack_pred.name, tuple(map(L.label, pair)))
-                )
+                hits.append(HuntHit(L.name, L.label(q), lacking, tuple(map(L.label, pair))))
     return tuple(hits)
 
 
@@ -743,7 +823,7 @@ def registry():
         lambda L, c, i: (
             is_phi_delta_primary(L, i["delta"], i["phi"], i["q"])
             == (characterization_A_witness(L, i["delta"], i["phi"], i["q"]) is None)
-            == (fast_compact_pair_violation(L, i["delta"], i["phi"], i["q"]) is None)
+            == is_compact_pair(L, i["delta"], i["phi"], i["q"])
         ),
         "definition <=> characterization-A <=> compact-pair form",
     )

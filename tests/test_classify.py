@@ -28,9 +28,13 @@ from multlat import (
     zn_ideal_lattice,
 )
 from multlat.classify import (
+    characterization_A_witness,
+    characterization_B_witness,
     compact_pair_violation,
     delta_primary_violation,
+    n_potent_violation,
     phi_delta_primary_violation,
+    phi_primary_violation,
     phi_prime_violation,
 )
 from multlat.cli import _json
@@ -267,8 +271,33 @@ def test_maps_from_another_lattice_are_rejected():
     # chain7 and Z30 both have 8 elements, so the tables would index Z30
     chain, z30 = chain_frame(7), zn_ideal_lattice(30)
     assert chain.n == z30.n
+    delta, phi, p = make_delta(chain, "d1"), make_phi(chain, "phi2"), z30.index_of("(6)")
     with pytest.raises(ValueError, match="not on Z30"):
-        classification_report(z30, make_delta(chain, "d1"), make_phi(chain, "phi2"))
+        classification_report(z30, delta, phi)
+    reads = [
+        lambda: delta_primary_violation(z30, delta, p),
+        lambda: phi_prime_violation(z30, phi, p),
+        lambda: phi_primary_violation(z30, phi, p),
+        lambda: phi_delta_primary_violation(z30, delta, phi, p),
+        lambda: n_potent_violation(z30, delta, p, 2),
+        lambda: compact_pair_violation(z30, delta, phi, p),
+        lambda: is_delta_primary(z30, delta, p),
+        lambda: is_phi_prime(z30, phi, p),
+        lambda: is_phi_primary(z30, phi, p),
+        lambda: is_phi_delta_primary(z30, delta, phi, p),
+        lambda: is_n_potent_delta_primary(z30, delta, p, 2),
+        lambda: characterization_A_witness(z30, delta, phi, p),
+        lambda: characterization_B_witness(z30, delta, phi, p),
+    ]
+    accepted = []
+    for i, read in enumerate(reads):
+        try:
+            read()
+        except ValueError as exc:
+            assert "not on Z30" in str(exc), i
+        else:
+            accepted.append(i)
+    assert accepted == []
 
 
 def test_maps_made_on_an_equal_twin_classify_as_the_lattices_own():

@@ -239,15 +239,15 @@ STORED = list({
 
 @pytest.mark.parametrize("L", STORED, ids=lambda L: L.name)
 def test_stored_forms_match_their_direct_reads(L):
-    # T05 reads the compact-pair form off its store entry, and T05 and T06
-    # read the kept characterization masks; each must equal the public
-    # per-element read it stands for.
+    # T05 reads the compact-pair form off its store entry, which must equal
+    # the oracle's scan of every pair, and T05 and T06 read the kept
+    # characterization masks, which must equal the public per-element read.
     for delta in (make_delta(L, k) for k in DELTA_KINDS):
         for phi in (make_phi(L, k) for k in ("none", *HarnessConfig().phi_kinds)):
             holders, flags, pairs = _compact_pair_entry(L, delta, phi)
             for q in L.proper_elements:
                 where = (L.name, delta.tag, phi.tag, L.label(q))
-                assert pairs[q] == compact_pair_violation(L, delta, phi, q), where
+                assert pairs[q] == oracle.compact_pair_violation(L, delta, phi, q), where
                 assert (holders >> q & 1 == 1) == flags[q] == (pairs[q] is None), where
             fails = characterization_failures(L, delta, phi)
             for part, held in zip(fails, _characterization_holders(L, delta, phi)):

@@ -3,7 +3,7 @@
 The order is lattice, derived, maps, classify, constructions, harness, cli.
 Every import statement counts, including ones nested in functions, so a
 deferred import cannot hide a back-edge.  ``__init__.py`` re-exports all of
-them and is not checked.
+them and is not checked.  ``tests/oracle.py`` may read no verdict of multlat.
 """
 
 import ast
@@ -81,7 +81,7 @@ def test_lattice_holds_the_only_bitmask_builder():
 def test_harness_calls_the_kernel_not_a_per_form_wrapper():
     # Every verdict is an entry of the one kernel's store, keyed by its
     # arguments, so the harness needs no per-form dispatch over the classify
-    # wrappers.
+    # wrappers; the stock maps and the top check are classify's too.
     imports = {
         alias.name
         for node in ast.walk(_tree("harness"))
@@ -93,4 +93,28 @@ def test_harness_calls_the_kernel_not_a_per_form_wrapper():
         "_idempotent_entry",
         "_compact_pair_entry",
         "_characterization_holders",
+        "_delta",
+        "_phi",
+        "_require_proper",
     }
+
+
+def test_the_statement_oracle_reads_no_verdict_of_multlat():
+    # The harness rows read classify's verdict store, and tests/oracle.py's
+    # statements are what the rows are checked against: a statement decided
+    # through that store, or through the hunt over it, passes its faults.
+    verdicts = {
+        node.name
+        for node in _tree("classify").body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    } | {"parse_predicate", "Predicate", "hunt"}
+    tree = ast.parse((Path(__file__).parent / "oracle.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("multlat")
+        for alias in node.names
+    }
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "is_phi_delta_primary" in verdicts
+    assert (imported | read) & verdicts == set()

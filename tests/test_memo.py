@@ -24,7 +24,7 @@ from multlat import (
     run_all,
     zn_ideal_lattice,
 )
-from multlat import classify, maps
+from multlat import classify, harness, maps
 from multlat.constructions import Corpus, CorpusEntry
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "multlat"
@@ -93,8 +93,9 @@ def test_run_all_compares_no_lattices(monkeypatch):
 
 
 def test_store_keys_hold_no_tables():
-    # A map's key is an int, or None for the none kind: a table in a key
-    # would be rehashed on every lookup, and a tag names no map.
+    # A map's key is an int, or None for the none kind, and T21's chain
+    # counts are keyed by the holder mask: a table or a tuple of flags in a
+    # key would be rehashed on every lookup, and a tag names no map.
     L = zn_ideal_lattice(360)
     corpus = Corpus((CorpusEntry(L, "added"),))
     run_all(corpus)
@@ -102,7 +103,7 @@ def test_store_keys_hold_no_tables():
     hunt(["2-potent-d0-primary", "phiomega-prime"], "d1-primary", corpus)
     stores = {fn.__wrapped__ for fn in (
         classify._kernel_entry, classify._holder_masks, classify._delta_masks,
-        classify._phi_masks, maps._below,
+        classify._phi_masks, maps._below, harness._chain_counts,
     )}
     keys = [key for key in L._memo if key[0] in stores]
     assert {key[0] for key in keys} == stores

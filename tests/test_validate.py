@@ -164,31 +164,42 @@ def test_boolean_512_validates_in_well_under_the_scan_time():
     assert time.process_time() - t0 < 4.0
 
 
-def test_chain_validates_no_slower_than_its_full_scans():
+def test_chain_validates_no_slower_than_its_full_scans(monkeypatch):
     # Every element of a chain but the bottom is join-irreducible, so the
     # proofs compare as many rows as the scans they replace: validate must
-    # cost no more than exhausting the two full scans did.
-    def cpu(fn):
-        t0 = time.process_time()
-        fn()
-        return time.process_time() - t0
+    # read no more rows than exhausting the two full scans did.  Each scan
+    # compares a row against every column, so a row read counts its column
+    # count; counted rather than timed, so a loaded host cannot fail it.
+    read = []
 
-    def full_scans(L):
-        rng, lub = L.elements(), L._lub
-        assert next(lattice_module._associativity_breaks(L.mul_table, rng, rng), None) is None
-        assert next(lattice_module._distributivity_breaks(L.mul_table, lub, rng, rng), None) is None
+    def counted(scan, rows_at, cols_at):
+        def counting(*args):
+            args = list(args)
+            rows, width = args[rows_at], len(args[cols_at])
 
-    # Five rounds, each on a fresh chain (the report is kept on the lattice),
-    # alternating which of the two runs first, so that a burst of load on a
-    # shared host slows both sides or neither of their minima.
-    scans, checks = [], []
-    for r in range(5):
-        L = chain_frame(255)
-        L._lub, L.down_sets
-        runs = [(scans, lambda: full_scans(L)), (checks, lambda: validate(L))]
-        for times, fn in runs if r % 2 == 0 else runs[::-1]:
-            times.append(cpu(fn))
-    assert min(checks) < 1.15 * min(scans), (checks, scans)
+            def each_row():
+                for row in rows:
+                    read.append(width)
+                    yield row
+
+            args[rows_at] = each_row()
+            return scan(*args)
+
+        return counting
+
+    for name, rows_at, cols_at in (
+        ("_associativity_breaks", 1, 2),  # (mul, rows, cols)
+        ("_distributivity_breaks", 2, 3),  # (mul, lub, rows, cols)
+        ("_monotonicity_breaks", 0, 1),  # (mul, up): every row of mul
+    ):
+        monkeypatch.setattr(
+            lattice_module, name, counted(getattr(lattice_module, name), rows_at, cols_at)
+        )
+    L = chain_frame(255)
+    assert validate(L).ok
+    # distributivity on the 255 join-irreducible columns and associativity
+    # on their 255 x 255 pairs: 130,305 against the full scans' 2 x 256^2
+    assert 0 < sum(read) <= 2 * L.n * L.n, sum(read)
 
 
 def test_random_multi_entry_flips_match_oracle():
