@@ -45,9 +45,9 @@ distribute over joins: a lattice that passes ``validate``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import repeat
 from operator import and_, ne, not_
+from typing import NamedTuple
 
 from .derived import _idempotent_violation
 from .lattice import FiniteMultiplicativeLattice, _bits, _leq_mask, _mask, _per_lattice
@@ -310,13 +310,12 @@ def residual_characterization_B(L, delta, phi, q) -> bool:
     return characterization_B_witness(L, delta, phi, q) is None
 
 
-@dataclass(frozen=True)
-class ClassificationRecord:
+class ClassificationRecord(NamedTuple):
     """Flags for one proper element; every false flag carries a witness."""
 
     element: str
-    flags: dict[str, bool] = field(compare=False)
-    witnesses: dict[str, tuple[str, ...]] = field(compare=False)
+    flags: dict[str, bool]
+    witnesses: dict[str, tuple[str, ...]]
 
     def to_dict(self) -> dict:
         return {
@@ -326,14 +325,13 @@ class ClassificationRecord:
         }
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     lattice: str
     delta: str
     phi: str
     records: tuple[ClassificationRecord, ...]
     # (flag, header) per column, in table order: the text table's layout
-    columns: tuple[tuple[str, str], ...] = field(default=(), compare=False)
+    columns: tuple[tuple[str, str], ...] = ()
 
     def record(self, label: str) -> ClassificationRecord:
         for rec in self.records:

@@ -8,11 +8,11 @@ as multiplication.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import repeat
 from math import gcd, isqrt
 from operator import and_
+from typing import NamedTuple
 
 from .lattice import FiniteMultiplicativeLattice, _bits, _mask, _transpose, validate
 
@@ -270,17 +270,32 @@ def to_dot(L: FiniteMultiplicativeLattice) -> str:
 # -- corpus ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     lattice: FiniteMultiplicativeLattice
     role: str
 
 
-@dataclass(frozen=True)
 class Corpus:
-    entries: tuple[CorpusEntry, ...]
-    # filled by _per_lattice functions (the hunt index); not part of the value
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    """Lattices with their roles; a corpus compares and hashes by its entries.
+
+    ``_memo`` is filled by ``_per_lattice`` functions (the hunt index) and is
+    not part of the value.
+    """
+
+    def __init__(self, entries: tuple[CorpusEntry, ...]):
+        self.entries = entries
+        self._memo = {}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self):
+        return hash(self.entries)
+
+    def __repr__(self):
+        return f"Corpus({self.entries!r})"
 
     def lattices(self) -> tuple[FiniteMultiplicativeLattice, ...]:
         return tuple(e.lattice for e in self.entries)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .lattice import FiniteMultiplicativeLattice, _bits, _gather, _per_lattice
 
@@ -90,8 +90,7 @@ def compact_elements(L: FiniteMultiplicativeLattice) -> tuple[int, ...]:
     return tuple(range(L.n))
 
 
-@dataclass(frozen=True)
-class ElementProfile:
+class ElementProfile(NamedTuple):
     element: int
     idempotent: bool
     nilpotent: bool
@@ -115,8 +114,7 @@ def element_profile(L: FiniteMultiplicativeLattice, a: int) -> ElementProfile:
     )
 
 
-@dataclass(frozen=True)
-class StructureProfile:
+class StructureProfile(NamedTuple):
     modular: bool
     principally_generated: bool
     noether: bool

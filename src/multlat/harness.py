@@ -24,7 +24,6 @@ against.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
 from operator import and_, eq
@@ -58,8 +57,7 @@ from .maps import (
 )
 
 
-@dataclass(frozen=True)
-class HarnessConfig:
+class HarnessConfig(NamedTuple):
     delta_kinds: tuple[str, ...] = ("d0", "d1")
     phi_kinds: tuple[str, ...] = ("phi0", "phi1", "phi2", "phi3", "phi4", "phiomega")
     potency: tuple[int, ...] = (2, 3, 4)
@@ -88,8 +86,7 @@ class Row(NamedTuple):
 Rows = Callable[[FiniteMultiplicativeLattice, Corpus, HarnessConfig], Iterable[Row]]
 
 
-@dataclass(frozen=True)
-class TheoremProperty:
+class TheoremProperty(NamedTuple):
     """A statement quantified over ``binding``, whose last name is the element.
 
     ``rows(L, corpus, config)`` yields one Row per assignment of the other
@@ -101,17 +98,16 @@ class TheoremProperty:
     id: str
     description: str
     binding: tuple[str, ...]
-    rows: Rows = field(compare=False)
+    rows: Rows
     clause: str = "conclusion"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     property_id: str
     lattice: str
     delta: str
     phi: str
-    bindings: dict[str, str] = field(compare=False)
+    bindings: dict[str, str]
     clause: str = "conclusion"
 
     def to_dict(self) -> dict:
@@ -125,8 +121,7 @@ class Witness:
         }
 
 
-@dataclass(frozen=True)
-class PropertyResult:
+class PropertyResult(NamedTuple):
     id: str
     description: str
     instances_scanned: int
@@ -152,8 +147,7 @@ class PropertyResult:
         }
 
 
-@dataclass(frozen=True)
-class HarnessReport:
+class HarnessReport(NamedTuple):
     results: tuple[PropertyResult, ...]
 
     def result(self, prop_id: str) -> PropertyResult:
@@ -787,8 +781,7 @@ def run_all(
 # -- counterexample hunting ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Predicate:
+class Predicate(NamedTuple):
     """A hunt predicate by its normalized name: ``witness(L, q)`` is its first
     violating pair at the proper element q, or None when q has it, read off
     the name's store entry; ``test`` reads that verdict."""
@@ -847,8 +840,7 @@ def parse_predicate(name: str) -> Predicate:
     return Predicate(predicate_name(name))
 
 
-@dataclass(frozen=True, slots=True)
-class HuntHit:
+class HuntHit(NamedTuple):
     lattice: str
     element: str
     lacking: str

@@ -10,18 +10,16 @@ per element, and an explicit multiplication table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, wraps
 from operator import getitem, itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class LatticeStructureError(ValueError):
     """Malformed carrier tables: wrong shape, out-of-range index, duplicate label."""
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Outcome of an exhaustive axiom check.
 
     ``failures`` holds one ``(axiom_name, witness_indices)`` entry per violated

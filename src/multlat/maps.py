@@ -14,8 +14,8 @@ keys, never by tables or tags.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .lattice import FiniteMultiplicativeLattice, _leq_mask, _per_lattice
 
@@ -30,13 +30,30 @@ class MapValidationError(ValueError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
 class UnaryMap:
-    """A total map on the carrier, stored as an index table."""
+    """A total map on the carrier, stored as an index table.
 
-    lattice: FiniteMultiplicativeLattice
-    table: tuple[int, ...]
-    tag: str
+    Maps compare and hash by class and fields, so an Expansion never equals a
+    PhiMap with the same table; ``key`` and ``monotone`` are kept on the
+    object once read.
+    """
+
+    def __init__(self, lattice: FiniteMultiplicativeLattice, table: tuple[int, ...], tag: str):
+        self.lattice, self.table, self.tag = lattice, table, tag
+
+    def _value(self) -> tuple:
+        return self.lattice, self.table, self.tag
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __hash__(self):
+        return hash(self._value())
+
+    def __repr__(self):
+        return f"{type(self).__name__}{self._value()!r}"
 
     def apply(self, a: int) -> int:
         return self.table[a]
@@ -52,14 +69,22 @@ class UnaryMap:
         return _order_break(self.lattice, self.table) is None
 
 
-@dataclass(frozen=True)
 class Expansion(UnaryMap):
-    kind: str  # d0 | d1 | table
+    def __init__(self, lattice, table, tag, kind: str):
+        super().__init__(lattice, table, tag)
+        self.kind = kind  # d0 | d1 | table
+
+    def _value(self) -> tuple:
+        return self.lattice, self.table, self.tag, self.kind
 
 
-@dataclass(frozen=True)
 class PhiMap(UnaryMap):
-    kind: str  # none | phi0 | phi1 | phi2 | phin | phiomega | table
+    def __init__(self, lattice, table, tag, kind: str):
+        super().__init__(lattice, table, tag)
+        self.kind = kind  # none | phi0 | phi1 | phi2 | phin | phiomega | table
+
+    def _value(self) -> tuple:
+        return self.lattice, self.table, self.tag, self.kind
 
     @property
     def none(self) -> bool:
@@ -207,8 +232,7 @@ def is_monotone(g: UnaryMap) -> bool:
     return g.monotone
 
 
-@dataclass(frozen=True)
-class Isomorphism:
+class Isomorphism(NamedTuple):
     """An order- and multiplication-preserving bijection between lattices."""
 
     source: FiniteMultiplicativeLattice

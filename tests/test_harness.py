@@ -23,6 +23,7 @@ from multlat import (
     Expansion,
     FiniteMultiplicativeLattice,
     HarnessConfig,
+    HarnessReport,
     Isomorphism,
     PhiMap,
     Row,
@@ -159,6 +160,19 @@ def test_run_property_on_restricted_corpus():
     reg = {p.id: p for p in registry()}
     r = run_property(reg["T01"], solo)
     assert (r.instances_scanned, r.hypothesis_hits, r.violations) == (18, 18, 0)
+
+
+def test_the_benchmarks_constructors_keep_their_forms():
+    # benchmarks/layers.py builds a default config, a corpus of one entry and
+    # a report from a tuple of results, each by position.
+    config = HarnessConfig()
+    assert config == HarnessConfig(
+        ("d0", "d1"), ("phi0", "phi1", "phi2", "phi3", "phi4", "phiomega"), (2, 3, 4), 10
+    )
+    solo = Corpus((CorpusEntry(zn_ideal_lattice(8), "solo"),))
+    results = [run_property(p, solo, config) for p in sorted(registry(), key=lambda p: p.id)]
+    report = HarnessReport(tuple(results))
+    assert report.to_dict() == run_all(solo, config).to_dict()
 
 
 def test_empty_corpus_makes_everything_vacuous():
@@ -548,7 +562,7 @@ ORACLE = {p.id: p for p in oracle.registry()}
 def _negated(prop):
     """The property with its conclusion false everywhere, so every hit is a violation."""
     if isinstance(prop, TheoremProperty):
-        return replace(prop, rows=lambda L, corpus, config: (
+        return prop._replace(rows=lambda L, corpus, config: (
             row._replace(conclusion=0) for row in prop.rows(L, corpus, config)
         ))
     return replace(prop, conclusion=lambda L, config, inst: False)
@@ -739,7 +753,7 @@ def test_aliases_share_the_kernel_entry(corpus):
             hits = hunt(have, alias, corpus)
             assert all(h.lacking == alias for h in hits), (have, alias)
             # the same hits as the kernel name, but for the name they echo
-            assert [replace(h, lacking=kernel) for h in hits] == list(hunt(have, kernel, corpus))
+            assert [h._replace(lacking=kernel) for h in hits] == list(hunt(have, kernel, corpus))
             found += len(hits)
     assert found
 

@@ -4,12 +4,20 @@ The order is lattice, derived, maps, classify, constructions, harness, cli.
 Every import statement counts, including ones nested in functions, so a
 deferred import cannot hide a back-edge.  ``__init__.py`` re-exports all of
 them and is not checked.  ``tests/oracle.py`` may read no verdict of multlat.
+The result records are read-only named tuples, and importing the CLI loads
+neither ``dataclasses`` nor the modules it drags in.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import multlat
+from multlat import harness
 
 ORDER = ("lattice", "derived", "maps", "classify", "constructions", "harness", "cli")
 PACKAGE = Path(multlat.__file__).parent
@@ -118,3 +126,45 @@ def test_the_statement_oracle_reads_no_verdict_of_multlat():
     read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert "is_phi_delta_primary" in verdicts
     assert (imported | read) & verdicts == set()
+
+
+RECORDS = (
+    multlat.ValidationReport,
+    multlat.ElementProfile,
+    multlat.StructureProfile,
+    multlat.CorpusEntry,
+    multlat.Isomorphism,
+    multlat.ClassificationRecord,
+    multlat.ClassificationReport,
+    multlat.HarnessConfig,
+    multlat.TheoremProperty,
+    multlat.Witness,
+    multlat.PropertyResult,
+    multlat.HarnessReport,
+    harness.Predicate,
+    multlat.HuntHit,
+)
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: r.__name__)
+def test_result_records_are_read_only(record):
+    value = record._make([None] * len(record._fields))
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+    assert value._replace(**{record._fields[0]: 0})[0] == 0
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # In a fresh interpreter, since pytest itself loads these modules; -S
+    # keeps site's path hooks out, so only multlat's imports count.
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    script = (
+        "import sys, multlat.cli; "
+        "print(' '.join(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'}"
+        " & sys.modules.keys())))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == []

@@ -25,7 +25,7 @@ from multlat import (
     zn_ideal_lattice,
 )
 from multlat import maps
-from multlat.maps import UnaryMap
+from multlat.maps import Expansion, PhiMap, UnaryMap
 from test_derived import SHAPES
 
 DELTA_KINDS = ("d0", "d1")
@@ -106,6 +106,18 @@ def test_order_checks_match_oracle_on_inflationary_edits(L):
             make_delta(L, "table", table=table)
         assert exc.value.witness == want
     assert outcomes == {True, False}
+
+
+def test_maps_compare_by_class_and_fields(z8):
+    table = tuple(range(z8.n))
+    assert UnaryMap(z8, table, "edit") == UnaryMap(z8, table, "edit")
+    assert hash(UnaryMap(z8, table, "edit")) == hash(UnaryMap(z8, table, "edit"))
+    assert Expansion(z8, table, "t", "table") == make_delta(z8, "table", table=table, tag="t")
+    assert Expansion(z8, table, "t", "table") != Expansion(z8, table, "t", "d0")
+    assert Expansion(z8, table, "t", "table") != Expansion(z8, table, "u", "table")
+    # the same fields in another class make another map
+    assert Expansion(z8, table, "t", "table") != PhiMap(z8, table, "t", "table")
+    assert UnaryMap(z8, table, "t") != Expansion(z8, table, "t", "table")
 
 
 def test_make_delta_unknown_kind(z8):
