@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 from json.encoder import encode_basestring_ascii as _quote
-from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .classify import classification_report
@@ -33,6 +32,11 @@ class CliError(Exception):
     """Usage-level failure; reported on stderr with exit code 2."""
 
 
+def _read(path: str) -> str:
+    with open(path) as file:
+        return file.read()
+
+
 class _Source(NamedTuple):
     type: type
     metavar: str
@@ -45,7 +49,7 @@ _SOURCES = {
     "zn": _Source(int, "N", "ideal lattice of Z mod N", zn_ideal_lattice),
     "chain": _Source(int, "K", "chain of K+1 elements", chain_frame),
     "boolean": _Source(int, "K", "powerset of K atoms", boolean_frame),
-    "file": _Source(str, "PATH", "lattice file", lambda p: parse_lattice(Path(p).read_text())),
+    "file": _Source(str, "PATH", "lattice file", lambda p: parse_lattice(_read(p))),
 }
 # The sources that verify and hunt add to their corpus with --add-<key>, and
 # the origin each addition is recorded under.
@@ -76,7 +80,7 @@ def _resolve_delta(L: FiniteMultiplicativeLattice, spec: str):
         if spec in ("d0", "d1"):
             return make_delta(L, spec)
         if spec.startswith("file:"):
-            table = parse_map_table(Path(spec[5:]).read_text(), L)
+            table = parse_map_table(_read(spec[5:]), L)
             return make_delta(L, "table", table=table)
     except (ValueError, MapValidationError, OSError) as exc:
         raise CliError(f"bad delta spec {spec!r}: {exc}") from exc
@@ -88,7 +92,7 @@ def _resolve_phi(L: FiniteMultiplicativeLattice, spec: str):
         if spec == "omega":
             return make_phi(L, "phiomega")
         if spec.startswith("file:"):
-            table = parse_map_table(Path(spec[5:]).read_text(), L)
+            table = parse_map_table(_read(spec[5:]), L)
             return make_phi(L, "table", table=table)
         if spec.startswith("n:"):
             k = int(spec[2:])
@@ -152,7 +156,8 @@ def _render(o, newline: str, emit) -> None:
 def _emit(text: str, args: argparse.Namespace) -> None:
     if getattr(args, "output", None):
         try:
-            Path(args.output).write_text(text if text.endswith("\n") else text + "\n")
+            with open(args.output, "w") as file:
+                file.write(text if text.endswith("\n") else text + "\n")
         except OSError as exc:
             raise CliError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
     else:

@@ -2,7 +2,7 @@
 
 Every registry entry quantifies a statement exhaustively over a corpus of
 finite lattices and a configured set of expansion (delta) and phi maps, which
-reach a row only through ``_DOMAINS``; a property's decide sees only its row.
+reach a row only through ``_DOMAINS``; a property's rows see no config.
 Outcomes are three-valued: FAIL when a violation exists, VACUOUS when the
 hypothesis never fired (reported loudly; silent vacuity is this harness's
 main failure mode), PASS otherwise.
@@ -10,8 +10,11 @@ main failure mode), PASS otherwise.
 A property is decided a row of elements at a time.  A row fixes every
 binding but the last, the element, and holds as bitmasks over element
 indices the elements it ranges over and those where the hypothesis and the
-conclusion hold; a condition that does not read the element is decided
-once per row.  The masks come from the per-lattice verdict store in
+conclusion hold.  A condition that does not read the element is decided
+once per distinct value of the bindings it reads: a property with more rows
+than such values reads them once per lattice into lists its rows index, and
+a condition on one map is kept per lattice under the map's key.  The masks
+come from the per-lattice verdict store in
 ``classify``, keyed by the scan's arguments (the keys of the row- and
 column-skip maps and of phi, and the potency), and from the characterization
 masks kept beside it under the (delta, phi) keys; rows read both with their
@@ -35,6 +38,7 @@ from .classify import (
     _delta,
     _entry,
     _idempotent_entry,
+    _kernel_entry,
     _phi,
     _require_proper,
 )
@@ -53,6 +57,7 @@ from .maps import (
     PhiMap,
     enumerate_isomorphisms,
     is_monotone,
+    key_table,
     map_leq,
 )
 
@@ -251,16 +256,31 @@ def _agree(first: int, *rest: int) -> int:
     return agree
 
 
-def _every_phin(L, delta: Expansion) -> int:
-    """The elements that are phin-delta-primary for every n >= 2."""
+@_per_lattice
+def _every_phin(L, delta: int) -> int:
+    """The elements that are phin-delta-primary for every n >= 2, delta a map's key."""
     # p^n for n beyond the stabilization index s repeats p^s, so "for all
     # n >= 2" is decided by n in 2..max(2, s).
     stable = [power_stabilization(L, p) for p in range(L.n)]
     every = ALL
     for n in range(2, max(2, *stable) + 1):
         needs = ALL if n == 2 else _mask(s >= n for s in stable)
-        every &= ~needs | _pdp(L, delta, _phi(L, f"phi{n}"))
+        every &= ~needs | _kernel_entry(L, IDENTITY, delta, _phi(L, f"phi{n}").key, 1)[0]
     return every
+
+
+@_per_lattice
+def _phi_conditions(L, phi: int | None) -> tuple[int, int]:
+    """The q with q^2 <= phi(q), and those with radical(q) = radical(phi(q)), phi a key."""
+    images, rad = key_table(L, phi) or (L.bottom,) * L.n, L._radical_table  # none: the bottom
+    return _leq_mask(L, _phi(L, "phi2").table, images), _mask(map(eq, rad, _gather(images)(rad)))
+
+
+@_per_lattice
+def _radical_below(L, delta: int) -> int:
+    """The p with radical(p) <= delta(p), equal where delta(p) <= radical(p), delta a key."""
+    rad, dp = L._radical_table, key_table(L, delta)
+    return _leq_mask(L, rad, dp) & (~_leq_mask(L, dp, rad) | _mask(map(eq, rad, dp)))
 
 
 # -- the registry --------------------------------------------------------------
@@ -268,7 +288,7 @@ def _every_phin(L, delta: Expansion) -> int:
 
 # What each binding name but the element ranges over, given the lattice and
 # the config: the one source of every quantified map, for the rows ``add``
-# builds and for T22's and T26's own.
+# builds and for those ``add_rows`` registers.
 _DOMAINS = {
     "delta": _deltas,
     "gamma": _deltas,
@@ -280,28 +300,29 @@ _DOMAINS = {
 }
 
 
-def _map_pairs(L, config) -> list[tuple[Expansion, PhiMap]]:
-    """Every (delta, phi) of the "delta" and "phi" domains, delta-major."""
-    return list(product(_DOMAINS["delta"](L, config), _DOMAINS["phi"](L, config)))
+def _domains(L, config, *names: str) -> list[Sequence]:
+    """What each of the binding names ranges over."""
+    return [_DOMAINS[name](L, config) for name in names]
 
 
 def registry() -> tuple[TheoremProperty, ...]:
     """One machine-checkable property per theorem, corollary, and example."""
     props: list[TheoremProperty] = []
 
-    def add(id, description, binding, decide, clause, rows=None):
-        # decide(L, *values) gives the (hypothesis, conclusion) masks of one
-        # assignment of binding[:-1], and optionally its weights third, or None
-        # where it is out of range.  It sees no config: the maps it quantifies
-        # over reach it only as values, drawn from _DOMAINS.
+    def add(id, description, binding, decide, clause):
+        # decide(L, *values) gives the (hypothesis, conclusion) masks, and optionally
+        # the weights, of one assignment of binding[:-1].  It sees no config: its
+        # maps reach it only as values, drawn from _DOMAINS.
         def decided(L, corpus, config) -> Iterator[Row]:
             domain = _proper(L)
-            for values in product(*(_DOMAINS[name](L, config) for name in binding[:-1])):
-                masks = decide(L, *values)
-                if masks is not None:
-                    yield Row(values, domain, *masks)
+            for values in product(*_domains(L, config, *binding[:-1])):
+                yield Row(values, domain, *decide(L, *values))
 
-        props.append(TheoremProperty(id, description, binding, rows or decided, clause))
+        props.append(TheoremProperty(id, description, binding, decided, clause))
+
+    def add_rows(id, description, binding, clause):
+        # rows(L, corpus, config) yields the rows itself, its maps drawn from _DOMAINS
+        return lambda rows: props.append(TheoremProperty(id, description, binding, rows, clause))
 
     add(
         "T01",
@@ -322,15 +343,19 @@ def registry() -> tuple[TheoremProperty, ...]:
         "phi-d1-primary <=> phi-primary",
     )
 
-    add(
+    @add_rows(
         "T03",
         "phi-delta-primary implies phi-gamma-primary when delta <= gamma",
         ("delta", "gamma", "phi", "p"),
-        lambda L, delta, gamma, phi: (
-            _pdp(L, delta, phi), _pdp(L, gamma, phi)
-        ) if map_leq(delta, gamma) else (0, 0),
         "phi-gamma-primary",
     )
+    def t03(L, corpus, config):
+        domain, (deltas, gammas, phis) = _proper(L), _domains(L, config, "delta", "gamma", "phi")
+        hyps, concs = ([[_pdp(L, d, phi) for phi in phis] for d in ds] for ds in (deltas, gammas))
+        for (delta, hyp), (gamma, conc) in product(zip(deltas, hyps), zip(gammas, concs)):
+            below = map_leq(delta, gamma)
+            for phi, h, c in zip(phis, hyp, conc):
+                yield Row((delta, gamma, phi), domain, h if below else 0, c)
 
     add(
         "T04",
@@ -381,38 +406,44 @@ def registry() -> tuple[TheoremProperty, ...]:
         "phi2-d1-primary",
     )
 
-    add(
+    @add_rows(
         "T08",
         "g1-delta-primary implies g2-delta-primary when g1 <= g2 pointwise",
         ("delta", "g1", "g2", "p"),
-        lambda L, delta, g1, g2: (
-            _pdp(L, delta, g1), _pdp(L, delta, g2)
-        ) if map_leq(g1, g2) else (0, 0),
         "g2-delta-primary",
     )
+    def t08(L, corpus, config):
+        domain, (deltas, g1s, g2s) = _proper(L), _domains(L, config, "delta", "g1", "g2")
+        below = [[map_leq(g1, g2) for g2 in g2s] for g1 in g1s]
+        for delta in deltas:
+            concs = [_pdp(L, delta, g2) for g2 in g2s]
+            for g1, leqs in zip(g1s, below):
+                hyp = _pdp(L, delta, g1)
+                for g2, leq, conc in zip(g2s, leqs, concs):
+                    yield Row((delta, g1, g2), domain, hyp if leq else 0, conc)
 
-    def t09(L, delta, n):
-        steps = [_pdp(L, delta)] + [
-            _pdp(L, delta, _phi(L, kind))
-            for kind in ("phi0", "phiomega", f"phi{n + 1}", f"phi{n}", "phi2")
-        ]
-        return ALL, reduce(and_, (~a | b for a, b in zip(steps, steps[1:])))
-
-    add(
+    @add_rows(
         "T09",
         "implication chain: delta-primary => phi0 => phiomega => phi(n+1) => "
         "phi(n) => phi2 (delta-primary throughout)",
         ("delta", "n", "p"),
-        t09,
         "each arrow of the chain",
     )
+    def t09(L, corpus, config):
+        domain, (deltas, ns) = _proper(L), _domains(L, config, "delta", "n")
+        kinds = [("phi0", "phiomega", f"phi{n + 1}", f"phi{n}", "phi2") for n in ns]
+        chains = [[_phi(L, kind) for kind in chain] for chain in kinds]
+        for delta, (n, chain) in product(deltas, zip(ns, chains)):
+            steps = [_pdp(L, delta)] + [_pdp(L, delta, phi) for phi in chain]
+            arrows = reduce(and_, (~a | b for a, b in zip(steps, steps[1:])))
+            yield Row((delta, n), domain, ALL, arrows)
 
     add(
         "T10",
         "phiomega-delta-primary iff phin-delta-primary for every n >= 2",
         ("delta", "p"),
         lambda L, delta: (
-            ALL, _agree(_pdp(L, delta, _phi(L, "phiomega")), _every_phin(L, delta))
+            ALL, _agree(_pdp(L, delta, _phi(L, "phiomega")), _every_phin(L, delta.key))
         ),
         "phiomega <=> all phin",
     )
@@ -421,7 +452,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         prof = structure_profile(L)
         if not (prof.local_noether and prof.domain and prof.krull):
             return 0, 0
-        return ALL, _agree(_every_phin(L, delta), _pdp(L, delta))
+        return ALL, _agree(_every_phin(L, delta.key), _pdp(L, delta))
 
     add(
         "T11",
@@ -432,52 +463,62 @@ def registry() -> tuple[TheoremProperty, ...]:
         "all phin <=> delta-primary",
     )
 
-    def t12(L, delta, phi):
-        cancelling = _cancelling(L)
-        if not (cancelling and map_leq(phi, _phi(L, "phi2"))):
-            return 0, 0
-        return cancelling, _agree(_pdp(L, delta, phi), _pdp(L, delta))
-
-    add(
+    @add_rows(
         "T12",
         "in a Noether lattice, a nonzero non-nilpotent element with the "
         "restricted cancellation law is phi-delta-primary (phi <= phi2, and "
         "likewise phi <= phin for n >= 2) iff delta-primary",
         ("delta", "phi", "q"),
-        t12,
         "phi-delta-primary <=> delta-primary",
     )
+    def t12(L, corpus, config):
+        domain, cancelling = _proper(L), _cancelling(L)
+        deltas, phis = _domains(L, config, "delta", "phi")
+        below = [bool(cancelling) and map_leq(phi, _phi(L, "phi2")) for phi in phis]
+        for delta, (phi, leq) in product(deltas, zip(phis, below)):
+            agree = _agree(_pdp(L, delta, phi), _pdp(L, delta)) if leq else 0
+            yield Row((delta, phi), domain, cancelling if leq else 0, agree)
 
-    add(
+    @add_rows(
         "T13",
         "a 2-potent delta-primary element (the d0 form included) is "
         "phi-delta-primary for phi <= phi2 iff delta-primary",
         ("delta", "phi", "q"),
-        lambda L, delta, phi: (
-            _entry(L, delta, None, 2)[0],
-            _agree(_pdp(L, delta, phi), _pdp(L, delta)),
-        ) if map_leq(phi, _phi(L, "phi2")) else (0, 0),
         "phi-delta-primary <=> delta-primary",
     )
+    def t13(L, corpus, config):
+        domain, (deltas, phis) = _proper(L), _domains(L, config, "delta", "phi")
+        below = [map_leq(phi, _phi(L, "phi2")) for phi in phis]
+        for delta in deltas:
+            hyp, plain = _entry(L, delta, None, 2)[0], _pdp(L, delta)
+            for phi, leq in zip(phis, below):
+                agree = _agree(_pdp(L, delta, phi), plain)
+                yield Row((delta, phi), domain, hyp if leq else 0, agree)
 
-    add(
+    @add_rows(
         "T14",
         "for k <= n, a k-potent delta-primary element is phi-delta-primary "
         "for phi <= phin iff delta-primary",
         ("delta", "phi", "n", "k", "q"),
-        lambda L, delta, phi, n, k: None if k > n else (
-            _entry(L, delta, None, k)[0],
-            _agree(_pdp(L, delta, phi), _pdp(L, delta)),
-        ) if map_leq(phi, _phi(L, f"phi{n}")) else (0, 0),
         "phi-delta-primary <=> delta-primary",
     )
+    def t14(L, corpus, config):
+        domain, (deltas, phis, ns, ks) = _proper(L), _domains(L, config, "delta", "phi", "n", "k")
+        below = [[map_leq(phi, _phi(L, f"phi{n}")) for n in ns] for phi in phis]
+        for delta in deltas:
+            potent, plain = [_entry(L, delta, None, k)[0] for k in ks], _pdp(L, delta)
+            for phi, leqs in zip(phis, below):
+                agree = _agree(_pdp(L, delta, phi), plain)
+                for (n, leq), (k, hyp) in product(zip(ns, leqs), zip(ks, potent)):
+                    if k <= n:
+                        yield Row((delta, phi, n, k), domain, hyp if leq else 0, agree)
 
     add(
         "T15",
         "a phi-delta-primary q with q^2 not below phi(q) is delta-primary",
         ("delta", "phi", "q"),
         lambda L, delta, phi: (
-            _pdp(L, delta, phi) & ~_leq_mask(L, _phi(L, "phi2").table, phi.table), _pdp(L, delta)
+            _pdp(L, delta, phi) & ~_phi_conditions(L, phi.key)[0], _pdp(L, delta)
         ),
         "delta-primary",
     )
@@ -487,7 +528,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         "a phi-delta-primary q that is not delta-primary has q^2 <= phi(q)",
         ("delta", "phi", "q"),
         lambda L, delta, phi: (
-            _pdp(L, delta, phi) & ~_pdp(L, delta), _leq_mask(L, _phi(L, "phi2").table, phi.table)
+            _pdp(L, delta, phi) & ~_pdp(L, delta), _phi_conditions(L, phi.key)[0]
         ),
         "q^2 <= phi(q)",
     )
@@ -498,23 +539,25 @@ def registry() -> tuple[TheoremProperty, ...]:
         "radical(q) = radical(phi(q))",
         ("delta", "phi", "q"),
         lambda L, delta, phi: (
-            _pdp(L, delta, phi) & ~_pdp(L, delta),
-            _mask(map(eq, L._radical_table, _gather(phi.table)(L._radical_table))),
+            _pdp(L, delta, phi) & ~_pdp(L, delta), _phi_conditions(L, phi.key)[1]
         ),
         "radical(q) = radical(phi(q))",
     )
 
-    add(
+    @add_rows(
         "T18",
         "a phi-delta-primary q with phi <= phi3 is phin-delta-primary for "
         "every n >= 2 and phiomega-delta-primary",
         ("delta", "phi", "q"),
-        lambda L, delta, phi: (
-            _pdp(L, delta, phi),
-            _pdp(L, delta, _phi(L, "phiomega")) & _every_phin(L, delta),
-        ) if map_leq(phi, _phi(L, "phi3")) else (0, 0),
         "phiomega and every phin",
     )
+    def t18(L, corpus, config):
+        domain, (deltas, phis) = _proper(L), _domains(L, config, "delta", "phi")
+        below = [map_leq(phi, _phi(L, "phi3")) for phi in phis]
+        for delta in deltas:
+            every = _pdp(L, delta, _phi(L, "phiomega")) & _every_phin(L, delta.key)
+            for phi, leq in zip(phis, below):
+                yield Row((delta, phi), domain, _pdp(L, delta, phi) if leq else 0, every)
 
     add(
         "T19",
@@ -552,11 +595,18 @@ def registry() -> tuple[TheoremProperty, ...]:
         "join is phi-delta-primary",
     )
 
-    def t22_rows(L, corpus, config):
+    @add_rows(
+        "T22",
+        "residuals of a phi-delta-primary p stay phi-delta-primary when "
+        "(phi(p):q) <= phi(p:q)",
+        ("delta", "phi", "p", "q"),
+        "(p:q) is phi-delta-primary",
+    )
+    def t22(L, corpus, config):
         res, down, everything = L._residual_table, L.down_sets, (1 << L.n) - 1
         at_residuals = [_gather(row) for row in res]  # q -> seq[(p:q)], per p
         by_phi = {}  # phi's key -> per p, the hypothesis mask, which reads no delta
-        for delta, phi in _map_pairs(L, config):
+        for delta, phi in product(*_domains(L, config, "delta", "phi")):
             primary, flags, _ = _entry(L, delta, phi)
             hypotheses = by_phi.setdefault(phi.key, {})
             for p in L.proper_elements:
@@ -570,22 +620,10 @@ def registry() -> tuple[TheoremProperty, ...]:
                     hyp = hypotheses[p] = ~down[p] & _leq_mask(L, res[phi.table[p]], at(phi.table))
                 yield Row((delta, phi, p), everything, hyp, _mask(at(flags)))
 
-    add(
-        "T22",
-        "residuals of a phi-delta-primary p stay phi-delta-primary when "
-        "(phi(p):q) <= phi(p:q)",
-        ("delta", "phi", "p", "q"),
-        None,
-        "(p:q) is phi-delta-primary",
-        rows=t22_rows,
-    )
-
     def t23(L, delta, phi):
-        rad, dp = L._radical_table, delta.table
-        hyp = _pdp(L, delta, phi) & _leq_mask(L, _gather(phi.table)(rad), dp)
+        hyp = _pdp(L, delta, phi) & _leq_mask(L, _gather(phi.table)(L._radical_table), delta.table)
         # equality corollary: delta(p) <= radical(p) then forces equality
-        equal = ~_leq_mask(L, dp, rad) | _mask(map(eq, rad, dp))
-        return hyp, _leq_mask(L, rad, dp) & equal
+        return hyp, _radical_below(L, delta.key)
 
     add(
         "T23",
@@ -629,15 +667,24 @@ def registry() -> tuple[TheoremProperty, ...]:
         "radical(q) is phi-prime",
     )
 
-    def t26_rows(L, corpus, config):
+    # Every stock map is defined from order and multiplication alone, so it
+    # commutes with every isomorphism (README "Acceptance status").
+    @add_rows(
+        "T26",
+        "along an isomorphism under which delta and phi have the global "
+        "property, phi-delta-primary transfers in both directions",
+        ("f", "delta", "phi", "p"),
+        "status agrees across the isomorphism",
+    )
+    def t26(L, corpus, config):
         for M in corpus.lattices():
             if M.n <= 1 or not _isomorphisms(L, M):
                 continue
             domain = _proper(M)
             # one config gives both lists, so M's maps pair with L's by position
-            maps = _map_pairs(M, config)
-            verdicts = [(_entry(M, *m)[1], _entry(L, *source)[1])
-                        for m, source in zip(maps, _map_pairs(L, config))]
+            maps = list(product(*_domains(M, config, "delta", "phi")))
+            sources = product(*_domains(L, config, "delta", "phi"))
+            verdicts = [(_entry(M, *m)[1], _entry(L, *s)[1]) for m, s in zip(maps, sources)]
             for f in _isomorphisms(L, M):
                 pull_back = _gather(f.inverse)
                 for (delta, phi), (here, source) in zip(maps, verdicts):
@@ -648,25 +695,13 @@ def registry() -> tuple[TheoremProperty, ...]:
                     yield Row((f, delta, phi), domain, ALL, agree)
 
     add(
-        "T26",
-        "along an isomorphism under which delta and phi have the global "
-        "property, phi-delta-primary transfers in both directions",
-        ("f", "delta", "phi", "p"),
-        # Every stock map is defined from order and multiplication alone, so it
-        # commutes with every isomorphism (README "Acceptance status").
-        None,
-        "status agrees across the isomorphism",
-        rows=t26_rows,
-    )
-
-    add(
         "T27",
         "every proper idempotent is phiomega-delta-primary, hence "
         "phin-delta-primary for every n >= 2",
         ("delta", "q"),
         lambda L, delta: (
             _idempotent_entry(L)[0],
-            _pdp(L, delta, _phi(L, "phiomega")) & _every_phin(L, delta),
+            _pdp(L, delta, _phi(L, "phiomega")) & _every_phin(L, delta.key),
         ),
         "phiomega and every phin",
     )
@@ -678,25 +713,22 @@ def registry() -> tuple[TheoremProperty, ...]:
         "Z8": ("(4)", ("phi2-d1-primary", "2-potent-d0-primary"), ("idempotent", "prime")),
     }
 
-    def t28_rows(L, corpus, config):
-        label, has, lacks = examples.get(L.name, (None, (), ()))
-        if label in L.labels:
-            q = L.index_of(label)
-            flags = [_named(L, name)[1][q] for name in has + lacks]
-            published = all(flags[: len(has)]) and not any(flags[len(has):])
-            yield Row((), 1 << q, ALL, ALL if published else 0)
-
-    add(
+    @add_rows(
         "T28",
         "the three separating examples: Z24 (4) phi2-d1-primary, not "
         "phi2-prime, not prime; Z30 (6) phi2-d1-primary, not d1-primary, not "
         "2-potent d0-primary; Z8 (4) phi2-d1-primary, 2-potent d0-primary, "
         "not idempotent, not prime",
         ("q",),
-        None,
         "example flags as published",
-        rows=t28_rows,
     )
+    def t28(L, corpus, config):
+        label, has, lacks = examples.get(L.name, (None, (), ()))
+        if label in L.labels:
+            q = L.index_of(label)
+            flags = [_named(L, name)[1][q] for name in has + lacks]
+            published = all(flags[: len(has)]) and not any(flags[len(has):])
+            yield Row((), 1 << q, ALL, ALL if published else 0)
 
     return tuple(props)
 

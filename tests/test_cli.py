@@ -339,6 +339,27 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys, argv):
         assert err.startswith(f"error: cannot write {target}: ")
 
 
+def test_file_errors_keep_their_messages(tmp_path, capsys):
+    # a missing lattice or map file, and an output path that cannot be
+    # written: exit 2 and one stderr line each, with the system's reason
+    missing = tmp_path / "missing"
+    cases = [
+        (("validate", "--file", str(missing)),
+         f"error: [Errno 2] No such file or directory: '{missing}'"),
+        (("verify", "--add-file", str(missing)),
+         f"error: [Errno 2] No such file or directory: '{missing}'"),
+        (("classify", "--zn", "8", "--delta", f"file:{missing}"),
+         f"error: bad delta spec 'file:{missing}': "
+         f"[Errno 2] No such file or directory: '{missing}'"),
+        (("classify", "--zn", "8", "--output", str(missing / "x.out")),
+         f"error: cannot write {missing / 'x.out'}: No such file or directory"),
+        (("classify", "--zn", "8", "--output", str(tmp_path)),
+         f"error: cannot write {tmp_path}: Is a directory"),
+    ]
+    for argv, message in cases:
+        assert run(capsys, *argv) == (2, "", message + "\n"), argv
+
+
 def test_oversized_frames_are_usage_errors(capsys):
     for flag, k in (("--chain", "1024"), ("--chain", "-1"), ("--boolean", "11")):
         rc, out, err = run(capsys, "classify", flag, k)

@@ -9,6 +9,7 @@ b != c.
 """
 
 import functools
+import hashlib
 import itertools
 import operator
 import random
@@ -614,6 +615,64 @@ def test_rows_compare_maps_that_are_no_stock_kind(corpus, monkeypatch):
             assert result["hypothesis_hits"] > 0, pid
 
 
+# SHA-256, per property, of its rows on HUNT_CORPORA under the default config:
+# per row the rendered values, the domain, the hits and the violations, and
+# the weights of the domain's elements.  The conclusion outside the hits is
+# left out, so a row may decide it differently where its hypothesis fails.
+ROW_DIGESTS = {
+    "T01": "8ebf86cc6663f86a64a1d0c7600632be202574b33fa2279efbe9cb23bd9aa337",
+    "T02": "3541d848b12215ac376d53eefd9b8e315c22783dda4853ee24d245956e58cc54",
+    "T03": "cd927459bfeaf8e7b578541dc99e1c4d95638b8dd5d1dde90dc79fa73f63d61e",
+    "T04": "2a8dcbcb593cef9022428e56659eccc29652ce29bc5b10314032272a40612b24",
+    "T05": "83e71e960031fa825b07b81def9a369274b7b58f1607f275823b6dfce7146829",
+    "T06": "181fccbdf894aa3fd1d83daf45362a2edd6e87cd6b80aa44559eec3fb33dd710",
+    "T07": "3646e26168b255f022a99a872b201ac2b54df882bcdba3c23c77a0f6aaee04aa",
+    "T08": "e5c03429e783c0886f39232fa5f9af94f246df379e82c23df09b28bba3043219",
+    "T09": "f0c05f864b4fa1fa59ad6255682aee2190e0e51e42e1713090eab56eb1c5174c",
+    "T10": "7667cd9ddfd121f173c0a56ead248a82733aeb472c3ed422d86dc5ef885925f2",
+    "T11": "5ac0d62975a7ad7bfb01739e432af5696cf550c776bd9bdef81944299a6fa732",
+    "T12": "b91e2cbea5a79e6ca79de64ff62c58c42c8c67b2f2d6f569a88c0320cb2afc8b",
+    "T13": "645fde755de0d876f11170a050cc5792ccaf598ccf2f34ed9c88b6b9875dbdc5",
+    "T14": "591f39a139cf1a54dff87523e328c711a9331f27b88c20b9c90617e900e2bbc8",
+    "T15": "84372440cc66733b3063864bae3f5e5ae5f95f7f21836425dc9ad9f01ba91e57",
+    "T16": "697b52596f551f717cbf623065dc1f13dab9e9a5d266e75786c91911bf37c059",
+    "T17": "84c40e54250b69ce2b62e340122c1f2ff166dc0e16b5648a2199c81409985819",
+    "T18": "9c22807009e9621132693a791d7fdefa6f2c55a565613d2e04c11fc725ef5456",
+    "T19": "4bb403a9a17e9caee882a4f7e99b72d221e7b0b04e6b6f09f50214a44ac50482",
+    "T20": "c05e88f33e2bbc216df84de708b8d7e8f1ca7e3ebda12fc40ee26405a7d83b65",
+    "T21": "1bd32d66ba42512d221df46dc1725ce344dc443a8f082989f46dd5a2b0448e0f",
+    "T22": "930d622070d9179395ecfe067906246ef854939148419002dbb1dd1ad4bda2d7",
+    "T23": "8c62b4d07d5420bb1ba801213a5d274eb1a8808285c3e2c66790f83aafb69760",
+    "T24": "c9c73a04688bfc8ca9486300e4c041fa4d7fd219ba4d8839dc888ffcfa1fe6eb",
+    "T25": "46cb604b5fee43297a23548b2f5f57c09e9dc1cb374ad1b24ddcb41d5d3c5014",
+    "T26": "3598079faef8dc6c68e8492d8d6bc28f9ae149e792e997d576f7debe0ab3a3da",
+    "T27": "4f3d78ffb4e07dc9099f184fd4a145a20af4cafaa0b6675182dca442b2833a52",
+    "T28": "f6b6674c1de616fa644cbb519aa6d090e11bde5e6a45df7d319c018a60a0411e",
+}
+
+
+def _row_digest(prop):
+    digest, config = hashlib.sha256(), HarnessConfig()
+    for lattices in HUNT_CORPORA.values():
+        corpus = Corpus(tuple(CorpusEntry(L, "added") for L in lattices()))
+        for L in corpus.lattices():
+            if L.n <= 1:
+                continue
+            for values, domain, hypothesis, conclusion, weights in prop.rows(L, corpus, config):
+                held = hypothesis & domain
+                shown = [harness._render_binding(L, k, v) for k, v in zip(prop.binding, values)]
+                counted = None if weights is None else [weights[e] for e in _bits(domain)]
+                digest.update(repr(
+                    (prop.id, L.name, shown, domain, held, held & ~conclusion, counted)
+                ).encode())
+    return digest.hexdigest()
+
+
+def test_rows_keep_their_order_and_masks():
+    # the counts alone would miss two rows swapped between bindings
+    assert {pid: _row_digest(prop) for pid, prop in REGISTRY.items()} == ROW_DIGESTS
+
+
 def test_verify_and_hunt_share_their_verdicts(monkeypatch):
     corpus = default_corpus()
     run_all(corpus)
@@ -625,6 +684,26 @@ def test_verify_and_hunt_share_their_verdicts(monkeypatch):
     assert calls == []
     # a corpus verify never saw is scanned
     assert hunt("phi2-d1-primary", "d1-primary", default_corpus()) and calls
+
+
+def test_verify_reads_each_map_condition_once_per_value(monkeypatch):
+    # A condition is read once per lattice for each distinct value of the
+    # bindings it reads, not once per row: the masks of a staged property's
+    # rows, the order of each pair of its maps, and every-phin once per
+    # delta.  Read once per row instead, they would be 9,838 store entries,
+    # 2,688 map orders and 196 every-phin masks.
+    corpus = default_corpus()
+    for n in (360, 720):
+        corpus = corpus.extended(zn_ideal_lattice(n), "added")
+    reads = Counter()
+    for name in ("_entry", "map_leq", "_every_phin"):
+        read = getattr(harness, name)
+        monkeypatch.setattr(harness, name, lambda *a, read=read, name=name: (
+            reads.update((name,)) or read(*a)
+        ))
+    run_all(corpus)
+    monkeypatch.undo()
+    assert reads == {"_entry": 5610, "map_leq": 980, "_every_phin": 86}
 
 
 def _store_keys(L):
@@ -814,7 +893,7 @@ def test_every_phin_checks_the_stabilization_index_itself():
     assert power_stabilization(L, p) == 3
     assert phi_delta_primary_violation(L, d0, make_phi(L, "phi2"), p) is None
     assert phi_delta_primary_violation(L, d0, make_phi(L, "phi3"), p) == (a, a)
-    every = harness._every_phin(L, d0)
+    every = harness._every_phin(L, d0.key)
     for q in L.proper_elements:
         assert (every >> q & 1) == oracle._every_phin_delta_primary(L, d0, q), L.label(q)
     assert not every >> p & 1

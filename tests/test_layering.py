@@ -5,7 +5,7 @@ Every import statement counts, including ones nested in functions, so a
 deferred import cannot hide a back-edge.  ``__init__.py`` re-exports all of
 them and is not checked.  ``tests/oracle.py`` may read no verdict of multlat.
 The result records are read-only named tuples, and importing the CLI loads
-neither ``dataclasses`` nor the modules it drags in.
+neither ``dataclasses`` nor ``pathlib``, nor the modules they drag in.
 """
 
 import ast
@@ -99,6 +99,7 @@ def test_harness_calls_the_kernel_not_a_per_form_wrapper():
     assert imports == {
         "_entry",
         "_idempotent_entry",
+        "_kernel_entry",
         "_compact_pair_entry",
         "_characterization_holders",
         "_delta",
@@ -157,12 +158,14 @@ def test_result_records_are_read_only(record):
 
 def test_importing_the_cli_loads_no_dataclasses():
     # In a fresh interpreter, since pytest itself loads these modules; -S
-    # keeps site's path hooks out, so only multlat's imports count.
+    # keeps site's path hooks out, so only multlat's imports count.  The CLI
+    # reads and writes files with open(), so pathlib and the modules it
+    # pulls in stay out too.
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     script = (
         "import sys, multlat.cli; "
-        "print(' '.join(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'}"
-        " & sys.modules.keys())))"
+        "print(' '.join(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize',"
+        " 'pathlib', 'fnmatch', 'ntpath', 'urllib.parse'} & sys.modules.keys())))"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, check=True

@@ -103,7 +103,8 @@ def test_store_keys_hold_no_tables():
     hunt(["2-potent-d0-primary", "phiomega-prime"], "d1-primary", corpus)
     stores = {fn.__wrapped__ for fn in (
         classify._kernel_entry, classify._holder_masks, classify._delta_masks,
-        classify._phi_masks, maps._below, harness._chain_counts,
+        classify._phi_masks, maps._below, harness._chain_counts, harness._every_phin,
+        harness._phi_conditions, harness._radical_below,
     )}
     keys = [key for key in L._memo if key[0] in stores]
     assert {key[0] for key in keys} == stores
