@@ -46,6 +46,7 @@ distribute over joins: a lattice that passes ``validate``.
 from __future__ import annotations
 
 from itertools import repeat
+from json.encoder import encode_basestring_ascii as _quote
 from operator import and_, ne, not_
 from typing import NamedTuple
 
@@ -329,9 +330,26 @@ class ClassificationReport(NamedTuple):
     lattice: str
     delta: str
     phi: str
-    records: tuple[ClassificationRecord, ...]
     # (flag, header) per column, in table order: the text table's layout
-    columns: tuple[tuple[str, str], ...] = ()
+    columns: tuple[tuple[str, str], ...]
+    # per column, its verdict store entry's pairs, shared: per element the first
+    # violating pair or None.  The records, dict, table and JSON read them.
+    pairs: tuple[tuple[tuple[int, int] | None, ...], ...]
+    labels: tuple[str, ...]  # the lattice's, by element
+    elements: tuple[int, ...]  # the proper elements, in order
+
+    @property
+    def records(self) -> tuple[ClassificationRecord, ...]:
+        labels, columns = self.labels, tuple(zip(self.columns, self.pairs))
+        return tuple(
+            ClassificationRecord(
+                labels[p],
+                {flag: pairs[p] is None for (flag, _), pairs in columns},
+                {flag: (labels[pair[0]], labels[pair[1]])
+                 for (flag, _), pairs in columns if (pair := pairs[p])},
+            )
+            for p in self.elements
+        )
 
     def record(self, label: str) -> ClassificationRecord:
         for rec in self.records:
@@ -347,23 +365,50 @@ class ClassificationReport(NamedTuple):
             "elements": [rec.to_dict() for rec in self.records],
         }
 
+    def to_json(self) -> str:
+        """The bytes of ``json.dumps(self.to_dict(), indent=2, sort_keys=True)``,
+        written column by column in flag order: every item starts with a comma,
+        which an element's first item drops."""
+        quoted, flags, witnesses = list(map(_quote, self.labels)), [], []
+        for (flag, _), pairs in sorted(zip(self.columns, self.pairs)):
+            key = f",\n        {_quote(flag)}: "
+            yes, no, pair_key = key + "true", key + "false", key + "[\n          "
+            flags.append([yes if pairs[p] is None else no for p in self.elements])
+            witnesses.append([
+                "" if (pair := pairs[p]) is None
+                else f"{pair_key}{quoted[pair[0]]},\n          {quoted[pair[1]]}\n        ]"
+                for p in self.elements
+            ])
+        rows = zip(self.elements, map("".join, zip(*flags)), map("".join, zip(*witnesses)))
+        records = ",".join(
+            f'\n    {{\n      "element": {quoted[p]},\n      "flags": {{{f[1:]}\n      }},'
+            f'\n      "witnesses": ' + ("{" + w[1:] + "\n      }" if w else "{}") + "\n    }"
+            for p, f, w in rows
+        )
+        return (
+            f'{{\n  "delta": {_quote(self.delta)},\n  "elements": '
+            + ("[" + records + "\n  ]" if records else "[]")
+            + f',\n  "lattice": {_quote(self.lattice)},\n  "phi": {_quote(self.phi)}\n}}'
+        )
+
     def text_table(self) -> str:
         """One row of Y/. cells per element, then every witness, column by column."""
-        width = max([len("element")] + [len(r.element) for r in self.records])
+        labels, columns = self.labels, tuple(zip(self.columns, self.pairs))
+        width = max([len("element")] + [len(labels[p]) for p in self.elements])
         header = f"{'element':<{width}} " + " ".join(h for _, h in self.columns)
         lines = [
             f"lattice {self.lattice}  delta={self.delta}  phi={self.phi}",
             header,
             "-" * len(header),
         ]
-        for rec in self.records:
-            cells = (f"{'Y' if rec.flags[k] else '.':^{len(h)}}" for k, h in self.columns)
-            lines.append(f"{rec.element:<{width}} " + " ".join(cells))
+        for p in self.elements:
+            cells = (f"{'Y' if pairs[p] is None else '.':^{len(h)}}" for (_, h), pairs in columns)
+            lines.append(f"{labels[p]:<{width}} " + " ".join(cells))
         witness_lines = [
-            f"  {rec.element} fails {key.replace('_', '-')}: ({pair[0]}, {pair[1]})"
-            for rec in self.records
-            for key, _ in self.columns
-            if (pair := rec.witnesses.get(key))
+            f"  {labels[p]} fails {flag.replace('_', '-')}: ({labels[pair[0]]}, {labels[pair[1]]})"
+            for p in self.elements
+            for (flag, _), pairs in columns
+            if (pair := pairs[p])
         ]
         if witness_lines:
             lines.append("witnesses:")
@@ -385,6 +430,8 @@ def classification_report(
     """
     for k in potency:
         _check_potency(k)
+        if potency.count(k) > 1:
+            raise ValueError(f"potency exponent {k} is repeated")
     d0, d1 = _delta(L, "d0"), _delta(L, "d1")
     # (flag, header, verdict entry), in column order
     columns = [
@@ -400,11 +447,7 @@ def classification_report(
         ("2_potent_d0_primary", "2-pot-d0", _entry(L, d0, None, 2)),
         ("idempotent", "idem", _idempotent_entry(L)),
     ]
-    records = []
-    for p in L.proper_elements:
-        found = {flag: entry[2][p] for flag, _, entry in columns}
-        flags = {flag: pair is None for flag, pair in found.items()}
-        witnesses = {flag: tuple(map(L.label, pair)) for flag, pair in found.items() if pair}
-        records.append(ClassificationRecord(L.label(p), flags, witnesses))
-    headers = tuple((flag, header) for flag, header, _ in columns)
-    return ClassificationReport(L.name, delta.tag, phi.tag, tuple(records), headers)
+    return ClassificationReport(
+        L.name, delta.tag, phi.tag, tuple((flag, header) for flag, header, _ in columns),
+        tuple(entry[2] for *_, entry in columns), L.labels, L.proper_elements,
+    )

@@ -200,10 +200,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     delta = _resolve_delta(L, args.delta)
     phi = _resolve_phi(L, args.phi)
     report = classification_report(L, delta, phi)
-    if args.format == "json":
-        _emit(_json(report.to_dict()), args)
-    else:
-        _emit(report.text_table(), args)
+    _emit(report.to_json() if args.format == "json" else report.text_table(), args)
     return 0
 
 

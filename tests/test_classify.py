@@ -37,7 +37,6 @@ from multlat.classify import (
     phi_primary_violation,
     phi_prime_violation,
 )
-from multlat.cli import _json
 
 DELTA_KINDS = ("d0", "d1")
 PHI_KINDS = ("phi0", "phi1", "phi2", "phi3", "phiomega")
@@ -316,6 +315,32 @@ def test_potency_below_two_is_rejected_before_any_pass():
             classification_report(L, make_delta(L, "d1"), make_phi(L, "phi2"), potency=(3, 1, 0))
 
 
+def test_a_repeated_potency_exponent_is_rejected_before_any_pass(monkeypatch):
+    # one exponent is one column: a repeat would double its cells and
+    # witness lines in the text table but not its key in the JSON
+    L = zn_ideal_lattice(24)
+    calls = []
+    monkeypatch.setattr(classify, "_first_pair", lambda *a: calls.append(a))
+    with pytest.raises(ValueError, match="potency exponent 2 is repeated"):
+        classification_report(L, make_delta(L, "d1"), make_phi(L, "phi2"), potency=(2, 3, 2))
+    assert calls == []
+
+
+def test_potency_columns_keep_their_order_and_flags_sort_as_strings(z24):
+    d1, phi2 = make_delta(z24, "d1"), make_phi(z24, "phi2")
+    report = classification_report(z24, d1, phi2, potency=(10, 2))
+    assert [h for _, h in report.columns][7:9] == ["10-potent", "2-potent"]
+    text = report.to_json()
+    assert text == json.dumps(report.to_dict(), indent=2, sort_keys=True)
+    assert list(json.loads(text)["elements"][0]["flags"])[:2] == [
+        "10_potent_delta_primary", "2_potent_d0_primary",
+    ]
+    bare = classification_report(z24, d1, phi2, potency=())
+    assert len(bare.columns) == 9
+    assert "2-potent" not in bare.text_table().splitlines()[1].split()
+    assert bare.to_json() == json.dumps(bare.to_dict(), indent=2, sort_keys=True)
+
+
 def test_report_scans_each_distinct_kernel_argument_once(monkeypatch):
     # Columns whose scan arguments coincide at an element share one scan:
     # the k-potent columns once p^k stabilizes, prime and primary at a
@@ -330,7 +355,7 @@ def test_report_scans_each_distinct_kernel_argument_once(monkeypatch):
     twin = zn_ideal_lattice(55440)
     classification_report(twin, make_delta(twin, "d1"), make_phi(twin, "phi0"), potency=(4, 3, 2))
     again = classification_report(twin, make_delta(twin, "d1"), make_phi(twin, "phi2"))
-    assert _json(again.to_dict()) == _json(report.to_dict())
+    assert again.to_json() == report.to_json()
 
 
 def test_verify_scans_each_distinct_kernel_argument_once(monkeypatch):

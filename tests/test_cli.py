@@ -599,14 +599,18 @@ def test_json_renders_the_bytes_of_json_dumps(name):
         assert cli._json(doc) == _dumped(doc)
 
 
-def test_json_renders_empties_and_escapes_as_json_dumps_does():
+def _odd_lattice():
+    """chain3 with a name and labels that JSON must escape."""
     chain = chain_frame(3)
     labels = ['"0"', "back\\slash", "caf\u00e9 \u2713 \U0001d53b", "tab\tnew\nline\x7f\x00"]
-    L = FiniteMultiplicativeLattice(
+    return FiniteMultiplicativeLattice(
         'odd "name" \\ \u00e9', labels, chain.leq_table, chain.mul_table, chain.bottom, chain.top
     )
+
+
+def test_json_renders_empties_and_escapes_as_json_dumps_does():
     docs = [
-        _classified(L),
+        _classified(_odd_lattice()),
         [], {}, [[]], [{}], {"": {"": []}}, {"a": [], "b": {}, "c": [[], {}, [[{}]]]},
         ("tuple", ["list"]), [True, False, None, 0, -7, 2**70, 0.5, float("inf")], "\"",
     ]
@@ -626,3 +630,82 @@ def test_json_refuses_a_type_json_does_not_know():
     doc = {"a": [{1, 2}]}
     assert _text_or_error(cli._json, doc) == _text_or_error(_dumped, doc)
     assert _text_or_error(cli._json, doc).startswith("TypeError: Object of type set")
+
+
+# -- the classify report's bytes -------------------------------------------------
+
+CLASSIFY_MAPS = [(d, p) for d in ("d0", "d1") for p in ("phi0", "phi1", "phi2", "phi3", "phiomega")]
+
+
+def _reports(name):
+    """The classification report of every lattice of HUNT_CORPORA[name] under
+    every delta and phi of CLASSIFY_MAPS."""
+    for L in HUNT_CORPORA[name]():
+        for d, p in CLASSIFY_MAPS:
+            yield classification_report(L, make_delta(L, d), make_phi(L, p))
+
+
+# SHA-256 over the reports of _reports(name): of json.dumps(to_dict()) with
+# the CLI's layout, and of text_table(), report after report.
+CLASSIFY_DIGESTS = {
+    "default+Z360+Z5040": (
+        "c49a7b28aa157495208cedefbaf8ac31f62d44685066ff76ceb4b804510b8a7d",
+        "3c44e1c1d406139d0150e53a43c32f803784bd2ed6158309257d690277c93b46",
+    ),
+    "chains": (
+        "d9e38830470b4247707ff6a156e9b0020f04898d52df1e1bcb499dbd40b0774c",
+        "98de073167037ff2ee64ed369cbec350c6f806e32ee644c3a1a3ad1fa10e7dbe",
+    ),
+    "boolean": (
+        "b28cc4ec25d518bf1a9e62766e8442fbc13aac0ac29088aba322a1477da4469d",
+        "0ed3d195d36f1f4969d37605d0044552fe552213f9196f3272614701f504343c",
+    ),
+    "non-distributive": (
+        "df8eef5a0531680137f993f76b747cc29b4a075f554eab59da6212909c1aa4a4",
+        "1c18a05ffb4454955d2445df7e01c92718ed6d2f944910243403341bf8a8065f",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", HUNT_CORPORA)
+def test_classify_reports_keep_their_bytes(name):
+    as_json, as_text = hashlib.sha256(), hashlib.sha256()
+    for report in _reports(name):
+        as_json.update(_dumped(report.to_dict()).encode())
+        as_text.update(report.text_table().encode())
+    assert (as_json.hexdigest(), as_text.hexdigest()) == CLASSIFY_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", HUNT_CORPORA)
+def test_classify_writes_the_bytes_of_json_dumps(name):
+    for report in _reports(name):
+        assert report.to_json() == _dumped(report.to_dict()), report[:3]
+
+
+def test_classify_writes_odd_labels_and_file_tables_as_json_dumps_does(tmp_path, capsys):
+    for L in (_odd_lattice(), zn_ideal_lattice(24)):
+        tables = [
+            make_delta(L, "table", [L.top] * L.n),
+            make_phi(L, "table", table=make_phi(L, "phi2").table),
+        ]
+        for delta in (make_delta(L, "d1"), tables[0]):
+            for phi in (make_phi(L, "phiomega"), tables[1]):
+                report = classification_report(L, delta, phi)
+                assert report.to_json() == _dumped(report.to_dict()), (L.name, delta.tag, phi.tag)
+    # through the CLI, with both maps read from files
+    z24 = zn_ideal_lattice(24)
+    delta, phi = make_delta(z24, "d1"), make_phi(z24, "phi1")
+    paths = []
+    for kind, table in (("delta", delta.table), ("phi", phi.table)):
+        paths.append(tmp_path / f"{kind}.map")
+        paths[-1].write_text("".join(f"{z24.label(a)} {z24.label(b)}\n" for a, b in enumerate(table)))
+    rc, out, _ = run(
+        capsys, "classify", "--zn", "24", "--delta", f"file:{paths[0]}",
+        "--phi", f"file:{paths[1]}", "--format", "json",
+    )
+    want = classification_report(
+        z24, make_delta(z24, "table", delta.table), make_phi(z24, "table", table=phi.table)
+    )
+    assert rc == 0 and out == _dumped(want.to_dict()) + "\n"
+    # the tables are d1's and phi1's, so the flags are theirs
+    assert json.loads(out)["elements"] == classification_report(z24, delta, phi).to_dict()["elements"]
