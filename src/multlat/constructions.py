@@ -36,36 +36,53 @@ def zn_ideal_lattice(n: int) -> FiniteMultiplicativeLattice:
 
     Elements are labeled "(d)" by their generating divisor, with the zero
     ideal "(0)" first, proper divisors ascending, and the whole ring "(1)"
-    last.
+    last.  The order is read off each divisor's prime exponents, and the
+    product rows are composed from the primes' rows; no divisor pair is
+    tested.
     """
     if not isinstance(n, int) or not 2 <= n <= _ZN_LIMIT:
         raise ValueError(f"zn_ideal_lattice needs an integer in [2, {_ZN_LIMIT}], got {n!r}")
-    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    divisors = sorted({*small, *(n // d for d in small)})
+    primes, m = [], n  # n = prod p^e over (p, e), by trial division
+    for p in range(2, isqrt(n) + 1):
+        e = 0
+        while m % p == 0:
+            m, e = m // p, e + 1
+        if e:
+            primes.append((p, e))
+    if m > 1:
+        primes.append((m, 1))
+    exps = {1: ()}  # each divisor's exponent of each prime
+    for p, e in primes:
+        exps = {d * p**k: (*t, k) for d, t in exps.items() for k in range(e + 1)}
+    divisors = sorted(exps)
     values = [n] + divisors[1:-1] + [1]
-    index = {v: i for i, v in enumerate(values)}
+    size, index = len(values), {v: i for i, v in enumerate(values)}
     labels = ["(0)"] + [f"({d})" for d in values[1:-1]] + ["(1)"]
-    # (v) = (p)(v/p) for v's least prime factor p, its least divisor above 1:
-    # v's row is p's row read at the entries of v/p's row, built before it.
-    rows = {1: tuple(range(len(values)))}
+    # (w) <= (v) iff v | w iff e_p(v) <= e_p(w) for every p: down[(v)] is the
+    # AND over p of the mask of the w at or above v's level of p, up[(v)]
+    # dually, with one mask per (prime, level).
+    up = down = [(1 << size) - 1] * size
+    for (_, e), col in zip(primes, zip(*map(exps.__getitem__, values))):
+        at_least = [_mask(map(k.__le__, col)) for k in range(e + 1)]
+        at_most = [_mask(map(k.__ge__, col)) for k in range(e + 1)]
+        down = list(map(and_, down, map(at_least.__getitem__, col)))
+        up = list(map(and_, up, map(at_most.__getitem__, col)))
+    # (v) = (p)(v/p) for v's least prime factor p: v's row is p's row read at
+    # the entries of v/p's row, built before it, as one bytes.translate.  The
+    # rows fit in bytes: no n <= 10^6 has more than 240 divisors (720720,
+    # 831600, 942480, 982800 and 997920 have 240; the next highly composite
+    # number, 1081080, is above _ZN_LIMIT).
+    rows, tables = {1: bytes(range(size))}, {}
     for v in divisors[1:]:
-        p = next(d for d in divisors[1:] if v % d == 0)
+        p = next(p for (p, _), k in zip(primes, exps[v]) if k)
         if p == v:  # a prime: the one kind of row that takes a gcd
-            ideals = map(gcd, map(v.__mul__, values), repeat(n))
-            rows[v] = tuple(map(index.__getitem__, ideals))
+            rows[v] = bytes(map(index.__getitem__, map(gcd, map(v.__mul__, values), repeat(n))))
+            tables[v] = rows[v].ljust(256, b"\0")
         else:
-            rows[v] = tuple(map(rows[p].__getitem__, rows[v // p]))
-    mul = tuple(map(rows.__getitem__, values))
-    # The down-set of (v) is the image of its row: v | gcd(vx, n) for every
-    # x, and v | w | n gives (v)(w/v) = (gcd(w, n)) = (w).
-    down = []
-    for row in mul:
-        flags = bytearray(len(row))
-        for w in set(row):
-            flags[w] = 1
-        down.append(_mask(flags))
+            rows[v] = rows[v // p].translate(tables[p])
+    mul = tuple(map(tuple, map(rows.__getitem__, values)))
     return FiniteMultiplicativeLattice._from_masks(
-        f"Z{n}", tuple(labels), _transpose(down), tuple(down), mul, 0, len(values) - 1
+        f"Z{n}", tuple(labels), tuple(up), tuple(down), mul, 0, size - 1
     )
 
 
@@ -242,7 +259,7 @@ def serialize(L: FiniteMultiplicativeLattice) -> str:
         f"bottom {L.label(L.bottom)}",
         f"top {L.label(L.top)}",
     ]
-    for a, b in sorted(L.covers):
+    for a, b in L.covers:
         lines.append(f"cover {L.label(a)} < {L.label(b)}")
     for a in range(L.n):
         for b in range(a, L.n):
@@ -262,7 +279,7 @@ def to_dot(L: FiniteMultiplicativeLattice) -> str:
         '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"' for s in (L.name, *L.labels)
     )
     lines = [f"digraph {name} {{", "  rankdir=BT;", *(f"  {i};" for i in ids)]
-    lines += (f"  {ids[a]} -> {ids[b]};" for a, b in sorted(L.covers))
+    lines += (f"  {ids[a]} -> {ids[b]};" for a, b in L.covers)
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -221,14 +221,29 @@ class FiniteMultiplicativeLattice:
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
-        """Hasse cover pairs (a, b) with a < b and nothing strictly between."""
-        out = []
-        for a, up in enumerate(self.up_sets):
-            above = up & ~(1 << a)
-            beyond = 0
-            for c in _bits(above):
-                beyond |= self.up_sets[c] & ~(1 << c)
-            out.extend((a, b) for b in _bits(above & ~beyond))
+        """Hasse cover pairs (a, b) with a < b and nothing strictly between,
+        row-major: a ascending, then b ascending.
+
+        The upper covers of a are the minimal elements of its strict up-set,
+        peeled off one at a time: descend from the lowest element left to a
+        minimal one, record it, and clear its up-set from what is left.
+        """
+        up, down, out = self.up_sets, self.down_sets, []
+        for a, above in enumerate(up):
+            above &= ~(1 << a)
+            rest, found = above, []
+            while rest:
+                pool = rest  # shrinks at each step, so a cyclic order ends too
+                c = (pool & -pool).bit_length() - 1
+                while below := down[c] & pool & ~(1 << c):
+                    pool = below
+                    c = (below & -below).bit_length() - 1
+                if down[c] & above & ~(1 << c):  # only where the order is not partial
+                    rest &= ~(1 << c)
+                else:
+                    found.append(c)
+                    rest &= ~(up[c] | 1 << c)
+            out.extend((a, b) for b in sorted(found))
         return tuple(out)
 
     @cached_property

@@ -22,6 +22,7 @@ from multlat import (
     validate,
     zn_ideal_lattice,
 )
+from multlat.constructions import _ZN_LIMIT
 from multlat.lattice import _mask
 from test_derived import SHAPES
 from test_harness import HUNT_CORPORA
@@ -67,10 +68,28 @@ def test_zn_tables_equal_the_literal_tables_up_to_2000():
         assert (L.leq_table, L.mul_table) == oracle.zn_tables(n), n
 
 
-@pytest.mark.parametrize("n", [942480, 986364, 919836, 981360, 720720])
+# The five moduli up to the limit with 240 divisors, the most any has, and
+# the classify-ladder moduli of benchmark seeds 1 to 3 (942480 is every
+# seed's Z720720-shaped rung).  The benchmark checks its witnesses against
+# zn_ideal_lattice itself, so these are what catch a wrong build there.
+ZN_AT_SCALE = [
+    720720, 831600, 942480, 982800, 997920,
+    986364, 919836, 981360, 969416, 918384, 934800, 914536, 939504, 920400,
+]
+
+
+@pytest.mark.parametrize("n", ZN_AT_SCALE)
 def test_zn_tables_equal_the_literal_tables_at_scale(n):
     L = zn_ideal_lattice(n)
     assert (L.leq_table, L.mul_table) == oracle.zn_tables(n)
+
+
+def test_zn_rows_fit_in_bytes_up_to_the_limit():
+    # The product rows are built as bytes, one entry per divisor: no n up to
+    # the limit has more than 240 divisors, and 1081080, the next highly
+    # composite number, has 256.
+    assert _ZN_LIMIT < 1081080
+    assert max(zn_ideal_lattice(n).n for n in ZN_AT_SCALE) == 240
 
 
 def _assert_carrier(L, literal):
@@ -100,9 +119,45 @@ def test_boolean_masks_are_the_literal_order():
         _assert_carrier(boolean_frame(k), [[i & ~j == 0 for j in range(size)] for i in range(size)])
 
 
-@pytest.mark.parametrize("n", [4, 8, 12, 16, 24, 27, 30, 36, 360, 5040, 55440, 720720, 942480])
+@pytest.mark.parametrize("n", [4, 8, 12, 16, 24, 27, 30, 36, 360, 5040, 55440, *ZN_AT_SCALE])
 def test_zn_masks_are_the_literal_order(n):
     _assert_carrier(zn_ideal_lattice(n), oracle.zn_tables(n)[0])
+
+
+@pytest.mark.parametrize("L", SHAPES, ids=lambda L: L.name)
+def test_shape_masks_are_the_literal_order(L):
+    # N5+ (not graded), M3+ and the products, each as built from its flag rows
+    _assert_carrier(L, L.leq_table)
+
+
+# The literal covers at sizes the cubic oracle cannot reach, row-major
+@pytest.mark.parametrize("k", [255, 511, 1023])
+def test_chain_covers_are_the_literal_list(k):
+    L = chain_frame(k)
+    assert L.covers == tuple((i, i + 1) for i in range(k))
+    assert L.join_irreducibles == tuple(range(1, k + 1))
+
+
+@pytest.mark.parametrize("k", [9, 10])
+def test_boolean_covers_are_the_literal_list(k):
+    L = boolean_frame(k)
+    assert L.covers == tuple(
+        (x, x | 1 << t) for x in range(1 << k) for t in range(k) if not x >> t & 1
+    )
+    assert L.join_irreducibles == tuple(1 << t for t in range(k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=7).flatmap(
+    lambda n: st.lists(st.lists(st.booleans(), min_size=n, max_size=n), min_size=n, max_size=n)
+))
+def test_covers_are_the_literal_pairs_of_any_relation(leq):
+    # Peeling minimal elements assumes a partial order; on a relation that is
+    # not reflexive, antisymmetric or transitive the pairs are still those
+    # with nothing strictly between, and the peeling ends.
+    n = len(leq)
+    L = FiniteMultiplicativeLattice("r", map(str, range(n)), leq, [[0] * n] * n, 0, n - 1)
+    assert L.covers == oracle.covers(leq)
 
 
 @pytest.mark.parametrize("corpus", [*HUNT_CORPORA, "shapes"])
