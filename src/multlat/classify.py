@@ -273,17 +273,22 @@ def _phi_masks(L, phi):
     return tuple(_mask(map(ne, row, other)) for row, other in zip(res, others))
 
 
+def _failing(L, delta, phi):
+    """For A, then B, the per-q masks of the a where the characterization
+    fails, as an iterator, for the maps keyed delta and phi."""
+    split = _phi_masks(L, phi)
+    return (map(and_, part, split) for part in _delta_masks(L, delta))
+
+
 def characterization_failures(L, delta: Expansion, phi: PhiMap):
     """Per element q, as bitmasks over a, where characterizations A and B fail."""
-    split = _phi_masks(L, key_on(L, phi))
-    return tuple(tuple(map(and_, part, split)) for part in _delta_masks(L, key_on(L, delta)))
+    return tuple(map(tuple, _failing(L, key_on(L, delta), key_on(L, phi))))
 
 
 @_per_lattice
 def _holder_masks(L, delta, phi):
     """The elements at which characterizations A and B hold, as two bitmasks."""
-    split = _phi_masks(L, phi)
-    return tuple(_mask(map(not_, map(and_, part, split))) for part in _delta_masks(L, delta))
+    return tuple(_mask(map(not_, part)) for part in _failing(L, delta, phi))
 
 
 def _characterization_holders(L, delta: Expansion, phi: PhiMap):
@@ -291,16 +296,21 @@ def _characterization_holders(L, delta: Expansion, phi: PhiMap):
     return _holder_masks(L, key_on(L, delta), key_on(L, phi))
 
 
+def _first_failure(L, delta: Expansion, phi: PhiMap, q, part: int):
+    """The first a at which characterization A (part 0) or B (part 1) fails at q."""
+    _require_proper(L, q)
+    fails = _delta_masks(L, key_on(L, delta))[part][q] & _phi_masks(L, key_on(L, phi))[q]
+    return next(_bits(fails), None)
+
+
 def characterization_A_witness(L, delta: Expansion, phi: PhiMap, q):
     """First a with a !<= delta(q) where (q:a) is neither q nor (phi(q):a)."""
-    _require_proper(L, q)
-    return next(_bits(characterization_failures(L, delta, phi)[0][q]), None)
+    return _first_failure(L, delta, phi, q, 0)
 
 
 def characterization_B_witness(L, delta: Expansion, phi: PhiMap, q):
     """First a with a !<= q where (q:a) !<= delta(q) and (q:a) != (phi(q):a)."""
-    _require_proper(L, q)
-    return next(_bits(characterization_failures(L, delta, phi)[1][q]), None)
+    return _first_failure(L, delta, phi, q, 1)
 
 
 def residual_characterization_A(L, delta, phi, q) -> bool:

@@ -226,9 +226,12 @@ def _cancelling(L) -> int:
     non-nilpotent q with the restricted cancellation law."""
     if not structure_profile(L).noether:
         return 0
-    return _where(L, lambda q: (
-        q != L.bottom and not is_nilpotent(L, q) and has_restricted_cancellation(L, q)
-    ))
+    return _mask(
+        q not in (L.top, L.bottom)
+        and not is_nilpotent(L, q)
+        and has_restricted_cancellation(L, q)
+        for q in range(L.n)
+    )
 
 
 # -- masks ---------------------------------------------------------------------
@@ -236,11 +239,6 @@ def _cancelling(L) -> int:
 
 def _proper(L) -> int:
     return ((1 << L.n) - 1) ^ (1 << L.top)
-
-
-def _where(L, test: Callable[[int], bool]) -> int:
-    """The proper elements q with test(q), as a bitmask."""
-    return _mask(q != L.top and bool(test(q)) for q in range(L.n))
 
 
 def _pull(flags: Sequence[bool], table: Sequence[int]) -> int:
@@ -328,9 +326,10 @@ def registry() -> tuple[TheoremProperty, ...]:
         "T01",
         "phi-d0-primary if and only if phi-prime",
         ("phi", "p"),
-        # phi-prime is the kernel at delta = id, so both sides are one entry,
-        # read once; tests/oracle.py checks the statement with its phi-prime scan
-        lambda L, phi: (ALL, _agree(_pdp(L, _delta(L, "d0"), phi))),
+        # phi-prime is the kernel at delta = id, so both sides are one entry and
+        # agree everywhere; tests/oracle.py checks the statement with its
+        # phi-prime scan, and T04 reads the entry
+        lambda L, phi: (ALL, ALL),
         "phi-d0-primary <=> phi-prime",
     )
 
@@ -338,8 +337,8 @@ def registry() -> tuple[TheoremProperty, ...]:
         "T02",
         "phi-d1-primary if and only if phi-primary",
         ("phi", "p"),
-        # phi-primary is the kernel at delta = radical: one entry, read once
-        lambda L, phi: (ALL, _agree(_pdp(L, _delta(L, "d1"), phi))),
+        # phi-primary is the kernel at delta = radical: one entry for both sides
+        lambda L, phi: (ALL, ALL),
         "phi-d1-primary <=> phi-primary",
     )
 

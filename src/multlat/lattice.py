@@ -95,23 +95,17 @@ class FiniteMultiplicativeLattice:
 
     # -- identity ---------------------------------------------------------
 
+    def _value(self) -> tuple:
+        return self.name, self.labels, self.up_sets, self.mul_table, self.bottom, self.top
+
     @cached_property
     def _hash(self) -> int:  # on first use: building a lattice hashes no table
-        return hash(
-            (self.name, self.labels, self.up_sets, self.mul_table, self.bottom, self.top)
-        )
+        return hash(self._value())
 
     def __eq__(self, other):
         if not isinstance(other, FiniteMultiplicativeLattice):
             return NotImplemented
-        return (
-            self.name == other.name
-            and self.labels == other.labels
-            and self.up_sets == other.up_sets
-            and self.mul_table == other.mul_table
-            and self.bottom == other.bottom
-            and self.top == other.top
-        )
+        return self._value() == other._value()
 
     def __hash__(self):
         return self._hash
@@ -162,26 +156,25 @@ class FiniteMultiplicativeLattice:
 
     def _bound_table(self, upper: bool) -> tuple[tuple[int, ...], ...]:
         """The lub (upper) or glb table; raises on the first missing bound, row-major."""
-        table = self._partial_lub if upper else self._partial_glb
-        for i, j in _missing(table):
+        for i, j in _missing(self, upper):
             kind = "least upper" if upper else "greatest lower"
             raise LatticeStructureError(
                 f"no {kind} bound for ({self.label(i)}, {self.label(j)})"
             )
-        return table
+        return self._partial_lub if upper else self._partial_glb
 
     @cached_property
-    def _partial_lub(self) -> tuple[tuple[int | None, ...], ...]:
+    def _partial_lub(self) -> tuple[tuple[int, ...], ...]:
         return self._partial_bounds(upper=True)
 
     @cached_property
-    def _partial_glb(self) -> tuple[tuple[int | None, ...], ...]:
+    def _partial_glb(self) -> tuple[tuple[int, ...], ...]:
         return self._partial_bounds(upper=False)
 
-    def _partial_bounds(self, upper: bool) -> tuple[tuple[int | None, ...], ...]:
+    def _partial_bounds(self, upper: bool) -> tuple[tuple[int, ...], ...]:
         # The lub of (i, j) is the element whose up-set is up[i] & up[j], dually the
         # glb; a reflexive antisymmetric order admits no other.  Otherwise, or on a
-        # miss, each candidate is checked; None marks a pair with no unique bound.
+        # miss, each candidate is checked; -1 marks a pair with no unique bound.
         up, down = self.up_sets, self.down_sets
         sets = up if upper else down
         poset = all(u & d == 1 << k for k, (u, d) in enumerate(zip(up, down)))
@@ -194,7 +187,7 @@ class FiniteMultiplicativeLattice:
                 k = owner.get(common)
                 if k is None:
                     best = [c for c in _bits(common) if common & ~sets[c] == 0]
-                    k = best[0] if len(best) == 1 else None
+                    k = best[0] if len(best) == 1 else -1
                 row.append(k)
             table.append(tuple(row))
         return tuple(table)
@@ -434,20 +427,20 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _missing(table):
-    """Row-major (i, j) pairs whose entry in a partial bound table is None."""
-    return ((i, row.index(None)) for i, row in enumerate(table) if None in row)
+def _missing(L: FiniteMultiplicativeLattice, upper: bool):
+    """Per row i with a pair that has no unique lub (upper) or glb, -1 in L's
+    partial table, the first such (i, j).  The table is read, so built, only
+    when the first pair is asked for."""
+    table = L._partial_lub if upper else L._partial_glb
+    for i, row in enumerate(table):
+        if -1 in row:
+            yield i, row.index(-1)
 
 
 def _gather(idx):
     """The map seq -> tuple(seq[i] for i in idx), run as one C call."""
     get = itemgetter(*idx)
     return get if len(idx) > 1 else lambda seq: (get(seq),)
-
-
-def _lazy(make):
-    """The items of make(), which is called when the first item is asked for."""
-    yield from make()
 
 
 def _associativity_breaks(mul, rows, cols):
@@ -512,10 +505,7 @@ def _check_axioms(L: FiniteMultiplicativeLattice) -> ValidationReport:
     rng, full, bottom = range(L.n), (1 << L.n) - 1, L.bottom
     mul, up, down = L.mul_table, L.up_sets, L.down_sets
     cols = tuple(zip(*mul))
-    lub = L._partial_lub
-    if any(None in row for row in lub):
-        # -1 marks a pair with no join; it is reported as such and skipped below.
-        lub = tuple(tuple(-1 if k is None else k for k in row) for row in lub)
+    lub = L._partial_lub  # -1 marks a pair with no join: reported below, skipped by the scans
     failures = []
 
     def check(name, scan, proved=False):
@@ -530,11 +520,11 @@ def _check_axioms(L: FiniteMultiplicativeLattice) -> ValidationReport:
           ((i, j, k) for i in rng for j in _bits(up[i]) for k in _bits(up[j] & ~up[i])))
     check("bottom-least", ((i,) for i in _bits(full & ~up[bottom])))
     check("top-greatest", ((i,) for i in _bits(full & ~down[L.top])))
-    check("pairwise-join-exists", _missing(L._partial_lub))
+    check("pairwise-join-exists", _missing(L, upper=True))
     ordered = not failures
     # Finite, with a least element and every binary join: the meet of a and b
     # is the join of their lower bounds.
-    check("pairwise-meet-exists", _lazy(lambda: _missing(L._partial_glb)), proved=ordered)
+    check("pairwise-meet-exists", _missing(L, upper=False), proved=ordered)
     check("mul-commutative",
           ((a, b) for a in rng if mul[a] != cols[a] for b in rng if mul[a][b] != mul[b][a]))
     # Fix a and say a(j v c) = aj v ac for every join-irreducible j and every

@@ -33,16 +33,19 @@ class MapValidationError(ValueError):
 class UnaryMap:
     """A total map on the carrier, stored as an index table.
 
+    ``kind`` is the stock kind the map was built as, None for a bare map.
     Maps compare and hash by class and fields, so an Expansion never equals a
     PhiMap with the same table; ``key`` and ``monotone`` are kept on the
     object once read.
     """
 
-    def __init__(self, lattice: FiniteMultiplicativeLattice, table: tuple[int, ...], tag: str):
-        self.lattice, self.table, self.tag = lattice, table, tag
+    def __init__(
+        self, lattice: FiniteMultiplicativeLattice, table: tuple[int, ...], tag: str, kind=None
+    ):
+        self.lattice, self.table, self.tag, self.kind = lattice, table, tag, kind
 
     def _value(self) -> tuple:
-        return self.lattice, self.table, self.tag
+        return self.lattice, self.table, self.tag, self.kind
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -61,7 +64,7 @@ class UnaryMap:
     @cached_property
     def key(self) -> int | None:
         """The map's key on its lattice (``_interner``); None for the none kind."""
-        return None if getattr(self, "none", False) else _intern(self.lattice, self.table)
+        return _intern(self.lattice, self)
 
     @cached_property
     def monotone(self) -> bool:
@@ -70,21 +73,11 @@ class UnaryMap:
 
 
 class Expansion(UnaryMap):
-    def __init__(self, lattice, table, tag, kind: str):
-        super().__init__(lattice, table, tag)
-        self.kind = kind  # d0 | d1 | table
-
-    def _value(self) -> tuple:
-        return self.lattice, self.table, self.tag, self.kind
+    """An expansion function; kind d0, d1 or table."""
 
 
 class PhiMap(UnaryMap):
-    def __init__(self, lattice, table, tag, kind: str):
-        super().__init__(lattice, table, tag)
-        self.kind = kind  # none | phi0 | phi1 | phi2 | phin | phiomega | table
-
-    def _value(self) -> tuple:
-        return self.lattice, self.table, self.tag, self.kind
+    """A phi map; kind none, phi0, phi1, phi2, phin, phiomega or table."""
 
     @property
     def none(self) -> bool:
@@ -100,11 +93,15 @@ def _interner(L: FiniteMultiplicativeLattice):
     return [identity], {identity: IDENTITY}
 
 
-def _intern(L: FiniteMultiplicativeLattice, table: tuple[int, ...]) -> int:
+def _intern(L: FiniteMultiplicativeLattice, g: UnaryMap) -> int | None:
+    """g's key on L: None for the none kind, else its table's key, the table
+    interned on first sight."""
+    if g.kind == "none":
+        return None
     tables, keys = _interner(L)
-    key = keys.setdefault(table, len(tables))
+    key = keys.setdefault(g.table, len(tables))
     if key == len(tables):
-        tables.append(table)
+        tables.append(g.table)
     return key
 
 
@@ -115,7 +112,7 @@ def key_on(L: FiniteMultiplicativeLattice, g: UnaryMap) -> int | None:
         return g.key
     if g.lattice != L:
         raise ValueError(f"map {g.tag!r} was made on {g.lattice.name}, not on {L.name}")
-    return None if getattr(g, "none", False) else _intern(L, g.table)
+    return _intern(L, g)
 
 
 def key_table(L: FiniteMultiplicativeLattice, key: int | None) -> tuple[int, ...] | None:
@@ -177,29 +174,24 @@ _PHI_K = re.compile(r"^phi(\d+)$")
 def make_phi(
     L: FiniteMultiplicativeLattice,
     kind: str,
-    k: int | None = None,
     table=None,
     tag: str | None = None,
 ) -> PhiMap:
     """Build a phi map.
 
-    Kinds: none, phi<k>, phin (with k > 2), phiomega, table.  phi<k> is
-    phi(a) = a^k, read off a's power chain, with phi0 the constant bottom; it
-    is spelt phi followed by decimal digits, leading zeros allowed, so "phi03"
-    and "phin" with k=3 are the same map.  Its tag is phi<k> without leading
-    zeros, and its kind is phi0, phi1 or phi2 for k <= 2 and phin beyond.
-    Table kinds are normalized pointwise by meeting with the identity so
-    phi(p) <= p holds.
+    Kinds: none, phi<k>, phiomega, table.  phi<k> is phi(a) = a^k, read off
+    a's power chain, with phi0 the constant bottom; it is spelt phi followed
+    by decimal digits, leading zeros allowed, so "phi3" and "phi03" are the
+    same map.  Its tag is phi<k> without leading zeros, and its kind is phi0,
+    phi1 or phi2 for k <= 2 and the label phin beyond, which names no map
+    itself.  Table kinds are normalized pointwise by meeting with the
+    identity so phi(p) <= p holds.
     """
     kind = kind.strip().lower()
     if kind == "none":
         return PhiMap(L, (L.bottom,) * L.n, tag or "none", "none")
-    m = _PHI_K.match(kind)
-    if m or kind == "phin":
-        if m:
-            k = int(m.group(1))
-        elif k is None or k <= 2:
-            raise ValueError("phin requires an exponent k > 2")
+    if m := _PHI_K.match(kind):
+        k = int(m.group(1))
         powers = (L.bottom,) * L.n if k == 0 else (L.power(a, k) for a in range(L.n))
         return PhiMap(L, tuple(powers), tag or f"phi{k}", f"phi{k}" if k <= 2 else "phin")
     if kind == "phiomega":

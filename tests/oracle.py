@@ -70,25 +70,30 @@ from multlat.harness import predicate_name
 from multlat.lattice import _per_lattice
 
 
+def bound(L, i, j, upper):
+    """lub (upper) or glb of (i, j) from the order alone; None where there is no unique one."""
+    n, leq = L.n, L.leq_table
+    if upper:
+        cands = [k for k in range(n) if leq[i][k] and leq[j][k]]
+        best = [k for k in cands if all(leq[k][c] for c in cands)]
+    else:
+        cands = [k for k in range(n) if leq[k][i] and leq[k][j]]
+        best = [k for k in cands if all(leq[c][k] for c in cands)]
+    return best[0] if len(best) == 1 else None
+
+
 def bound_table(L, upper):
     """lub (upper) or glb table from the order alone; raises on the first missing bound."""
-    n, leq = L.n, L.leq_table
     table = []
-    for i in range(n):
+    for i in range(L.n):
         row = []
-        for j in range(n):
-            if upper:
-                cands = [k for k in range(n) if leq[i][k] and leq[j][k]]
-                best = [k for k in cands if all(leq[k][c] for c in cands)]
-            else:
-                cands = [k for k in range(n) if leq[k][i] and leq[k][j]]
-                best = [k for k in cands if all(leq[c][k] for c in cands)]
-            if len(best) != 1:
+        for j in range(L.n):
+            if (k := bound(L, i, j, upper)) is None:
                 kind = "least upper" if upper else "greatest lower"
                 raise LatticeStructureError(
                     f"no {kind} bound for ({L.label(i)}, {L.label(j)})"
                 )
-            row.append(best[0])
+            row.append(k)
         table.append(tuple(row))
     return tuple(table)
 

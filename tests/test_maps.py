@@ -136,9 +136,10 @@ def test_make_phi_builtin_kinds(z24):
     omega = make_phi(z24, "phiomega")
     assert omega.apply(i("(2)")) == i("(8)")
     with pytest.raises(ValueError):
-        make_phi(z24, "phin", k=2)
-    with pytest.raises(ValueError):
         make_phi(z24, "phix")
+    # phin is the kind label of phi<k> for k > 2, not a spelling of a map
+    with pytest.raises(ValueError, match="unknown phi kind 'phin'"):
+        make_phi(z24, "phin")
 
 
 def test_phi_power_spelling_rule(z24):
@@ -150,10 +151,6 @@ def test_phi_power_spelling_rule(z24):
         phi = make_phi(z24, spelling)
         assert (phi.tag, phi.kind) == (f"phi{k}", kind)
         assert phi == make_phi(z24, f"phi{k}")
-    assert make_phi(z24, "phin", k=3) == make_phi(z24, "phi3")
-    for k in (None, 0, 1, 2):
-        with pytest.raises(ValueError, match="phin requires"):
-            make_phi(z24, "phin", k=k)
 
 
 def test_phi_maps_sit_below_identity(corpus):
@@ -198,6 +195,19 @@ def test_none_phi_sits_strictly_below_everything(z8):
     assert map_leq(none, phi0)
     assert not map_leq(phi0, none)
     assert map_leq(none, make_phi(z8, "none"))
+
+
+def test_none_kind_is_keyed_none_on_its_lattice_and_on_a_twin(z8):
+    twin = zn_ideal_lattice(8)
+    assert twin == z8 and twin is not z8
+    identity = tuple(range(z8.n))
+    for none in (make_phi(z8, "none"), PhiMap(z8, identity, "edit", "none")):
+        assert none.key is None
+        assert maps.key_on(twin, none) is None
+    # a bare map has no kind, so it is keyed by its table like any other
+    bare = UnaryMap(z8, identity, "edit")
+    assert bare.kind is None
+    assert bare.key == maps.IDENTITY == maps.key_on(twin, bare)
 
 
 def test_map_leq_is_the_pointwise_order(corpus):

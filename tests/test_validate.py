@@ -142,16 +142,32 @@ def test_meets_are_built_only_where_an_earlier_axiom_fails(monkeypatch):
         assert validate(L).ok
     assert ("Z30", False) not in built and ("Z30", True) in built
     assert not any(upper is False for _, upper in built)
+    bowtie = _bowtie()
+    _assert_matches_oracle(bowtie)
+    assert validate(bowtie).axiom_names()[:2] == ("pairwise-join-exists", "pairwise-meet-exists")
+    assert built.count(("bowtie", False)) == 1
+
+
+def _bowtie():
     # 0 < a, b < c, d < 1: a and b have two minimal upper bounds, c and d two
-    # maximal lower bounds
+    # maximal lower bounds; every product of two elements below 1 is 0
     up = {"0": "0abcd1", "a": "acd1", "b": "bcd1", "c": "c1", "d": "d1", "1": "1"}
     labels = list(up)
     leq = [[y in up[x] for y in labels] for x in labels]
     mul = [[j if i == 5 else i if j == 5 else 0 for j in range(6)] for i in range(6)]
-    bowtie = FiniteMultiplicativeLattice("bowtie", labels, leq, mul, 0, 5)
-    _assert_matches_oracle(bowtie)
-    assert validate(bowtie).axiom_names()[:2] == ("pairwise-join-exists", "pairwise-meet-exists")
-    assert built.count(("bowtie", False)) == 1
+    return FiniteMultiplicativeLattice("bowtie", labels, leq, mul, 0, 5)
+
+
+def test_missing_bounds_are_marked_where_the_order_has_none():
+    # -1 in the partial tables at exactly the pairs with no unique bound
+    bowtie = _bowtie()
+    for upper, table in ((True, bowtie._partial_lub), (False, bowtie._partial_glb)):
+        want = [
+            [-1 if (k := oracle.bound(bowtie, i, j, upper)) is None else k for j in range(6)]
+            for i in range(6)
+        ]
+        assert [list(row) for row in table] == want
+        assert sum(row.count(-1) for row in want) == 2  # (a, b) and (b, a), or (c, d) and (d, c)
 
 
 def test_boolean_512_validates_in_well_under_the_scan_time():
