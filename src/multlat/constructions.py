@@ -12,7 +12,7 @@ from functools import reduce
 from itertools import repeat
 from math import gcd, isqrt
 from operator import and_
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .lattice import FiniteMultiplicativeLattice, _bits, _mask, _transpose, validate
 
@@ -129,7 +129,7 @@ def boolean_frame(k: int) -> FiniteMultiplicativeLattice:
 # -- textual format ---------------------------------------------------------
 
 
-def _closure_from_covers(n: int, covers: list[tuple[int, int]]) -> tuple[int, ...]:
+def _closure_from_covers(n: int, covers: Iterable[tuple[int, int]]) -> tuple[int, ...]:
     """The up-set masks of the reflexive-transitive closure of the covers."""
     up = [1 << i for i in range(n)]  # row i of the order as a bitmask
     for a, b in covers:
@@ -160,16 +160,26 @@ def parse_lattice(text: str) -> FiniteMultiplicativeLattice:
     name = None
     labels: list[str] | None = None
     bottom_label = top_label = None
-    covers: list[tuple[str, str]] = []
+    covers: list[tuple[str, str]] = []  # labels, resolved after the loop
     muls: list[tuple[str, str, str]] = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [raw.split("#", 1)[0] for raw in lines]
+    for lineno, line in enumerate(lines, start=1):
         parts = line.split()
+        if not parts:
+            continue
         key = parts[0]
-        if key == "lattice":
+        if key == "mul":
+            if len(parts) != 6 or parts[2] != "*" or parts[4] != "=":
+                raise LatticeFormatError(f"line {lineno}: expected 'mul a * b = c'")
+            muls.append((parts[1], parts[3], parts[5]))
+        elif key == "cover":
+            if len(parts) != 4 or parts[2] != "<":
+                raise LatticeFormatError(f"line {lineno}: expected 'cover a < b'")
+            covers.append((parts[1], parts[3]))
+        elif key == "lattice":
             if len(parts) != 2 or name is not None:
                 raise LatticeFormatError(f"line {lineno}: bad or repeated lattice line")
             name = parts[1]
@@ -185,14 +195,6 @@ def parse_lattice(text: str) -> FiniteMultiplicativeLattice:
             if len(parts) != 2:
                 raise LatticeFormatError(f"line {lineno}: bad top line")
             top_label = parts[1]
-        elif key == "cover":
-            if len(parts) != 4 or parts[2] != "<":
-                raise LatticeFormatError(f"line {lineno}: expected 'cover a < b'")
-            covers.append((parts[1], parts[3]))
-        elif key == "mul":
-            if len(parts) != 6 or parts[2] != "*" or parts[4] != "=":
-                raise LatticeFormatError(f"line {lineno}: expected 'mul a * b = c'")
-            muls.append((parts[1], parts[3], parts[5]))
         else:
             raise LatticeFormatError(f"line {lineno}: unknown directive {key!r}")
 
@@ -201,16 +203,22 @@ def parse_lattice(text: str) -> FiniteMultiplicativeLattice:
     if len(set(labels)) != len(labels):
         raise LatticeFormatError("duplicate element labels")
     index = {lab: i for i, lab in enumerate(labels)}
+    get = index.get
 
     def look(label: str) -> int:
         if label not in index:
             raise LatticeFormatError(f"unknown element label {label!r}")
         return index[label]
 
+    # Labels resolve in the order the checks below first read them: bottom,
+    # top, each cover's a then b, then each mul line's a, b, c and conflict.
     bottom, top = look(bottom_label), look(top_label)
     n = len(labels)
-    cover_ids = [(look(a), look(b)) for a, b in covers]
-    up = _closure_from_covers(n, cover_ids)
+    ends = [label for pair in covers for label in pair]
+    ids = list(map(get, ends))
+    if None in ids:
+        look(ends[ids.index(None)])
+    up = _closure_from_covers(n, zip(ids[::2], ids[1::2]))
     down = _transpose(up)
     bad = next((i for i in range(n) if up[i] & down[i] != 1 << i), None)
     if bad is not None:
@@ -221,19 +229,21 @@ def parse_lattice(text: str) -> FiniteMultiplicativeLattice:
 
     mul: list[list[int | None]] = [[None] * n for _ in range(n)]
     for la, lb, lc in muls:
-        a, b, c = look(la), look(lb), look(lc)
-        for i, j in ((a, b), (b, a)):
-            if mul[i][j] is not None and mul[i][j] != c:
-                raise LatticeFormatError(f"conflicting products for {la} * {lb}")
-            mul[i][j] = c
-    for a in range(n):  # a * top defaults to a
-        if mul[a][top] is None:
-            mul[a][top] = a
-        if mul[top][a] is None:
-            mul[top][a] = a
-    missing = next(
-        ((i, j) for i in range(n) for j in range(n) if mul[i][j] is None), None
-    )
+        a, b, c = get(la), get(lb), get(lc)
+        if a is None or b is None or c is None:
+            look(la), look(lb), look(lc)  # raises on the first miss
+        row = mul[a]
+        if row[b] is None:  # mul[b][a] is set with it, so it is None too
+            row[b] = mul[b][a] = c
+        elif row[b] != c:
+            raise LatticeFormatError(f"conflicting products for {la} * {lb}")
+    top_row = mul[top]
+    for a, row in enumerate(mul):  # a * top defaults to a
+        if row[top] is None:
+            row[top] = a
+        if top_row[a] is None:
+            top_row[a] = a
+    missing = next(((i, row.index(None)) for i, row in enumerate(mul) if None in row), None)
     if missing:
         raise LatticeFormatError(
             "multiplication not total: missing "

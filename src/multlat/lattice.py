@@ -472,13 +472,28 @@ def _distributivity_breaks(mul, lub, rows, cols):
                 )
 
 
-def _monotonicity_breaks(mul, up):
-    """(a, b, c) with b <= c and ab !<= ac, row-major."""
+def _monotonicity_breaks(mul, up, rows):
+    """(a, b, c) with b <= c and ab !<= ac, for a in rows, row-major."""
     # every c >= b must have ac >= ab: bit ac of up[ab]
     above = [tuple(_bits(m)) for m in up]
-    for a, row in enumerate(mul):
+    for a in rows:
+        row = mul[a]
         for b, ab in enumerate(map(up.__getitem__, row)):
             yield from ((a, b, c) for c in above[b] if not ab >> row[c] & 1)
+
+
+def _first_cover_break(mul, up, covers, lo):
+    """The first row a >= lo with some cover (b, c) where ab !<= ac, or len(mul)."""
+    if not covers:
+        return len(mul)
+    lows, highs = map(_gather, zip(*covers))
+    for a in range(lo, len(mul)):
+        row = mul[a]
+        # bit ac of up[ab], per cover
+        ups = map(up.__getitem__, lows(row))
+        if not all(map((1).__and__, map(int.__rshift__, ups, highs(row)))):
+            return a
+    return len(mul)
 
 
 def validate(L: FiniteMultiplicativeLattice) -> ValidationReport:
@@ -493,8 +508,10 @@ def validate(L: FiniteMultiplicativeLattice) -> ValidationReport:
     from those axioms, and distributivity and associativity from checks on
     the join-irreducibles alone (the proofs are in ``docs/formats.md``).  An
     axiom is scanned in full only where its proof does not apply or its
-    check fails, so the report is that of the exhaustive scans.  The report
-    is kept on the lattice, so a second call costs nothing.
+    check fails, so the report is that of the exhaustive scans.  The scans
+    of distributivity and monotonicity start at the first row a per-row
+    check shows to break them, where the order allows that check.  The
+    report is kept on the lattice, so a second call costs nothing.
     """
     return L.validation
 
@@ -517,7 +534,9 @@ def _check_axioms(L: FiniteMultiplicativeLattice) -> ValidationReport:
     check("order-antisymmetric",
           ((i, j) for i in rng for j in _bits(up[i] & down[i] & ~(1 << i))))
     check("order-transitive",
-          ((i, j, k) for i in rng for j in _bits(up[i]) for k in _bits(up[j] & ~up[i])))
+          ((i, j, k) for i, ui in enumerate(up) for j in _bits(ui) if up[j] & ~ui
+           for k in _bits(up[j] & ~ui)))
+    partial = not failures
     check("bottom-least", ((i,) for i in _bits(full & ~up[bottom])))
     check("top-greatest", ((i,) for i in _bits(full & ~down[L.top])))
     check("pairwise-join-exists", _missing(L, upper=True))
@@ -533,9 +552,12 @@ def _check_axioms(L: FiniteMultiplicativeLattice) -> ValidationReport:
     # join-irreducibles, bottom the empty one: a(bottom v c) = ac = a*bottom v
     # ac, and b = j v b', with b' the join of the others, gives a(b v c) =
     # aj v a(b' v c) = aj v ab' v ac = ab v ac by induction.  Neither
-    # commutativity nor annihilation is needed.
+    # commutativity nor annihilation is needed, and the argument holds for
+    # each row a on its own: the first row the check flags is the first row
+    # with any break, so the full scan starts there.
     ji = L.join_irreducibles
-    distributes = ordered and next(_distributivity_breaks(mul, lub, rng, ji), None) is None
+    ji_break = next(_distributivity_breaks(mul, lub, rng, ji), None) if ordered else None
+    distributes = ordered and ji_break is None
     # Write x and y as joins of join-irreducibles a_i and b_j.  Products
     # distribute over those joins on either side (commutativity), so (xy)z
     # and x(yz) are the joins of the (a_i b_j)z and a_i(b_j z), and both are
@@ -548,9 +570,19 @@ def _check_axioms(L: FiniteMultiplicativeLattice) -> ValidationReport:
     ))
     check("mul-identity", ((a,) for a in rng if mul[a][L.top] != a))
     check("mul-annihilates-bottom", ((a,) for a in rng if mul[a][bottom] != bottom))
-    check("mul-join-distributive", _distributivity_breaks(mul, lub, rng, rng),
+    check("mul-join-distributive",
+          _distributivity_breaks(mul, lub, range(ji_break[0] if ji_break else 0, L.n), rng),
           proved=distributes)
     # With a partial order, every join and distributivity, b <= c gives
-    # b v c = c, so ac = a(b v c) = ab v ac >= ab.
-    check("mul-monotone", _monotonicity_breaks(mul, up), proved=not failures)
+    # b v c = c, so ac = a(b v c) = ab v ac >= ab: scanned only where an
+    # earlier axiom fails.  The argument reads row a alone, so with axioms
+    # 1-6 no row before the first distributivity break breaks monotonicity.
+    # With a partial order alone, b < c is joined by a chain of covers, along
+    # which ab <= ac carries by transitivity: a row breaks monotonicity
+    # exactly where it breaks it on a cover, so the full scan starts at the
+    # first such row.
+    if failures:
+        lo = (ji_break[0] if ji_break else L.n) if ordered else 0
+        start = _first_cover_break(mul, up, L.covers, lo) if partial else 0
+        check("mul-monotone", _monotonicity_breaks(mul, up, range(start, L.n)))
     return ValidationReport(ok=not failures, failures=tuple(failures))

@@ -31,6 +31,10 @@ entry by entry, ``up_sets``/``down_sets`` sum one shifted flag at a time, and
 ``covers`` tests every c between every comparable pair;
 ``tests/test_constructions.py`` and ``tests/test_kernels.py`` check the
 row-built tables and the builders' order masks against them.
+``parse_lattice`` is the line-by-line parser that resolves each label as
+its line is read; ``tests/test_constructions.py`` checks that the one-pass
+``multlat.parse_lattice`` returns the same lattice or raises the same error
+on mangled files.
 """
 
 import re
@@ -41,10 +45,13 @@ from typing import Callable
 
 from multlat import (
     Expansion,
+    FiniteMultiplicativeLattice,
     HarnessConfig,
     HuntHit,
     Isomorphism,
+    LatticeFormatError,
     LatticeStructureError,
+    LatticeValidationError,
     PhiMap,
     PropertyResult,
     StructureProfile,
@@ -64,10 +71,12 @@ from multlat import (
     power_stabilization,
     radical,
     residual,
+    validate,
 )
 from multlat import structure_profile as fast_structure_profile
+from multlat.constructions import _closure_from_covers
 from multlat.harness import predicate_name
-from multlat.lattice import _per_lattice
+from multlat.lattice import _bits, _per_lattice, _transpose
 
 
 def bound(L, i, j, upper):
@@ -1247,3 +1256,116 @@ def run_property(prop, corpus=None, config=None):
     return PropertyResult(
         prop.id, prop.description, scanned, hits, violations, tuple(witnesses)
     )
+
+
+# -- the lattice file format -------------------------------------------------
+
+
+def parse_lattice(text: str) -> FiniteMultiplicativeLattice:
+    """Parse the line-oriented lattice format.
+
+    Grammar (tokens are whitespace-separated; '#' starts a comment):
+
+        lattice <name>
+        elements <label> ...
+        bottom <label>
+        top <label>
+        cover <a> < <b>        (one per Hasse edge; order is their closure)
+        mul <a> * <b> = <c>    (one per unordered pair; a * top may be omitted)
+
+    Raises LatticeFormatError for malformed input (including order cycles and
+    a partial multiplication table) and LatticeValidationError when the
+    parsed tables fail an axiom.
+    """
+    name = None
+    labels: list[str] | None = None
+    bottom_label = top_label = None
+    covers: list[tuple[str, str]] = []
+    muls: list[tuple[str, str, str]] = []
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        key = parts[0]
+        if key == "lattice":
+            if len(parts) != 2 or name is not None:
+                raise LatticeFormatError(f"line {lineno}: bad or repeated lattice line")
+            name = parts[1]
+        elif key == "elements":
+            if labels is not None or len(parts) < 2:
+                raise LatticeFormatError(f"line {lineno}: bad or repeated elements line")
+            labels = parts[1:]
+        elif key == "bottom":
+            if len(parts) != 2:
+                raise LatticeFormatError(f"line {lineno}: bad bottom line")
+            bottom_label = parts[1]
+        elif key == "top":
+            if len(parts) != 2:
+                raise LatticeFormatError(f"line {lineno}: bad top line")
+            top_label = parts[1]
+        elif key == "cover":
+            if len(parts) != 4 or parts[2] != "<":
+                raise LatticeFormatError(f"line {lineno}: expected 'cover a < b'")
+            covers.append((parts[1], parts[3]))
+        elif key == "mul":
+            if len(parts) != 6 or parts[2] != "*" or parts[4] != "=":
+                raise LatticeFormatError(f"line {lineno}: expected 'mul a * b = c'")
+            muls.append((parts[1], parts[3], parts[5]))
+        else:
+            raise LatticeFormatError(f"line {lineno}: unknown directive {key!r}")
+
+    if name is None or labels is None or bottom_label is None or top_label is None:
+        raise LatticeFormatError("missing lattice/elements/bottom/top header")
+    if len(set(labels)) != len(labels):
+        raise LatticeFormatError("duplicate element labels")
+    index = {lab: i for i, lab in enumerate(labels)}
+
+    def look(label: str) -> int:
+        if label not in index:
+            raise LatticeFormatError(f"unknown element label {label!r}")
+        return index[label]
+
+    bottom, top = look(bottom_label), look(top_label)
+    n = len(labels)
+    cover_ids = [(look(a), look(b)) for a, b in covers]
+    up = _closure_from_covers(n, cover_ids)
+    down = _transpose(up)
+    bad = next((i for i in range(n) if up[i] & down[i] != 1 << i), None)
+    if bad is not None:
+        j = next(_bits(up[bad] & down[bad] & ~(1 << bad)))
+        raise LatticeFormatError(
+            f"cover closure violates antisymmetry: {labels[bad]} and {labels[j]}"
+        )
+
+    mul: list[list[int | None]] = [[None] * n for _ in range(n)]
+    for la, lb, lc in muls:
+        a, b, c = look(la), look(lb), look(lc)
+        for i, j in ((a, b), (b, a)):
+            if mul[i][j] is not None and mul[i][j] != c:
+                raise LatticeFormatError(f"conflicting products for {la} * {lb}")
+            mul[i][j] = c
+    for a in range(n):  # a * top defaults to a
+        if mul[a][top] is None:
+            mul[a][top] = a
+        if mul[top][a] is None:
+            mul[top][a] = a
+    missing = next(
+        ((i, j) for i in range(n) for j in range(n) if mul[i][j] is None), None
+    )
+    if missing:
+        raise LatticeFormatError(
+            "multiplication not total: missing "
+            f"{labels[missing[0]]} * {labels[missing[1]]}"
+        )
+
+    lattice = FiniteMultiplicativeLattice._from_masks(
+        name, tuple(labels), up, down, tuple(map(tuple, mul)), bottom, top
+    )
+    report = validate(lattice)
+    if not report.ok:
+        raise LatticeValidationError(
+            f"{name}: axiom failures: {', '.join(report.axiom_names())}", report
+        )
+    return lattice

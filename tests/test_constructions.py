@@ -286,6 +286,91 @@ PARSE_ERRORS = {
 }
 
 
+def _parsed(parse, text):
+    """The lattice's value, or the type and message of the error raised."""
+    try:
+        return parse(text)._value()
+    except (LatticeFormatError, LatticeValidationError) as exc:
+        return type(exc), str(exc)
+
+
+# Short files, so that a few edits reach every kind of line and error, each
+# with its labels: a token replaced by another label repeats a product pair
+# or closes a cycle in the covers.
+MANGLE_BASES = [
+    (serialize(L), L.labels) for L in (zn_ideal_lattice(8), zn_ideal_lattice(12),
+                                       chain_frame(2), boolean_frame(2), *SHAPES[:2])
+]
+STRAY = ("(9)", "zz", "*", "=", "<", "mul")
+
+
+def _mangle(text, labels, rng):
+    """Up to four edits of text's lines, then its line ends, drawn uniformly."""
+    lines = text.splitlines()
+    for _ in range(rng.randrange(5)):
+        if not lines:
+            break
+        i = rng.randrange(len(lines))
+        op = rng.choice(("drop", "duplicate", "swap", "token", "comment", "space"))
+        if op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(rng.randrange(len(lines) + 1), lines[i])
+        elif op == "swap":
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "token":
+            tokens = lines[i].split(" ")
+            tokens[rng.randrange(len(tokens))] = rng.choice(STRAY + labels)
+            lines[i] = " ".join(tokens)
+        elif op == "comment":
+            comment = rng.choice(("  # note", "#", " #mul x"))
+            if rng.random() < 0.5:
+                lines[i] += comment
+            else:
+                lines.insert(i, comment.strip())
+        else:
+            space = rng.choice(("\t", " ", "", "\t \t"))
+            if rng.random() < 0.5:
+                lines[i] = lines[i].replace(" ", space, 1)
+            else:
+                lines.insert(i, space)
+    end = rng.choice(("\n", "\r\n"))
+    return end.join(lines) + end
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(MANGLE_BASES), st.randoms(use_true_random=False))
+def test_parse_matches_the_line_by_line_parser(base, rng):
+    # The one-pass parser resolves labels after reading every line; it must
+    # return the same lattice and raise the same first error as the parser
+    # that resolves each label as its line is read.
+    text = _mangle(*base, rng)
+    assert _parsed(parse_lattice, text) == _parsed(oracle.parse_lattice, text)
+
+
+@pytest.mark.parametrize(
+    "mangle, message",
+    [
+        # a syntax error beats an unknown label on an earlier line
+        (lambda t: t.replace("cover (0) < (4)", "cover (0) < (9)") + "garbage line\n",
+         "line 14: unknown directive 'garbage'"),
+        # a cycle in the covers beats an unknown label on a mul line
+        (lambda t: t.replace("mul (0) * (4) = (0)", "mul (0) * (9) = (0)")
+         + "cover (2) < (0)\n",
+         "cover closure violates antisymmetry: (0) and (4)"),
+        # a conflict beats an unknown label on a later mul line
+        (lambda t: t.replace("mul (0) * (4) = (0)\n", "mul (0) * (0) = (4)\n")
+         .replace("mul (2) * (2) = (4)", "mul (2) * (2) = (9)"),
+         "conflicting products for (0) * (0)"),
+    ],
+)
+def test_parse_reports_the_first_error_of_the_line_by_line_parser(mangle, message):
+    text = mangle(Z8_TEXT)
+    assert _parsed(parse_lattice, text) == (LatticeFormatError, message)
+    assert _parsed(oracle.parse_lattice, text) == (LatticeFormatError, message)
+
+
 def test_parse_names_the_row_major_first_antisymmetry_pair():
     # Two cycles: {e, f} is written first, but {b, c, d} holds the row-major
     # first pair (b, c), which no single cover line names.

@@ -5,7 +5,9 @@ Every import statement counts, including ones nested in functions, so a
 deferred import cannot hide a back-edge.  ``__init__.py`` re-exports all of
 them and is not checked.  ``tests/oracle.py`` may read no verdict of multlat.
 The result records are read-only named tuples, and importing the CLI loads
-neither ``dataclasses`` nor ``pathlib``, nor the modules they drag in.
+neither ``dataclasses`` nor ``pathlib``, nor the modules they drag in.  The
+theorem harness loads only where ``verify``, ``hunt`` or a harness name of the
+package is used.
 """
 
 import ast
@@ -171,3 +173,22 @@ def test_importing_the_cli_loads_no_dataclasses():
         [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.split() == []
+
+
+def test_only_verify_and_hunt_load_the_harness():
+    # In a fresh interpreter, as above: importing the CLI and running the
+    # commands that never use the harness leave it unloaded, and the package
+    # loads it on the first use of one of its names.
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    script = (
+        "import sys, multlat, multlat.cli; "
+        "loaded = lambda: print('multlat.harness' in sys.modules, file=sys.stderr); "
+        "loaded(); "
+        "[multlat.cli.main(argv) for argv in (['validate', '--zn', '12'], "
+        "['classify', '--zn', '12'], ['export-dot', '--zn', '12'])]; "
+        "loaded(); multlat.HarnessConfig; loaded()"
+    )
+    err = subprocess.run(
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stderr
+    assert err.split() == ["False", "False", "True"]

@@ -17,6 +17,7 @@ import pytest
 import oracle
 from multlat import (
     FiniteMultiplicativeLattice,
+    LatticeValidationError,
     boolean_frame,
     chain_frame,
     default_corpus,
@@ -206,7 +207,7 @@ def test_chain_validates_no_slower_than_its_full_scans(monkeypatch):
     for name, rows_at, cols_at in (
         ("_associativity_breaks", 1, 2),  # (mul, rows, cols)
         ("_distributivity_breaks", 2, 3),  # (mul, lub, rows, cols)
-        ("_monotonicity_breaks", 0, 1),  # (mul, up): every row of mul
+        ("_monotonicity_breaks", 2, 1),  # (mul, up, rows)
     ):
         monkeypatch.setattr(
             lattice_module, name, counted(getattr(lattice_module, name), rows_at, cols_at)
@@ -216,6 +217,68 @@ def test_chain_validates_no_slower_than_its_full_scans(monkeypatch):
     # distributivity on the 255 join-irreducible columns and associativity
     # on their 255 x 255 pairs: 130,305 against the full scans' 2 x 256^2
     assert 0 < sum(read) <= 2 * L.n * L.n, sum(read)
+
+
+def _mutated(L, a, b, value):
+    """L with the product a * b set to value, and its file: the mul line
+    replaced, or added where the file omits it (b the top)."""
+    mul = [list(row) for row in L.mul_table]
+    mul[a][b] = mul[b][a] = value
+    line = f"mul {L.label(min(a, b))} * {L.label(max(a, b))} = "
+    text = serialize(L)
+    if b == L.top:
+        text += f"{line}{L.label(value)}\n"
+    else:
+        text = text.replace(f"{line}{L.label(L.mul(a, b))}\n", f"{line}{L.label(value)}\n")
+    return _copy(L, L.name, mul=mul), text
+
+
+def test_witness_scans_start_at_the_first_broken_row(monkeypatch):
+    # The full scans of distributivity and monotonicity start at the first
+    # row that the join-irreducible check and the cover check (which starts
+    # at that row) flag, so they read no row before their witness.  Counted
+    # on the products the load-validate benchmark breaks in the middle of the
+    # carrier: x * top = bottom on a Z1680-shaped file, a * b = top on bool32.
+    read = {}
+
+    def recorded(name, scan, rows_at, cols_at):
+        def recording(*args):
+            if len(args[cols_at]) < len(args[0]):  # the check on join-irreducibles
+                return scan(*args)
+            rows = read[name] = []
+            counted = (rows.append(a) or a for a in args[rows_at])
+            return scan(*args[:rows_at], counted, *args[rows_at + 1:])
+
+        return recording
+
+    full = {
+        "mul-join-distributive": lattice_module._distributivity_breaks,
+        "mul-monotone": lattice_module._monotonicity_breaks,
+    }
+    for scan, rows_at, cols_at in (
+        (full["mul-join-distributive"], 2, 3),  # (mul, lub, rows, cols)
+        (full["mul-monotone"], 2, 1),  # (mul, up, rows)
+    ):
+        monkeypatch.setattr(
+            lattice_module, scan.__name__, recorded(scan.__name__, scan, rows_at, cols_at)
+        )
+    z, b32 = zn_ideal_lattice(1680), boolean_frame(5)
+    for M, text in (
+        _mutated(z, z.n // 2, z.top, z.bottom),
+        _mutated(b32, b32.n // 2, b32.n // 3, b32.top),
+    ):
+        read.clear()
+        with pytest.raises(LatticeValidationError) as exc:
+            parse_lattice(text)
+        witnesses = dict(exc.value.report.failures)
+        rng = range(M.n)
+        assert witnesses["mul-join-distributive"] == next(
+            full["mul-join-distributive"](M.mul_table, M._partial_lub, rng, rng)
+        )
+        assert witnesses["mul-monotone"] == next(full["mul-monotone"](M.mul_table, M.up_sets, rng))
+        for axiom, scan in full.items():
+            row = witnesses[axiom][0]
+            assert 0 < row and min(read[scan.__name__]) == row, (M.name, axiom, row)
 
 
 def test_random_multi_entry_flips_match_oracle():
