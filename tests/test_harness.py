@@ -690,7 +690,7 @@ def test_verify_reads_each_map_condition_once_per_value(monkeypatch):
     # A condition is read once per lattice for each distinct value of the
     # bindings it reads, not once per row: the masks of a staged property's
     # rows, the order of each pair of its maps, and every-phin once per
-    # delta.  Read once per row instead, they would be 9,670 store entries,
+    # delta.  Read once per row instead, they would be 9,556 store entries,
     # 2,688 map orders and 196 every-phin masks.  T01 and T02 read no entry:
     # both sides of each is one entry, so their rows hold everywhere.
     corpus = default_corpus()
@@ -704,7 +704,7 @@ def test_verify_reads_each_map_condition_once_per_value(monkeypatch):
         ))
     run_all(corpus)
     monkeypatch.undo()
-    assert reads == {"_entry": 5442, "map_leq": 980, "_every_phin": 86}
+    assert reads == {"_entry": 5328, "map_leq": 980, "_every_phin": 86}
 
 
 def _store_keys(L):

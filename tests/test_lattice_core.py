@@ -1,5 +1,7 @@
 """Carrier structure, axiom validation, and the basic order/product API."""
 
+from itertools import product
+
 import pytest
 
 from conftest import time_limit
@@ -9,6 +11,8 @@ from multlat import (
     boolean_frame,
     chain_frame,
     classification_report,
+    default_corpus,
+    hunt,
     make_delta,
     make_phi,
     omega_power,
@@ -280,3 +284,30 @@ def test_asymmetric_patch_breaks_commutativity(z24):
     described = report.describe(L)
     assert any("mul-commutative" in line for line in described)
     assert all(": witness (" in line for line in described)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: zn_ideal_lattice(1680), lambda: boolean_frame(5), lambda: chain_frame(7)
+], ids=["Z1680", "bool32", "chain7"])
+def test_classify_parse_and_validate_build_no_order_rows(build):
+    # leq_table, the order as rows of flags, is built on first read (about
+    # 100 ms at bool1024); these paths read the order as masks only
+    L = build()
+    phis = ("phi0", "phi1", "phi2", "phi3", "phi4", "phiomega")
+    for delta, phi in product(("d0", "d1"), phis):
+        classification_report(L, make_delta(L, delta), make_phi(L, phi))
+    assert validate(L).ok
+    parsed = parse_lattice(serialize(L))
+    assert validate(parsed).ok
+    assert "leq_table" not in L.__dict__ and "leq_table" not in parsed.__dict__, L.name
+
+
+def test_hunt_builds_no_order_rows():
+    corpus = default_corpus()
+    for have, lack in (
+        ("phi2-d1-primary", "d1-primary"),
+        ("2-potent-d0-primary", "idempotent"),
+        (("phiomega-primary", "phi3-prime"), "prime"),
+    ):
+        hunt(have, lack, corpus)
+    assert not [L.name for L in corpus.lattices() if "leq_table" in L.__dict__]
